@@ -1,16 +1,21 @@
-"""User-facing fitting entry points."""
+"""User-facing fitting entry points.
+
+fit_spar and fit_spar_cv share _fit_ensemble_only (validation, fit, nu
+grid, config echo) and differ only in how they score the grid.
+"""
 
 from __future__ import annotations
 
 import logging
+from dataclasses import fields
 
 import numpy as np
 
 from .ensemble import (
-    MEASURES,
     ModelSpec,
     SparEnsemble,
     build_nu_grid,
+    check_measure,
     fit_models,
     get_family,
     standardize,
@@ -24,60 +29,26 @@ from .selection import cross_validate, evaluate_validation_grid
 logger = logging.getLogger(__name__)
 
 
-def _check_measure(measure, fam):
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    if measure in ("class", "1-auc") and fam.name != "binomial":
-        raise ConfigError(f"measure {measure!r} requires the binomial family")
+def _spec_echo(spec) -> dict:
+    """A spec's fields except controls, with a plugin callable reduced to its name."""
+    echo = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "controls"}
+    plugin = echo.get("plugin")
+    if plugin is not None and not isinstance(plugin, str):
+        echo["plugin"] = getattr(plugin, "__name__", "plugin")
+    return echo
 
 
-def _check_nummods(nummods):
+def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
+                       measure, inds, rpms, seed, threads):
+    """Validate, fit and build the nu grid: (ensemble, screen, rp, model), specs resolved."""
+    fam = get_family(family)
+    check_measure(measure, fam)
     nummods = tuple(int(m) for m in nummods)
     if not nummods or any(m < 1 for m in nummods):
         raise ConfigError("nummods must be a non-empty collection of positive ints")
-    return nummods
-
-
-def _config_echo(fam, screen, rp, model, nnu, nus, nummods, measure, seed):
-    def plugin_name(obj):
-        if obj is None:
-            return None
-        return obj if isinstance(obj, str) else getattr(obj, "__name__", "plugin")
-
-    return {
-        "family": fam.name,
-        "link": fam.link,
-        "screen": {
-            "method": screen.method,
-            "nscreen": screen.nscreen,
-            "selection_type": screen.selection_type,
-            "split_data_prop": screen.split_data_prop,
-            "epsilon": screen.epsilon,
-            "plugin": plugin_name(screen.plugin),
-        },
-        "rp": {
-            "kind": rp.kind,
-            "psi": rp.psi,
-            "data_driven": rp.data_driven,
-            "mslow": rp.mslow,
-            "msup": rp.msup,
-            "b2": rp.b2,
-            "holdout_frac": rp.holdout_frac,
-            "plugin": plugin_name(rp.plugin),
-        },
-        "model": {"epsilon": model.epsilon, "max_iter": model.max_iter, "tol": model.tol},
-        "nnu": nnu,
-        "nus": None if nus is None else [float(v) for v in np.atleast_1d(nus)],
-        "nummods": list(nummods),
-        "measure": measure,
-        "seed": int(seed),
-        # the worker count is an execution knob, not part of the model:
-        # serialized output must not depend on it
-    }
-
-
-def _fit_ensemble_only(x, y, fam, screen, rp, model, nnu, nus, nummods,
-                       measure, inds, rpms, seed, threads):
+    screen = (screen or ScreenSpec()).validated()
+    rp = (rp or RpSpec()).validated()
+    model = (model or ModelSpec()).validated()
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_std, y_std, stats = standardize(x, y, fam)
@@ -100,12 +71,25 @@ def _fit_ensemble_only(x, y, fam, screen, rp, model, nnu, nus, nummods,
         threads=threads,
     )
     nu_grid = build_nu_grid(models, nnu, nus)
-    config = _config_echo(fam, screen, rp, model, nnu, nus, nummods, measure, seed)
+    config = {
+        "family": fam.name,
+        "link": fam.link,
+        "screen": _spec_echo(screen),
+        "rp": _spec_echo(rp),
+        "model": _spec_echo(model),
+        "nnu": nnu,
+        "nus": None if nus is None else [float(v) for v in np.atleast_1d(nus)],
+        "nummods": list(nummods),
+        "measure": measure,
+        "seed": int(seed),
+        # the worker count is an execution knob, not part of the model:
+        # serialized output must not depend on it
+    }
     ens = SparEnsemble(
         family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
         p=p, measure=measure, master_seed=int(seed), config=config,
     )
-    return ens, screen, rp
+    return ens, screen, rp, model
 
 
 def fit_spar(
@@ -133,14 +117,8 @@ def fit_spar(
     logged.  Returns a SparEnsemble with the selection grid attached
     and best = (nu_best, nummod_best).
     """
-    fam = get_family(family)
-    _check_measure(measure, fam)
-    nummods = _check_nummods(nummods)
-    screen = (screen or ScreenSpec()).validated()
-    rp = (rp or RpSpec()).validated()
-    model = (model or ModelSpec()).validated()
-    ens, _, _ = _fit_ensemble_only(
-        x, y, fam, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
+    ens, _, _, _ = _fit_ensemble_only(
+        x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
     )
     if xval is None or yval is None:
         logger.warning("no validation data supplied; selecting on the training data")
@@ -174,17 +152,11 @@ def fit_spar_cv(
     diagonals).  Returns a SparEnsemble with best and the one-standard-
     error pair one_se.
     """
-    fam = get_family(family)
-    _check_measure(measure, fam)
-    nummods = _check_nummods(nummods)
-    screen = (screen or ScreenSpec()).validated()
-    rp = (rp or RpSpec()).validated()
-    model = (model or ModelSpec()).validated()
-    ens, screen_r, rp_r = _fit_ensemble_only(
-        x, y, fam, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
+    ens, screen, rp, model = _fit_ensemble_only(
+        x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
     )
     ens.config["nfolds"] = int(nfolds)
-    grid = cross_validate(ens, x, y, screen_r, rp_r, model, nfolds, measure, seed, threads)
+    grid = cross_validate(ens, x, y, screen, rp, model, nfolds, measure, seed, threads)
     ens.grid = grid
     ens.best = grid.best_pair()
     ens.one_se = grid.one_se_pair()

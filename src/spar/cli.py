@@ -8,6 +8,7 @@ output goes to files under --out (and the fit summary to stdout).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -23,7 +24,6 @@ from .data import (
     load_model,
     save_csv,
     save_model,
-    write_grid_csv,
 )
 from .ensemble import MEASURES, AveragedCoef, ModelSpec, get_family, linkinv_eval
 from .errors import ConfigError, DataError, ParseError, SparError
@@ -202,10 +202,7 @@ def _summary(ens) -> str:
         *_coef_summary_lines(coef),
     ]
     if ens.one_se is not None:
-        cell = next(
-            c for c in ens.grid.cells
-            if c.nu == ens.one_se[0] and c.nummod == ens.one_se[1]
-        )
+        cell = ens.grid.one_se_cell()
         c1 = ens.coef(opt_par="1se")
         lines += [
             "sparsest pair within one standard error of the best:",
@@ -221,36 +218,37 @@ def _outdir(args) -> Path:
     return out
 
 
+def _write_fit(ens, args) -> Path:
+    """model.json, selection.csv and summary.txt under --out; the summary also to stdout."""
+    out = _outdir(args)
+    save_model(ens, out / "model.json")
+    with open(out / "selection.csv", "w") as f:
+        ens.grid.write_csv(f)
+    text = _summary(ens)
+    (out / "summary.txt").write_text(text)
+    sys.stdout.write(text)
+    return out
+
+
 def cmd_fit(args) -> int:
     ds, response, cfg, kwargs = _fit_args(args)
     xval = yval = None
     if args.val_data is not None:
         vds = load_csv(args.val_data, response=response)
         xval, yval = vds.x, vds.y
-    ens = fit_spar(ds.x, ds.y, xval=xval, yval=yval, **kwargs)
-    out = _outdir(args)
-    save_model(ens, out / "model.json")
-    write_grid_csv(ens.grid, out / "selection.csv")
-    text = _summary(ens)
-    (out / "summary.txt").write_text(text)
-    sys.stdout.write(text)
+    _write_fit(fit_spar(ds.x, ds.y, xval=xval, yval=yval, **kwargs), args)
     return 0
 
 
 def cmd_cv(args) -> int:
     ds, response, cfg, kwargs = _fit_args(args)
     ens = fit_spar_cv(ds.x, ds.y, nfolds=int(_opt(args, cfg, "nfolds")), **kwargs)
-    out = _outdir(args)
-    save_model(ens, out / "model.json")
-    write_grid_csv(ens.grid, out / "selection.csv")
+    out = _write_fit(ens, args)
     with open(out / "cv_folds.csv", "w") as f:
         f.write("nu,nummod,fold,value\n")
         for cell in ens.grid.cells:
             for i, v in enumerate(cell.fold_values):
                 f.write(f"{cell.nu!r},{cell.nummod},{i},{v!r}\n")
-    text = _summary(ens)
-    (out / "summary.txt").write_text(text)
-    sys.stdout.write(text)
     return 0
 
 
@@ -326,20 +324,12 @@ def cmd_coef(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    spec = SyntheticSpec(
-        n=args.n if args.n is not None else 200,
-        p=args.p if args.p is not None else 2000,
-        n_active=args.n_active if args.n_active is not None else 100,
-        mu=args.mu if args.mu is not None else 1.0,
-        sigma2=args.sigma2 if args.sigma2 is not None else 83.0,
-        coef_pool=tuple(_parse_floats(args.coef_pool, "--coef-pool"))
-        if args.coef_pool is not None
-        else SyntheticSpec.coef_pool,
-        active_positions=args.positions or "first",
-        family=args.family or "gaussian",
-        rho=args.rho if args.rho is not None else 0.0,
-        n_test=args.n_test if args.n_test is not None else 0,
-    ).validated()
+    # flags are named after the SyntheticSpec fields; an absent flag keeps the field default
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SyntheticSpec)}
+    given["active_positions"] = args.positions
+    if args.coef_pool is not None:
+        given["coef_pool"] = tuple(_parse_floats(args.coef_pool, "--coef-pool"))
+    spec = SyntheticSpec(**{k: v for k, v in given.items() if v is not None}).validated()
     ds, truth = generate_synthetic(spec, args.seed if args.seed is not None else 0)
     out = _outdir(args)
     save_csv(out / "train.csv", ds.x, ds.y, ds.colnames)

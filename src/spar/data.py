@@ -9,7 +9,6 @@ through repr, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -387,14 +386,3 @@ def loads_model(text: str) -> SparEnsemble:
     if not isinstance(doc, dict) or "version" not in doc:
         raise ParseError("not a model document")
     return model_from_dict(doc)
-
-
-def write_grid_csv(grid: SelectionGrid, path) -> None:
-    with open(path, "w") as f:
-        grid.write_csv(f)
-
-
-def grid_csv_text(grid: SelectionGrid) -> str:
-    buf = io.StringIO()
-    grid.write_csv(buf)
-    return buf.getvalue()

@@ -4,7 +4,8 @@ The fitting loop per model k: draw an index set of screened predictors,
 draw a goal dimension, draw a projection, fit a penalized GLM on the
 projected predictors, and map the reduced coefficients back.  Averaging
 over the first nummod models after hard thresholding at nu gives the
-final coefficient vector on the original predictor scale.
+final coefficient vector on the original predictor scale; coef_path is
+the one place that does it, for coef(), predict_glm and the grids.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import scipy.stats
 from .errors import (
     ConfigError,
     DataError,
-    DomainError,
     InsufficientDataError,
     NumericError,
     SingularError,
 )
 from .families import (
+    SOLVER_ERRORS,
     Family,
     deviance_eval,
     fit_penalized_glm,
@@ -33,7 +34,7 @@ from .families import (
     linkinv_eval,
     validate_response,
 )
-from .projection import ProjectionMatrix, RpSpec, draw_goal_dims, make_projection, project
+from .projection import ProjectionMatrix, RpSpec, draw_goal_dims, make_projection
 from .rng import DIM_DRAW, PHI_DRAW, SCREEN_DRAW, model_stream
 from .screening import ScreeningResult, ScreenSpec, select_screened
 
@@ -131,10 +132,6 @@ class MarginalModel:
     beta_vals: np.ndarray  # phi.T @ gamma, aligned with index_set
     failed: bool = False  # an exception (not mere non-convergence) hit the fit
 
-    @property
-    def m(self) -> int:
-        return self.phi.m
-
     def beta_dense(self, p: int) -> np.ndarray:
         out = np.zeros(p)
         out[self.index_set] = self.beta_vals
@@ -196,7 +193,7 @@ def fit_models(
                 rp_spec, m_k, idx, model_stream(master_seed, k, PHI_DRAW),
                 omega=omega, x=x_fit, y=y_fit, family=fam, model_epsilon=eps,
             )
-        z = project(x_fit[:, idx], phi)
+        z = phi.matmul(x_fit[:, idx])
         try:
             try:
                 fit = fit_penalized_glm(z, y_fit, fam, eps, model_spec.max_iter, model_spec.tol)
@@ -205,7 +202,7 @@ def fit_models(
                     raise
                 retry_eps = 1e-4 * len(rows)
                 fit = fit_penalized_glm(z, y_fit, fam, retry_eps, model_spec.max_iter, model_spec.tol)
-        except (SingularError, NumericError, DomainError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except SOLVER_ERRORS as exc:
             logger.warning("model %d failed (%s); recording zero coefficients", k, exc)
             return MarginalModel(idx, phi, 0.0, np.zeros(phi.m), False, np.zeros(q), failed=True)
         return MarginalModel(idx, phi, fit.gamma0, fit.gamma, fit.converged, phi.backmap(fit.gamma))
@@ -246,13 +243,13 @@ def build_nu_grid(models, nnu: int, explicit=None) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], qs]))
 
 
-def threshold_beta(beta, nu: float) -> np.ndarray:
-    """Zero out entries with |beta_j| < nu (strict, so |beta_j| = nu survives)."""
-    if nu < 0:
+def threshold_beta(beta, nu) -> np.ndarray:
+    """Zero entries with |beta_j| < nu (strict: |beta_j| = nu survives); one row per nu of an array."""
+    nu = np.asarray(nu, dtype=float)
+    if np.any(nu < 0):
         raise ConfigError("nu must be >= 0")
-    out = np.array(beta, dtype=float)
-    out[np.abs(out) < nu] = 0.0
-    return out
+    beta = np.asarray(beta, dtype=float)
+    return np.where(np.abs(beta) < nu[..., None], 0.0, beta)
 
 
 @dataclass
@@ -266,28 +263,45 @@ class AveragedCoef:
     active: int
 
 
-def averaged_coef(models, stats: StandardizationStats, p: int, nu: float, nummod: int) -> AveragedCoef:
-    """Average the first nummod thresholded models and destandardize.
+def _checked_nummod(nummod, n_models: int) -> int:
+    if not 1 <= nummod <= n_models:
+        raise ConfigError(f"nummod must lie in [1, {n_models}], got {nummod}")
+    return int(nummod)
 
+
+def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
+    """Yield the AveragedCoef of every (nu, nummod) pair, nummods x nus order.
+
+    A running sum over the first max(nummods) models adds each model's
+    thresholded coefficients at every nu, in model order, so each cell
+    equals a fresh average over models[:nummod] bit for bit.
     beta_orig_j = beta_std_j * y_sd / x_sd_j and the intercept absorbs
     the centering:  y_mean + y_sd * mean(gamma0) - sum_j beta_orig_j * x_mean_j.
     The non-gaussian sentinels y_mean=0, y_sd=1 make the same formula
     exact for all families.
     """
-    if not 1 <= nummod <= len(models):
-        raise ConfigError(f"nummod must lie in [1, {len(models)}], got {nummod}")
-    if nu < 0:
-        raise ConfigError("nu must be >= 0")
-    acc = np.zeros(p)
+    nus = np.asarray(nus, dtype=float)
+    pending = [_checked_nummod(m, len(models)) for m in nummods]
+    acc = np.zeros((nus.size, p))
     g0 = 0.0
-    for model in models[:nummod]:
-        acc[model.index_set] += threshold_beta(model.beta_vals, nu)
+    ready = {}  # nummod -> its cells; one reached before its turn in nummods waits here
+    for k, model in enumerate(models[: max(pending)], 1):
+        acc[:, model.index_set] += threshold_beta(model.beta_vals, nus)
         g0 += model.gamma0
-    beta_std = acc / nummod
-    g0 /= nummod
-    beta = beta_std * stats.y_sd / stats.x_sd
-    intercept = stats.y_mean + stats.y_sd * g0 - float(beta @ stats.x_mean)
-    return AveragedCoef(intercept, beta, float(nu), int(nummod), int(np.count_nonzero(beta)))
+        if k in pending:
+            ready[k] = []
+            for row, nu in zip(acc, nus):
+                beta = row / k * stats.y_sd / stats.x_sd
+                intercept = stats.y_mean + stats.y_sd * (g0 / k) - float(beta @ stats.x_mean)
+                ready[k].append(AveragedCoef(intercept, beta, float(nu), k, int(np.count_nonzero(beta))))
+        while pending and pending[0] in ready:
+            nummod = pending.pop(0)
+            yield from (ready[nummod] if nummod in pending else ready.pop(nummod))
+
+
+def averaged_coef(models, stats: StandardizationStats, p: int, nu: float, nummod: int) -> AveragedCoef:
+    """Average the first nummod thresholded models and destandardize (see coef_path)."""
+    return next(coef_path(models, stats, p, [nu], [nummod]))
 
 
 def predict_glm(
@@ -305,8 +319,9 @@ def predict_glm(
 
     avg_type="link" averages coefficients first and pushes the linear
     predictor through the inverse link; "response" averages the
-    per-model response-scale predictions (for type="link" the link of
-    that mean is returned).  The two coincide for gaussian/identity.
+    per-model response-scale predictions, taken from coef_path one model
+    at a time (for type="link" the link of that mean is returned).  The
+    two coincide for gaussian/identity.
     """
     if type not in ("response", "link"):
         raise ConfigError("type must be 'response' or 'link'")
@@ -326,29 +341,27 @@ def predict_glm(
         eta = c.intercept + x_new @ c.beta
         return eta if type == "link" else linkinv_eval(fam, eta)
 
-    if not 1 <= nummod <= len(models):
-        raise ConfigError(f"nummod must lie in [1, {len(models)}], got {nummod}")
-    mu_sum = np.zeros(x_new.shape[0])
-    for model in models[:nummod]:
-        beta_std = np.zeros(p)
-        beta_std[model.index_set] = threshold_beta(model.beta_vals, nu)
-        beta = beta_std * stats.y_sd / stats.x_sd
-        intercept = stats.y_mean + stats.y_sd * model.gamma0 - float(beta @ stats.x_mean)
-        mu_sum += linkinv_eval(fam, intercept + x_new @ beta)
-    mu = mu_sum / nummod
+    nummod = _checked_nummod(nummod, len(models))
+    per_model = (next(coef_path([m], stats, p, [nu], [1])) for m in models[:nummod])
+    mu = sum(linkinv_eval(fam, c.intercept + x_new @ c.beta) for c in per_model) / nummod
     return link_eval(fam, mu) if type == "link" else mu
+
+
+def check_measure(measure: str, fam: Family) -> None:
+    """Refuse unknown measures, and class/1-auc outside the binomial family."""
+    if measure not in MEASURES:
+        raise ConfigError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    if measure in ("class", "1-auc") and fam.name != "binomial":
+        raise ConfigError(f"measure {measure!r} requires the binomial family")
 
 
 def eval_measure(measure: str, fam: Family, y, mu) -> float:
     """Evaluate a selection measure on response-scale predictions."""
-    if measure not in MEASURES:
-        raise ConfigError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    check_measure(measure, fam)
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if y.shape != mu.shape:
         raise DataError(f"length mismatch: y has {y.shape}, predictions have {mu.shape}")
-    if measure in ("class", "1-auc") and fam.name != "binomial":
-        raise ConfigError(f"measure {measure!r} requires the binomial family")
     if measure == "deviance":
         return deviance_eval(fam, y, mu)
     if measure == "mse":
@@ -422,7 +435,4 @@ class SparEnsemble:
 
     def coef_matrix(self) -> np.ndarray:
         """p x M matrix of standardized pre-threshold coefficients."""
-        out = np.zeros((self.p, len(self.models)))
-        for k, model in enumerate(self.models):
-            out[model.index_set, k] = model.beta_vals
-        return out
+        return np.column_stack([model.beta_dense(self.p) for model in self.models])

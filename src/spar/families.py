@@ -15,12 +15,15 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit, gammaln, xlogy
 
-from .errors import ConfigError, DataError, DomainError, SingularError
+from .errors import ConfigError, DataError, DomainError, NumericError, SingularError
 
 # mean clamps that keep IRLS weights and deviances finite
 BINOMIAL_MU_EPS = 1e-10
 POISSON_MU_FLOOR = 1e-10
 _POISSON_ETA_CAP = 700.0  # exp() overflows just above this
+
+# what a failed penalized GLM solve raises; callers that let a fit fail catch these
+SOLVER_ERRORS = (SingularError, NumericError, DomainError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ConfigError, DataError
-from .families import fit_penalized_glm, linkinv_eval
+from .families import SOLVER_ERRORS, fit_penalized_glm, linkinv_eval
 
 _KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
 _PLUGINS: dict = {}
@@ -275,7 +275,7 @@ def gen_haar_select(
         z_tr = cand.matmul(x_sub[train])
         try:
             fit = fit_penalized_glm(z_tr, y[train], fam, epsilon)
-        except Exception:  # a failed candidate just drops out of the race
+        except SOLVER_ERRORS:  # a failed candidate just drops out of the race
             continue
         mu = linkinv_eval(fam, fit.gamma0 + cand.matmul(x_sub[test]) @ fit.gamma)
         if fam.name == "binomial":
@@ -286,11 +286,6 @@ def gen_haar_select(
             best_err = err
             best = cand
     return best
-
-
-def project(x_sub, phi: ProjectionMatrix) -> np.ndarray:
-    """Z = x_sub @ phi.T."""
-    return phi.matmul(x_sub)
 
 
 def make_projection(

@@ -2,7 +2,9 @@
 
 Both paths score every (nu, nummod) pair with the chosen measure and
 take the argmin, breaking ties toward the sparser model: larger nu
-first, then smaller nummod.  Cross-validation refits the marginal
+first, then smaller nummod.  The cells come from ensemble.coef_path,
+which builds the whole grid in one pass over the models, in
+nummods x nus order.  Cross-validation refits the marginal
 models per fold with the index sets and projections frozen from the
 full-data fit; only the data-driven diagonal of cw projections is
 refreshed from fold-level screening coefficients.
@@ -18,7 +20,7 @@ import numpy as np
 from .ensemble import (
     ModelSpec,
     SparEnsemble,
-    averaged_coef,
+    coef_path,
     eval_measure,
     fit_models,
     predict_glm,
@@ -78,13 +80,10 @@ class SelectionGrid:
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val, measure: str) -> SelectionGrid:
     """Score every (nu, nummod) pair on held-out data (avg_type='link')."""
     cells = []
-    for nummod in ens.nummods:
-        for nu in ens.nus:
-            c = averaged_coef(ens.models, ens.stats, ens.p, nu, nummod)
-            mu = predict_glm(ens.models, ens.stats, ens.family, x_val, nu, nummod,
-                             "response", "link", coef=c)
-            value = eval_measure(measure, ens.family, y_val, mu)
-            cells.append(GridCell(float(nu), int(nummod), value, 0.0, c.active))
+    for c in coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods):
+        mu = predict_glm(ens.models, ens.stats, ens.family, x_val, c.nu, c.nummod, coef=c)
+        value = eval_measure(measure, ens.family, y_val, mu)
+        cells.append(GridCell(c.nu, c.nummod, value, 0.0, c.active))
     return SelectionGrid(cells, measure, "validation")
 
 
@@ -132,9 +131,9 @@ def cross_validate(
     Per fold: restandardize the training part, recompute screening
     coefficients only if a data-driven cw diagonal must be refreshed,
     refit the marginal GLMs with frozen structure, and score the
-    held-out part.  Cell means and standard errors (sd / sqrt(#folds))
-    aggregate over the usable folds; active counts come from the
-    full-data ensemble.
+    held-out part on the cells of the fold's coef_path.  Cell means and
+    standard errors (sd / sqrt(#folds)) aggregate over the usable folds;
+    active counts come from the full-data ensemble's coef_path.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,11 +170,11 @@ def cross_validate(
             len(ens.models), master_seed, model_rows=model_rows,
             inds=inds, rpms=rpms, threads=threads,
         )
-        vals = []
-        for nummod in ens.nummods:
-            for nu in ens.nus:
-                mu = predict_glm(models, stats, fam, x[test], nu, nummod, "response", "link")
-                vals.append(eval_measure(measure, fam, y[test], mu))
+        vals = [
+            eval_measure(measure, fam, y[test],
+                         predict_glm(models, stats, fam, x[test], c.nu, c.nummod, coef=c))
+            for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods)
+        ]
         fold_measures.append(np.asarray(vals))
 
     if len(fold_measures) < 2:
@@ -186,14 +185,9 @@ def cross_validate(
     means = stacked.mean(axis=0)
     ses = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
 
-    cells = []
-    pos = 0
-    for nummod in ens.nummods:
-        for nu in ens.nus:
-            active = averaged_coef(ens.models, ens.stats, ens.p, nu, nummod).active
-            cells.append(
-                GridCell(float(nu), int(nummod), float(means[pos]), float(ses[pos]),
-                         active, stacked[:, pos].tolist())
-            )
-            pos += 1
+    cells = [
+        GridCell(c.nu, c.nummod, float(means[pos]), float(ses[pos]), c.active,
+                 stacked[:, pos].tolist())
+        for pos, c in enumerate(coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods))
+    ]
     return SelectionGrid(cells, measure, "cv")

@@ -17,6 +17,7 @@ from spar.ensemble import (
     StandardizationStats,
     averaged_coef,
     build_nu_grid,
+    coef_path,
     eval_measure,
     fit_models,
     one_minus_auc,
@@ -226,6 +227,71 @@ def test_averaged_coef_destandardization_identity():
     beta_std = np.mean([m.beta_dense(p) for m in models], axis=0)
     eta_std = gbar + xs @ beta_std
     assert np.max(np.abs(eta_orig - (stats.y_mean + stats.y_sd * eta_std))) < 1e-10
+
+
+_NU_POOL = (0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def _path_cases(draw):
+    """Small ensembles with random index sets, coefficients that are zero or
+    exactly +-nu, random stats, and nummods in any order with repeats."""
+    p = draw(st.integers(1, 8))
+    nus = np.unique(draw(st.lists(st.sampled_from(_NU_POOL) | st.floats(0, 2), min_size=1, max_size=4)))
+    pool = st.sampled_from(_NU_POOL)
+    entry = pool | pool.map(lambda v: -v) | st.floats(-3, 3)
+    models = []
+    for _ in range(draw(st.integers(1, 5))):
+        idx = np.sort(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)))
+        beta = np.asarray(draw(st.lists(entry, min_size=idx.size, max_size=idx.size)), dtype=float)
+        phi = ProjectionMatrix(m=1, q=idx.size, kind="plugin", dense=np.zeros((1, idx.size)))
+        models.append(MarginalModel(np.asarray(idx, dtype=int), phi, draw(st.floats(-2, 2)),
+                                    np.zeros(1), True, beta))
+    def vector(lo, hi):
+        return draw(st.lists(st.floats(lo, hi), min_size=p, max_size=p).map(np.asarray))
+
+    stats = StandardizationStats(vector(-3, 3), vector(0.1, 5),
+                                 draw(st.floats(-3, 3)), draw(st.floats(0.1, 5)),
+                                 np.array([], dtype=int))
+    nummods = draw(st.lists(st.integers(1, len(models)), min_size=1, max_size=4))
+    return models, stats, p, nus, nummods
+
+
+def _brute_force_cell(models, stats, p, nu, nummod):
+    dense = []
+    for model in models[:nummod]:
+        b = np.zeros(p)
+        b[model.index_set] = model.beta_vals
+        b[np.abs(b) < nu] = 0.0
+        dense.append(b)
+    beta = sum(dense) / nummod * stats.y_sd / stats.x_sd
+    g0 = sum(model.gamma0 for model in models[:nummod]) / nummod
+    return stats.y_mean + stats.y_sd * g0 - float(beta @ stats.x_mean), beta
+
+
+@given(_path_cases())
+@settings(max_examples=150, deadline=None)
+def test_coef_path_cells_equal_brute_force(case):
+    models, stats, p, nus, nummods = case
+    cells = list(coef_path(models, stats, p, nus, nummods))
+    assert [(c.nummod, c.nu) for c in cells] == [(m, float(nu)) for m in nummods for nu in nus]
+    for c in cells:
+        intercept, beta = _brute_force_cell(models, stats, p, c.nu, c.nummod)
+        assert c.intercept == intercept
+        assert np.array_equal(c.beta, beta)
+        assert c.active == np.count_nonzero(beta)
+    for i in range(len(nummods)):
+        actives = [c.active for c in cells[i * nus.size:(i + 1) * nus.size]]
+        assert all(a >= b for a, b in zip(actives, actives[1:]))  # nus ascend
+
+
+def test_coef_path_refuses_out_of_range_nummods():
+    models = [_coef_model([1.0, 0.0]), _coef_model([0.0, 1.0])]
+    for nummods in ([3], [1, 0]):
+        with pytest.raises(ConfigError, match=r"nummod must lie in \[1, 2\]"):
+            list(coef_path(models, _identity_stats(2), 2, [0.0], nummods))
+    with pytest.raises(ConfigError, match="nu must be >= 0"):
+        list(coef_path(models, _identity_stats(2), 2, [0.0, -1.0], [1]))
 
 
 def test_predict_binomial_frozen_averaging_examples():

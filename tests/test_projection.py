@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spar.errors import ConfigError, DataError
+import spar.projection as projection_mod
+from spar.errors import ConfigError, DataError, SingularError
 from spar.families import fit_penalized_glm
 from spar.projection import (
     ProjectionMatrix,
@@ -16,7 +17,6 @@ from spar.projection import (
     gen_sparse,
     jl_min_dim,
     make_projection,
-    project,
     register_rp_plugin,
 )
 
@@ -141,6 +141,35 @@ def test_haar_select_picks_holdout_argmin():
     assert np.array_equal(chosen.to_dense(), expect.to_dense())
 
 
+def test_haar_select_failed_candidate_drops_out(monkeypatch):
+    """A solver error drops the candidate from the race; other errors propagate."""
+    rng_data = np.random.default_rng(21)
+    x = rng_data.standard_normal((24, 9))
+    y = rng_data.standard_normal(24)
+    calls = []
+
+    def only_third_fits(z, y_tr, fam, eps):
+        calls.append(1)
+        if len(calls) != 3:
+            raise SingularError("forced singular candidate")
+        return fit_penalized_glm(z, y_tr, fam, eps)
+
+    monkeypatch.setattr(projection_mod, "fit_penalized_glm", only_third_fits)
+    chosen = gen_haar_select(4, 9, x, y, "gaussian", 5, 0.25, 0.0, np.random.default_rng(78))
+    rng = np.random.default_rng(78)
+    candidates = [gen_haar(4, 9, rng) for _ in range(5)]
+    assert len(calls) == 5
+    assert np.array_equal(chosen.to_dense(), candidates[2].to_dense())
+
+    for exc in (TypeError("bad argument"), ConfigError("bad setting")):
+        def broken(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(projection_mod, "fit_penalized_glm", broken)
+        with pytest.raises(type(exc)):
+            gen_haar_select(4, 9, x, y, "gaussian", 5, 0.25, 0.0, np.random.default_rng(78))
+
+
 def test_haar_select_refuses_tiny_holdout():
     # round(0.25 * 5) = 1 held-out row is below the minimum of 2
     x = np.random.default_rng(12).standard_normal((5, 4))
@@ -148,7 +177,7 @@ def test_haar_select_refuses_tiny_holdout():
         gen_haar_select(2, 4, x, np.zeros(5), "gaussian", 3, 0.25, 0.0, np.random.default_rng(0))
 
 
-def test_project_matches_dense_product():
+def test_matmul_matches_dense_product():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((20, 30))
     for phi in (
@@ -156,7 +185,7 @@ def test_project_matches_dense_product():
         gen_sparse(6, 30, 0.3, np.random.default_rng(15)),
         gen_gaussian(6, 30, np.random.default_rng(16)),
     ):
-        assert np.max(np.abs(project(x, phi) - x @ phi.to_dense().T)) < 1e-12
+        assert np.max(np.abs(phi.matmul(x) - x @ phi.to_dense().T)) < 1e-12
 
 
 def test_backmap_matches_dense_transpose():
