@@ -59,15 +59,17 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     )
     rp = rp.resolved(len(model_rows), p)
 
+    split = screen.split_data_prop is not None  # without a split, index no rows: no copies
     rp_needs_omega = rp.kind == "cw" and rp.data_driven and rpms is None
     need_omega = inds is None or rp_needs_omega
     screen_result = None
     if need_omega:
-        screen_result = compute_screening(x_std[screen_rows], y_std[screen_rows], fam, screen)
+        xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
+        screen_result = compute_screening(xs, ys, fam, screen)
 
     models = fit_models(
         x_std, y_std, fam, screen_result, screen, rp, model,
-        max(nummods), seed, model_rows=model_rows, inds=inds, rpms=rpms,
+        max(nummods), seed, model_rows=model_rows if split else None, inds=inds, rpms=rpms,
         threads=threads,
     )
     nu_grid = build_nu_grid(models, nnu, nus)

@@ -2,8 +2,12 @@
 
 CSV parsing is strict: every cell must be a finite number and every row
 must have the same width, otherwise a ParseError points at the row and
-column.  Models persist as versioned JSON; floats round-trip exactly
-through repr, so save -> load -> save is byte-identical.
+column.  load_csv first reads the body with np.loadtxt, which refuses
+every cell that float() would read differently; whenever that fast path
+fails, finds a non-finite value or an empty body, the file is parsed
+again row by row, and that strict parser alone decides the result and
+words every error.  Models persist as versioned JSON; floats round-trip
+exactly through repr, so save -> load -> save is byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,6 +138,54 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
     response picks the response column by name (requires a header) or
     0-based integer position; None loads predictors only.
     """
+    names, data = _parse_fast(path, has_header) or _parse_strict(path, has_header)
+    if response is None:
+        return Dataset(x=data, colnames=names)
+    width = data.shape[1]
+    if isinstance(response, str):
+        if names is None:
+            raise ConfigError("selecting the response by name needs a header row")
+        try:
+            col = names.index(response)
+        except ValueError:
+            raise ParseError(f"{path}: no column named {response!r}") from None
+    else:
+        col = int(response)
+        if not 0 <= col < width:
+            raise ParseError(f"{path}: response column {col} out of range")
+    keep = [j for j in range(width) if j != col]
+    xnames = [names[j] for j in keep] if names else None
+    return Dataset(x=data[:, keep], y=data[:, col], colnames=xnames)
+
+
+def _parse_fast(path, has_header):
+    """(names, data) read by np.loadtxt, or None to leave the file to _parse_strict.
+
+    Only a body that loadtxt reads whole, finite and non-empty is returned;
+    loadtxt refuses every cell float() would read differently (quotes, 1_0,
+    unicode digits, blanks, ragged rows).  A header narrower or wider than
+    the body is returned as it is, which is what the strict parser does.
+    """
+    try:
+        with open(path, newline="") as f:
+            names = None
+            if has_header:
+                header = next((r for r in csv.reader(f) if r), None)
+                if header is None:
+                    return None
+                names = [c.strip() for c in header]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+    except (OSError, ValueError, csv.Error):
+        return None
+    if data.size == 0 or not np.all(np.isfinite(data)):
+        return None
+    return names, data
+
+
+def _parse_strict(path, has_header):
+    """(names, data) parsed cell by cell; the source of every ParseError message."""
     try:
         with open(path, newline="") as f:
             reader = csv.reader(f)
@@ -165,43 +218,28 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
                     f"{path}: non-finite value {cell.strip()!r} at row {lineno}, column {j + 1}"
                 )
             data[i, j] = v
-
-    if response is None:
-        return Dataset(x=data, colnames=names)
-    if isinstance(response, str):
-        if names is None:
-            raise ConfigError("selecting the response by name needs a header row")
-        try:
-            col = names.index(response)
-        except ValueError:
-            raise ParseError(f"{path}: no column named {response!r}") from None
-    else:
-        col = int(response)
-        if not 0 <= col < width:
-            raise ParseError(f"{path}: response column {col} out of range")
-    keep = [j for j in range(width) if j != col]
-    xnames = [names[j] for j in keep] if names else None
-    return Dataset(x=data[:, keep], y=data[:, col], colnames=xnames)
+    return names, data
 
 
 def save_csv(path, x, y=None, colnames=None) -> None:
     """Write predictors (and optionally a leading response column).
 
-    Floats are written with repr so a reload reproduces them exactly.
+    Floats are written with repr so a reload reproduces them exactly.  The
+    bytes are those of csv.writer: the header goes through it (names may
+    need quoting), body rows never need quoting and end in CRLF.
     """
     x = np.asarray(x, dtype=float)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
         if colnames is None:
             colnames = [f"x{j + 1}" for j in range(x.shape[1])]
             if y is not None:
                 colnames = ["y"] + colnames
-        w.writerow(colnames)
+        csv.writer(f).writerow(colnames)
         for i in range(x.shape[0]):
-            row = [repr(float(v)) for v in x[i]]
+            row = x[i].tolist()
             if y is not None:
-                row = [repr(float(y[i]))] + row
-            w.writerow(row)
+                row.insert(0, float(y[i]))
+            f.write(",".join(map(repr, row)) + "\r\n")
 
 
 # ---- model persistence ----

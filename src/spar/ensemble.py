@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.stats
 
 from .errors import (
     ConfigError,
@@ -105,7 +104,11 @@ def standardize(x, y, family):
     const = np.flatnonzero(np.ptp(x, axis=0) == 0)
     sd_safe = np.where(x_sd > 0, x_sd, 1.0)
     sd_safe[const] = 1.0
-    x_std = (x - x_mean) / sd_safe
+    # The one full-size copy, divided in place.  C order whatever x's layout
+    # (load_csv's x is F-ordered): the solves downstream then see the same
+    # layout, and give the same bits, as on a row-indexed copy.
+    x_std = np.subtract(x, x_mean, order="C")
+    x_std /= sd_safe
     if const.size:
         x_std[:, const] = 0.0
 
@@ -162,10 +165,12 @@ def fit_models(
     coefficients; only all models failing raises.
     """
     n, p = x_std.shape
-    rows = np.arange(n) if model_rows is None else np.asarray(model_rows, dtype=int)
-    x_fit = x_std[rows]
-    y_fit = y_std[rows]
-    eps = model_spec.resolve_epsilon(fam, len(rows))
+    if model_rows is None:  # every row: fit on x_std itself, no copy
+        x_fit, y_fit = x_std, y_std
+    else:
+        rows = np.asarray(model_rows, dtype=int)
+        x_fit, y_fit = x_std[rows], y_std[rows]
+    eps = model_spec.resolve_epsilon(fam, len(y_fit))
     if inds is not None and len(inds) < n_models:
         raise ConfigError(f"{len(inds)} index sets supplied for {n_models} models")
     if rpms is not None and len(rpms) < n_models:
@@ -200,7 +205,7 @@ def fit_models(
             except SingularError:
                 if eps > 0:
                     raise
-                retry_eps = 1e-4 * len(rows)
+                retry_eps = 1e-4 * len(y_fit)
                 fit = fit_penalized_glm(z, y_fit, fam, retry_eps, model_spec.max_iter, model_spec.tol)
         except SOLVER_ERRORS as exc:
             logger.warning("model %d failed (%s); recording zero coefficients", k, exc)
@@ -304,6 +309,18 @@ def averaged_coef(models, stats: StandardizationStats, p: int, nu: float, nummod
     return next(coef_path(models, stats, p, [nu], [nummod]))
 
 
+def check_x_new(x_new, p: int) -> np.ndarray:
+    """x_new as a float array; DataError unless it is 2-D, p columns wide and finite."""
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim != 2:
+        raise DataError("x_new must be a 2-D array")
+    if x_new.shape[1] != p:
+        raise DataError(f"x_new has {x_new.shape[1]} columns, model expects {p}")
+    if not np.all(np.isfinite(x_new)):
+        raise DataError("non-finite entries in x_new")
+    return x_new
+
+
 def predict_glm(
     models,
     stats: StandardizationStats,
@@ -327,15 +344,8 @@ def predict_glm(
         raise ConfigError("type must be 'response' or 'link'")
     if avg_type not in ("link", "response"):
         raise ConfigError("avg_type must be 'link' or 'response'")
-    x_new = np.asarray(x_new, dtype=float)
-    if x_new.ndim != 2:
-        raise DataError("x_new must be a 2-D array")
     p = len(stats.x_mean)
-    if x_new.shape[1] != p:
-        raise DataError(f"x_new has {x_new.shape[1]} columns, model expects {p}")
-    if not np.all(np.isfinite(x_new)):
-        raise DataError("non-finite entries in x_new")
-
+    x_new = check_x_new(x_new, p)
     if coef is not None or avg_type == "link":
         c = coef if coef is not None else averaged_coef(models, stats, p, nu, nummod)
         eta = c.intercept + x_new @ c.beta
@@ -382,9 +392,28 @@ def one_minus_auc(y, mu) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise DataError("AUC needs both classes present")
-    ranks = scipy.stats.rankdata(mu)
+    ranks = average_ranks(mu)
     auc = (float(ranks[pos].sum()) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
     return 1.0 - auc
+
+
+def average_ranks(a) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share the mean of their positions.
+
+    Sorting puts equal values into runs; the run covering sorted positions
+    start+1..end gets (start + 1 + end) / 2, a half-integer, so the ranks
+    are exact.  NaN anywhere makes every rank NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a)
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], a.size)
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 @dataclass

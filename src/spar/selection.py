@@ -20,13 +20,14 @@ import numpy as np
 from .ensemble import (
     ModelSpec,
     SparEnsemble,
+    check_x_new,
     coef_path,
     eval_measure,
     fit_models,
-    predict_glm,
     standardize,
 )
 from .errors import ConfigError, CvError, NumericError
+from .families import linkinv_eval
 from .rng import fold_stream, split_stream
 from .screening import ScreenSpec, compute_screening, split_for_screening
 
@@ -80,8 +81,9 @@ class SelectionGrid:
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val, measure: str) -> SelectionGrid:
     """Score every (nu, nummod) pair on held-out data (avg_type='link')."""
     cells = []
+    x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
     for c in coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods):
-        mu = predict_glm(ens.models, ens.stats, ens.family, x_val, c.nu, c.nummod, coef=c)
+        mu = linkinv_eval(ens.family, c.intercept + x_val @ c.beta)
         value = eval_measure(measure, ens.family, y_val, mu)
         cells.append(GridCell(c.nu, c.nummod, value, 0.0, c.active))
     return SelectionGrid(cells, measure, "validation")
@@ -135,9 +137,10 @@ def cross_validate(
     standard errors (sd / sqrt(#folds)) aggregate over the usable folds;
     active counts come from the full-data ensemble's coef_path.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)
     fam = ens.family
+    split = screen_spec.split_data_prop is not None  # without a split, index no rows: no copies
     folds = make_folds(y, fam, nfolds, fold_stream(master_seed))
     inds = [m.index_set for m in ens.models]
     refresh = [m.phi.kind == "cw" and m.phi.data_driven for m in ens.models]
@@ -159,20 +162,19 @@ def cross_validate(
         )
         rpms = [m.phi for m in ens.models]
         if need_omega:
-            sr = compute_screening(x_std[screen_rows], y_std[screen_rows], fam,
-                                   screen_spec.resolved(len(train)))
+            xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
+            sr = compute_screening(xs, ys, fam, screen_spec.resolved(len(train)))
             rpms = [
                 phi.with_column_values(sr.omega[idx]) if r else phi
                 for phi, idx, r in zip(rpms, inds, refresh)
             ]
         models = fit_models(
             x_std, y_std, fam, None, screen_spec, rp_spec, model_spec,
-            len(ens.models), master_seed, model_rows=model_rows,
+            len(ens.models), master_seed, model_rows=model_rows if split else None,
             inds=inds, rpms=rpms, threads=threads,
         )
         vals = [
-            eval_measure(measure, fam, y[test],
-                         predict_glm(models, stats, fam, x[test], c.nu, c.nummod, coef=c))
+            eval_measure(measure, fam, y[test], linkinv_eval(fam, c.intercept + x[test] @ c.beta))
             for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods)
         ]
         fold_measures.append(np.asarray(vals))

@@ -1,10 +1,19 @@
 """Synthetic data generation, CSV parsing, and model persistence."""
 
+import csv
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spar.data as data_mod
 from spar import fit_spar, fit_spar_cv
 from spar.data import (
     SyntheticSpec,
@@ -97,6 +106,83 @@ def test_csv_roundtrip_exact(tmp_path):
     assert ds.colnames == ["x1", "x2", "x3"]
     ds2 = load_csv(path, response=0)
     assert np.array_equal(ds2.y, y)
+    assert data_mod._parse_fast(path, True) is not None  # read by loadtxt, not the fallback
+
+
+def test_save_csv_bytes_equal_csv_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 3)) * np.array([1e-300, 1.0, 1e300])
+    x[0, 0] = -0.0
+    y = np.array([0.0, 1.0, -2.5, 1e-7])
+    names = ["y", "plain", "has,comma", 'has "quote"']
+    for args in ((x, y, names), (x, None, None), (x, y, None)):
+        path = tmp_path / "out.csv"
+        save_csv(path, *args)
+        xx, yy, cols = args
+        if cols is None:
+            cols = ([] if yy is None else ["y"]) + [f"x{j + 1}" for j in range(3)]
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(cols)
+        for i in range(xx.shape[0]):
+            w.writerow(([] if yy is None else [repr(float(yy[i]))]) + [repr(float(v)) for v in xx[i]])
+        assert path.read_bytes() == ref.getvalue().encode()
+    ds = load_csv(path, response="y")
+    assert np.array_equal(ds.x, x) and np.array_equal(ds.y, y)
+
+
+_HOSTILE = ['"1.5"', "1_0", "", " ", "nan", "1e500", "-inf", "#", "#2", "0x1p3", "\u0661",
+            " 2.5 ", "1e-400", '"a,b"', "+3", "1d5"]
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_NAMES = st.sampled_from(["y", "x1", "x2", " a b ", '"q,r"', "y"])
+
+
+@st.composite
+def _csv_case(draw):
+    """(text, has_header, response): half the tables clean, half with hostile cells and rows."""
+    width = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    hostile = draw(st.booleans())
+    cells = _FLOATS | st.sampled_from(_HOSTILE) if hostile else _FLOATS
+    shapes = ["ok"] * 6 + (["short", "long", "trailing", "spaces"] if hostile else []) + ["blank"]
+    lines = [",".join(draw(st.lists(_NAMES, min_size=width, max_size=width)))] if has_header else []
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(cells, min_size=width, max_size=width))
+        shape = draw(st.sampled_from(shapes))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row = row + ["1.0"]
+        lines.append({"trailing": ",".join(row) + ",", "blank": "", "spaces": "  "}.get(
+            shape, ",".join(row)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    response = draw(st.none() | st.integers(-1, width) | _NAMES.map(str.strip))
+    return text, has_header, response
+
+
+def _load_outcome(path, has_header, response):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape either parser
+            ds = load_csv(path, has_header=has_header, response=response)
+    except Exception as exc:  # the outcome compared is the error's type and message
+        return type(exc), str(exc)
+    y = None if ds.y is None else (ds.y.shape, ds.y.tobytes())
+    return (ds.x.shape, ds.x.tobytes()), y, ds.colnames
+
+
+@given(_csv_case())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_equals_strict_parser(case):
+    text, has_header, response = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode())
+        got = _load_outcome(path, has_header, response)
+        with mock.patch.object(data_mod, "_parse_fast", return_value=None):
+            want = _load_outcome(path, has_header, response)
+    assert got == want
 
 
 def test_csv_no_response_and_headerless(tmp_path):

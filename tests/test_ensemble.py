@@ -1,11 +1,17 @@
 """Standardization, marginal-model fitting, thresholding, averaging, measures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+import spar
 import spar.ensemble as ensemble_mod
 from spar.errors import ConfigError, DataError, InsufficientDataError, NumericError, SingularError
 from spar.families import BINOMIAL, GAUSSIAN, fit_penalized_glm, get_family
@@ -15,6 +21,7 @@ from spar.ensemble import (
     ModelSpec,
     SparEnsemble,
     StandardizationStats,
+    average_ranks,
     averaged_coef,
     build_nu_grid,
     coef_path,
@@ -40,6 +47,16 @@ def test_standardize_columns():
     assert np.allclose(ys, [-1.0, 0.0, 1.0])
     assert stats.y_mean == pytest.approx(1.0)
     assert stats.y_sd == pytest.approx(1.0)
+
+
+def test_standardize_copy_is_c_ordered_and_leaves_x_alone():
+    """load_csv's x is F-ordered; solves on a C-ordered x_std give the bits a row copy gives."""
+    x = np.asfortranarray(np.random.default_rng(2).standard_normal((30, 8)))
+    x0 = x.copy()
+    x_std, _, stats = standardize(x, x[:, 0], "gaussian")
+    assert x_std.flags.c_contiguous
+    assert np.array_equal(x, x0)
+    assert np.array_equal(x_std, (x0 - stats.x_mean) / stats.x_sd)
 
 
 def test_standardize_formula_matches_two_point_example():
@@ -355,6 +372,27 @@ def test_one_minus_auc_tie_handling():
     assert one_minus_auc(y, mu) == pytest.approx(0.5)
     with pytest.raises(DataError):
         one_minus_auc(np.zeros(4), np.linspace(0, 1, 4))  # needs both classes
+
+
+@given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1e-300, 3.0, np.inf]), max_size=40)
+       | st.lists(st.floats(allow_nan=False), max_size=40)
+       | st.lists(st.sampled_from([0.5, 1.0, np.nan]), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_average_ranks_equal_scipy_rankdata(values):
+    import scipy.stats
+
+    a = np.asarray(values, dtype=float)
+    np.testing.assert_array_equal(average_ranks(a), scipy.stats.rankdata(a))  # NaN == NaN here
+
+
+def test_import_spar_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(spar.__file__).resolve().parents[1]))
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, spar; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 @given(st.integers(2, 30), st.integers(0, 10_000),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spar import fit_spar, fit_spar_cv
-from spar.errors import ConfigError, CvError, NumericError
+from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.rng import fold_stream
 from spar.selection import GridCell, SelectionGrid, evaluate_validation_grid, make_folds
@@ -162,3 +162,30 @@ def test_cv_auc_measure_skips_one_class_test_folds():
     # every other held-out fold is one-class, so nothing usable remains
     with pytest.raises(CvError):
         fit_spar_cv(x, y, family="binomial", measure="1-auc", nfolds=10, nummods=(2,), seed=0)
+
+
+def test_fits_leave_caller_arrays_unmodified():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 15))
+    y = x[:, 0] + 0.3 * rng.standard_normal(40)
+    xv = rng.standard_normal((20, 15))
+    yv = xv[:, 0] + 0.3 * rng.standard_normal(20)
+    before = [a.copy() for a in (x, y, xv, yv)]
+    fit_spar(x, y, xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1)
+    fit_spar_cv(x, y, nfolds=3, nnu=3, nummods=(2,), seed=1)
+    for a, b in zip((x, y, xv, yv), before):
+        assert np.array_equal(a, b)
+
+
+def test_validation_grid_refuses_bad_held_out_x():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 15))
+    y = x[:, 0] + 0.3 * rng.standard_normal(40)
+    xv = rng.standard_normal((20, 15))
+    yv = xv[:, 0] + 0.3 * rng.standard_normal(20)
+    ens = fit_spar(x, y, xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1)
+    with pytest.raises(DataError, match="columns"):
+        evaluate_validation_grid(ens, xv[:, 1:], yv, "mse")
+    xv[4, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        evaluate_validation_grid(ens, xv, yv, "mse")
