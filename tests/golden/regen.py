@@ -4,8 +4,8 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Each recipe fits a small ensemble (n=40, p=60) for one family, one
-projection kind and one selection mode, and writes four files into
+Each library recipe fits a small ensemble (n=40, p=60) for one family,
+one projection kind and one selection mode, and writes four files into
 tests/golden/<recipe>/:
 
 - model.json: the saved model;
@@ -14,6 +14,11 @@ tests/golden/<recipe>/:
   both `avg_type` values;
 - coef.csv: `coef()` at every other nu of the grid, at every nummod.
 
+Each `cli-*` recipe runs `spar fit` or `spar cv` on CSVs of the same
+size, with flags, a `--config` file or both, and keeps what the command
+writes under --out: model.json, selection.csv, summary.txt and, for
+`cv`, cv_folds.csv.
+
 tests/test_golden.py rebuilds every recipe in a temporary directory and
 compares the files byte for byte.  Regenerate only together with a
 change that declares a behaviour change in CHANGES.md.
@@ -21,11 +26,16 @@ change that declares a behaviour change in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import spar
+from spar.cli import main as spar_main
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 FAMILIES = ("gaussian", "binomial", "poisson")
@@ -82,11 +92,81 @@ def write_recipe(name: str, outdir: Path) -> None:
                         + ",".join(repr(float(v)) for v in c.beta) + "\n")
 
 
+# every `spar fit` option, in config form; the flag form is derived by _flags
+_EVERY_FIT_OPTION = {
+    "response": "y", "family": "gaussian", "screen": "marglik", "screen_type": "fixed",
+    "nscreen": 30, "split_prop": 0.5, "screen_eps": 0.1, "rp": "sparse", "psi": 0.5,
+    "rp_data": False, "mslow": 2, "msup": 5, "b2": 3, "nnu": 6, "nus": [0.0, 0.05, 0.1, 0.2],
+    "nummods": [3, 5], "measure": "mae", "model_eps": 0.5, "seed": 7, "threads": 2,
+}
+# name -> (command, family of the data, config or None, flags)
+CLI_RECIPES = {
+    "cli-fit-defaults": ("fit", "gaussian", None, {}),
+    "cli-fit-flags": ("fit", "gaussian", None, _EVERY_FIT_OPTION),
+    "cli-fit-config": ("fit", "gaussian", _EVERY_FIT_OPTION, {}),
+    "cli-fit-config-flags": ("fit", "gaussian", _EVERY_FIT_OPTION,
+                             {"seed": 9, "measure": "mse", "rp": "cw", "rp_data": True,
+                              "nummods": [4]}),
+    "cli-cv-binomial-auc": ("cv", "binomial", None,
+                            {"family": "binomial", "measure": "1-auc", "nfolds": 4,
+                             "nummods": [2, 4], "nnu": 5, "seed": 3}),
+    "cli-cv-haar-config": ("cv", "gaussian",
+                           {"rp": "haar-select", "b2": 4, "msup": 4, "nummods": [2, 3],
+                            "nnu": 5, "nfolds": 3, "seed": 2}, {}),
+}
+
+
+def _flags(options: dict) -> list:
+    out = []
+    for key, value in options.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        out += ["--" + key.replace("_", "-"), str(value)]
+    return out
+
+
+def write_cli_recipe(name: str, outdir: Path) -> None:
+    """Run one `spar fit`/`spar cv` recipe with its output directory at outdir."""
+    command, fam, config, flags = CLI_RECIPES[name]
+    ds, _ = spar.generate_synthetic(
+        spar.SyntheticSpec(n=40, p=60, n_active=6, sigma2=1.0, coef_pool=_COEF_POOLS[fam],
+                           family=fam, n_test=20),
+        _DATA_SEEDS[fam],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spar.save_csv(tmp / "train.csv", ds.x, ds.y, ds.colnames)
+        argv = [command, "--data", str(tmp / "train.csv"), "--out", str(outdir)]
+        if command == "fit":
+            spar.save_csv(tmp / "val.csv", ds.x_test, ds.y_test, ds.colnames)
+            argv += ["--val-data", str(tmp / "val.csv")]
+        if config is not None:
+            (tmp / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp / "config.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = spar_main(argv + _flags(flags))
+    if rc != 0:
+        raise RuntimeError(f"{name}: spar {command} exited with {rc}")
+
+
+def write(name: str, outdir: Path) -> None:
+    """Write the golden files of a library or a CLI recipe into outdir."""
+    if name in CLI_RECIPES:
+        write_cli_recipe(name, outdir)
+    else:
+        write_recipe(name, outdir)
+
+
+ALL_RECIPES = RECIPES + tuple(CLI_RECIPES)
+
+
 def main() -> int:
-    for name in RECIPES:
+    for name in ALL_RECIPES:
         outdir = GOLDEN_DIR / name
         shutil.rmtree(outdir, ignore_errors=True)
-        write_recipe(name, outdir)
+        write(name, outdir)
         print(f"wrote {outdir}")
     return 0
 

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison against the golden outputs in tests/golden/.
 
-Every recipe is refit in a temporary directory; its model.json,
-selection.csv, predictions.csv and coef.csv must equal the committed
-files exactly.  tests/golden/regen.py rewrites the committed files.
+Every recipe is refit in a temporary directory, and every file it writes
+(model.json, selection.csv, predictions.csv and coef.csv for the library
+recipes; model.json, selection.csv, summary.txt and cv_folds.csv for the
+`spar fit`/`spar cv` ones) must equal the committed file exactly.  tests/golden/regen.py rewrites the committed files.
 """
 
 import importlib.util
@@ -16,10 +17,10 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 
-@pytest.mark.parametrize("name", regen.RECIPES)
+@pytest.mark.parametrize("name", regen.ALL_RECIPES)
 def test_golden_outputs_byte_identical(name, tmp_path):
     expected_dir = regen.GOLDEN_DIR / name
-    regen.write_recipe(name, tmp_path)
+    regen.write(name, tmp_path)
     expected = sorted(p.name for p in expected_dir.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     for fname in expected:
