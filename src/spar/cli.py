@@ -12,7 +12,9 @@ import dataclasses
 import json
 import logging
 import sys
+from argparse import ArgumentTypeError
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,160 +24,152 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_model,
+    read_json,
     save_csv,
     save_model,
 )
 from .ensemble import MEASURES, AveragedCoef, ModelSpec, get_family, linkinv_eval
 from .errors import ConfigError, DataError, ParseError, SparError
-from .projection import RpSpec, rp_plugin_names
-from .screening import ScreenSpec, screen_plugin_names
+from .plugins import resolve
+from .projection import RpSpec
+from .screening import ScreenSpec
 
 logger = logging.getLogger(__name__)
 
-# builtin defaults; a --config JSON file can override them, flags win over both
-_DEFAULTS = {
-    "response": "y",
-    "family": "gaussian",
-    "screen": "ridge",
-    "screen_type": "prob",
-    "nscreen": None,
-    "split_prop": None,
-    "screen_eps": None,
-    "rp": "cw",
-    "psi": 1.0,
-    "rp_data": True,
-    "mslow": None,
-    "msup": None,
-    "b2": 50,
-    "nnu": 20,
-    "nus": None,
-    "nummods": [20],
-    "measure": "deviance",
-    "model_eps": None,
-    "nfolds": 10,
-    "seed": 0,
-    "threads": 1,
-    "type": "response",
-    "avg_type": "link",
-    "opt_par": "best",
-}
+
+# Each parser takes a flag string or a --config value and raises ArgumentTypeError,
+# which argparse prints after the flag name and _fit_options after the config key.
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(cfg) - set(_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
+def _scalar(kind):
+    def parse(v):
+        # a config number may stand for an int flag only when it has no fraction
+        fractional = kind is int and isinstance(v, float) and not v.is_integer()
+        if not isinstance(v, bool) and not fractional:
+            try:
+                return kind(v)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        raise ArgumentTypeError(f"invalid {kind.__name__} value: {v!r}")
+
+    return parse
 
 
-def _opt(args, cfg, key):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return _DEFAULTS.get(key)
+_STR, _INT, _FLOAT = _scalar(str), _scalar(int), _scalar(float)
 
 
-def _parse_bool(v, flag):
+def _floats(v):
+    """Numbers from a comma-separated flag string or a config list."""
+    items = v if isinstance(v, list) else [e for e in str(v).split(",") if e.strip()]
+    return [_FLOAT(e) for e in items]
+
+
+def _ints(v):
+    return [_INT(e) for e in _floats(v)]
+
+
+def _bool(v):
     if isinstance(v, bool):
         return v
     if v in ("true", "false"):
         return v == "true"
-    raise ConfigError(f"{flag} must be 'true' or 'false'")
+    raise ArgumentTypeError(f"invalid choice: {v!r} (choose from 'true', 'false')")
 
 
-def _parse_floats(v, flag):
-    if v is None:
-        return None
-    if isinstance(v, (list, tuple)):
-        return [float(e) for e in v]
+def _column(v):
+    """A response column: a name, or (from a config) a 0-based index."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        return v
+    raise ArgumentTypeError(f"invalid column: {v!r}")
+
+
+class _Option(NamedTuple):
+    key: str  # the --config key; the flag is --key with '-' for '_'
+    target: str  # "screen.<field>", "rp.<field>", "model.<field>" or a fit keyword
+    parse: Callable
+    flag: dict = {}  # further add_argument keywords
+
+
+# the options of spar fit and spar cv; the library signatures and specs hold the defaults
+_FIT_OPTIONS = (
+    _Option("response", "response", _column,
+            {"help": "response column name or 0-based index (default y)"}),
+    _Option("family", "family", _STR, {"choices": ["gaussian", "binomial", "poisson"]}),
+    _Option("screen", "screen.method", _STR,
+            {"help": "cor | marglik | ridge | registered plugin"}),
+    _Option("screen_type", "screen.selection_type", _STR, {"choices": ["prob", "fixed"]}),
+    _Option("nscreen", "screen.nscreen", _INT),
+    _Option("split_prop", "screen.split_data_prop", _FLOAT),
+    _Option("screen_eps", "screen.epsilon", _FLOAT),
+    _Option("rp", "rp.kind", _STR,
+            {"help": "gaussian | sparse | cw | haar-select | registered plugin"}),
+    _Option("psi", "rp.psi", _FLOAT),
+    _Option("rp_data", "rp.data_driven", _bool, {"metavar": "{true,false}"}),
+    _Option("mslow", "rp.mslow", _INT),
+    _Option("msup", "rp.msup", _INT),
+    _Option("b2", "rp.b2", _INT),
+    _Option("nnu", "nnu", _INT),
+    _Option("nus", "nus", _floats, {"help": "explicit comma-separated threshold grid"}),
+    _Option("nummods", "nummods", _ints,
+            {"help": "comma-separated ensemble sizes, e.g. 10,20,30"}),
+    _Option("measure", "measure", _STR, {"choices": list(MEASURES)}),
+    _Option("model_eps", "model.epsilon", _FLOAT),
+    _Option("seed", "seed", _INT),
+    _Option("threads", "threads", _INT),
+)
+# a flag of spar cv alone, accepted in spar fit configs so one file serves both
+_NFOLDS = _Option("nfolds", "nfolds", _INT)
+_OPTIONS = _FIT_OPTIONS + (_NFOLDS,)
+
+
+def _add_flag(parser, opt: _Option) -> None:
+    parser.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse, **opt.flag)
+
+
+def _plugin(kind: str, name: str, unknown: str) -> str:
+    """name when a plugin of this kind is registered under it; else ConfigError(unknown)."""
     try:
-        return [float(e) for e in str(v).split(",") if e.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"{flag} must be a comma-separated list of numbers") from None
+        resolve(kind, name)
+    except ConfigError:
+        raise ConfigError(unknown) from None
+    return name
 
 
-def _parse_ints(v, flag):
-    vals = _parse_floats(v, flag)
-    if vals is None:
-        return None
-    out = [int(e) for e in vals]
-    if any(o != e for o, e in zip(out, vals)):
-        raise ConfigError(f"{flag} must contain integers")
-    return out
-
-
-def _screen_spec(args, cfg) -> ScreenSpec:
-    method = _opt(args, cfg, "screen")
-    plugin = None
-    if method not in ("cor", "marglik", "ridge"):
-        if method in screen_plugin_names():
-            plugin, method = method, "plugin"
-        else:
-            raise ConfigError(
-                f"unknown screening method {method!r}; builtins are cor, marglik, ridge"
-            )
-    return ScreenSpec(
-        method=method,
-        nscreen=_opt(args, cfg, "nscreen"),
-        selection_type=_opt(args, cfg, "screen_type"),
-        split_data_prop=_opt(args, cfg, "split_prop"),
-        epsilon=_opt(args, cfg, "screen_eps"),
-        plugin=plugin,
-    ).validated()
-
-
-def _rp_spec(args, cfg) -> RpSpec:
-    kind = str(_opt(args, cfg, "rp")).replace("-", "_")
-    plugin = None
-    if kind not in ("gaussian", "sparse", "cw", "haar_select"):
-        if kind in rp_plugin_names() or str(_opt(args, cfg, "rp")) in rp_plugin_names():
-            plugin, kind = str(_opt(args, cfg, "rp")), "plugin"
-        else:
-            raise ConfigError(
-                f"unknown projection {kind!r}; builtins are gaussian, sparse, cw, haar-select"
-            )
-    return RpSpec(
-        kind=kind,
-        psi=float(_opt(args, cfg, "psi")),
-        data_driven=_parse_bool(_opt(args, cfg, "rp_data"), "--rp-data"),
-        mslow=_opt(args, cfg, "mslow"),
-        msup=_opt(args, cfg, "msup"),
-        b2=int(_opt(args, cfg, "b2")),
-        plugin=plugin,
-    ).validated()
-
-
-def _fit_args(args):
-    cfg = _load_config(args.config)
-    response = _opt(args, cfg, "response")
-    ds = load_csv(args.data, response=response)
-    model_eps = _opt(args, cfg, "model_eps")
-    kwargs = dict(
-        family=_opt(args, cfg, "family"),
-        screen=_screen_spec(args, cfg),
-        rp=_rp_spec(args, cfg),
-        model=ModelSpec(epsilon=model_eps).validated(),
-        nnu=int(_opt(args, cfg, "nnu")),
-        nus=_parse_floats(_opt(args, cfg, "nus"), "--nus"),
-        nummods=_parse_ints(_opt(args, cfg, "nummods"), "--nummods"),
-        measure=_opt(args, cfg, "measure"),
-        seed=int(_opt(args, cfg, "seed")),
-        threads=int(_opt(args, cfg, "threads")),
-    )
-    return ds, response, cfg, kwargs
+def _fit_options(args):
+    """(response, fit keywords) of the options given: each flag, else its config value."""
+    cfg = {} if args.config is None else read_json(args.config, "config ")
+    if not isinstance(cfg, dict):
+        raise ParseError(f"{args.config}: config must be a JSON object")
+    unknown = set(cfg) - {opt.key for opt in _OPTIONS}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    kwargs = {}
+    specs = {"screen": {}, "rp": {}, "model": {}}
+    for opt in _OPTIONS:
+        value = getattr(args, opt.key, None)
+        if value is None and cfg.get(opt.key) is not None:
+            try:
+                value = opt.parse(cfg[opt.key])
+            except ArgumentTypeError as exc:
+                raise ConfigError(f"config key {opt.key!r}: {exc}") from None
+        if value is not None:
+            spec, _, name = opt.target.rpartition(".")
+            (specs[spec] if spec else kwargs)[name] = value
+    screen, rp = specs["screen"], specs["rp"]
+    if screen.get("method") not in (None, "cor", "marglik", "ridge"):
+        screen["plugin"] = _plugin("screening", screen["method"], f"unknown screening method "
+                                   f"{screen['method']!r}; builtins are cor, marglik, ridge")
+        screen["method"] = "plugin"
+    if "kind" in rp:
+        raw, rp["kind"] = rp["kind"], rp["kind"].replace("-", "_")
+        if rp["kind"] not in ("gaussian", "sparse", "cw", "haar_select"):
+            rp["plugin"] = _plugin("projection", raw, f"unknown projection {rp['kind']!r}; "
+                                   "builtins are gaussian, sparse, cw, haar-select")
+            rp["kind"] = "plugin"
+    for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec)):
+        if specs[name]:
+            kwargs[name] = cls(**specs[name])
+    return kwargs.pop("response", "y"), kwargs
 
 
 def _coef_summary_lines(coef: AveragedCoef):
@@ -231,18 +225,20 @@ def _write_fit(ens, args) -> Path:
 
 
 def cmd_fit(args) -> int:
-    ds, response, cfg, kwargs = _fit_args(args)
-    xval = yval = None
+    response, kwargs = _fit_options(args)
+    kwargs.pop("nfolds", None)
+    ds = load_csv(args.data, response=response)
     if args.val_data is not None:
         vds = load_csv(args.val_data, response=response)
-        xval, yval = vds.x, vds.y
-    _write_fit(fit_spar(ds.x, ds.y, xval=xval, yval=yval, **kwargs), args)
+        kwargs.update(xval=vds.x, yval=vds.y)
+    _write_fit(fit_spar(ds.x, ds.y, **kwargs), args)
     return 0
 
 
 def cmd_cv(args) -> int:
-    ds, response, cfg, kwargs = _fit_args(args)
-    ens = fit_spar_cv(ds.x, ds.y, nfolds=int(_opt(args, cfg, "nfolds")), **kwargs)
+    response, kwargs = _fit_options(args)
+    ds = load_csv(args.data, response=response)
+    ens = fit_spar_cv(ds.x, ds.y, **kwargs)
     out = _write_fit(ens, args)
     with open(out / "cv_folds.csv", "w") as f:
         f.write("nu,nummod,fold,value\n")
@@ -252,23 +248,16 @@ def cmd_cv(args) -> int:
     return 0
 
 
-def _load_coef_file(path) -> tuple[AveragedCoef, str]:
+def _given(args, *names) -> dict:
+    """The named options the user set; the library signatures hold the defaults."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
+def _load_coef_file(path):
+    """(intercept, beta, family name) of a `spar coef` file."""
+    doc = read_json(path)
     try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    try:
-        coef = AveragedCoef(
-            intercept=float(doc["intercept"]),
-            beta=np.asarray(doc["beta"], dtype=float),
-            nu=float(doc.get("nu", 0.0)),
-            nummod=int(doc.get("nummod", 1)),
-            active=int(np.count_nonzero(np.asarray(doc["beta"], dtype=float))),
-        )
-        return coef, doc["family"]
+        return float(doc["intercept"]), np.asarray(doc["beta"], dtype=float), doc["family"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed coefficient file: {exc}") from exc
 
@@ -277,26 +266,16 @@ def cmd_predict(args) -> int:
     if args.model is None and args.coef_file is None:
         raise ConfigError("predict needs --model or --coef-file")
     ds = load_csv(args.data, response=args.response)
-    ptype = args.type or _DEFAULTS["type"]
     if args.coef_file is not None:
-        coef, family = _load_coef_file(args.coef_file)
+        intercept, beta, family = _load_coef_file(args.coef_file)
         fam = get_family(family)
-        if ds.x.shape[1] != len(coef.beta):
-            raise DataError(
-                f"data has {ds.x.shape[1]} columns, coefficients expect {len(coef.beta)}"
-            )
-        eta = coef.intercept + ds.x @ coef.beta
-        preds = eta if ptype == "link" else linkinv_eval(fam, eta)
+        if ds.x.shape[1] != len(beta):
+            raise DataError(f"data has {ds.x.shape[1]} columns, coefficients expect {len(beta)}")
+        eta = intercept + ds.x @ beta
+        preds = eta if args.type == "link" else linkinv_eval(fam, eta)
     else:
         ens = load_model(args.model)
-        preds = ens.predict(
-            ds.x,
-            type=ptype,
-            avg_type=args.avg_type or _DEFAULTS["avg_type"],
-            nu=args.nu,
-            nummod=args.nummod,
-            opt_par=args.opt_par or _DEFAULTS["opt_par"],
-        )
+        preds = ens.predict(ds.x, **_given(args, "type", "avg_type", "nu", "nummod", "opt_par"))
     out = _outdir(args)
     with open(out / "predictions.csv", "w") as f:
         f.write("prediction\n")
@@ -307,8 +286,7 @@ def cmd_predict(args) -> int:
 
 def cmd_coef(args) -> int:
     ens = load_model(args.model)
-    coef = ens.coef(nu=args.nu, nummod=args.nummod,
-                    opt_par=args.opt_par or _DEFAULTS["opt_par"])
+    coef = ens.coef(**_given(args, "nu", "nummod", "opt_par"))
     out = _outdir(args)
     doc = {
         "family": ens.family.name,
@@ -325,11 +303,7 @@ def cmd_coef(args) -> int:
 
 def cmd_simulate(args) -> int:
     # flags are named after the SyntheticSpec fields; an absent flag keeps the field default
-    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SyntheticSpec)}
-    given["active_positions"] = args.positions
-    if args.coef_pool is not None:
-        given["coef_pool"] = tuple(_parse_floats(args.coef_pool, "--coef-pool"))
-    spec = SyntheticSpec(**{k: v for k, v in given.items() if v is not None}).validated()
+    spec = SyntheticSpec(**_given(args, *(f.name for f in dataclasses.fields(SyntheticSpec))))
     ds, truth = generate_synthetic(spec, args.seed if args.seed is not None else 0)
     out = _outdir(args)
     save_csv(out / "train.csv", ds.x, ds.y, ds.colnames)
@@ -389,11 +363,7 @@ def cmd_report(args) -> int:
         xds = load_csv(args.xfit, response=args.response)
         yds = load_csv(args.yfit, has_header=True)
         yv = yds.x[:, 0]
-        fitted = ens.predict(
-            xds.x, type="response",
-            nu=args.nu, nummod=args.nummod,
-            opt_par=args.opt_par or _DEFAULTS["opt_par"],
-        )
+        fitted = ens.predict(xds.x, type="response", **_given(args, "nu", "nummod", "opt_par"))
         if len(yv) != len(fitted):
             raise DataError(f"--yfit has {len(yv)} rows, --xfit has {len(fitted)}")
         with open(out / "res_vs_fitted.csv", "w") as f:
@@ -417,7 +387,7 @@ def cmd_report(args) -> int:
             raise ConfigError("--coef-order must be a permutation of 1..p")
     lo, hi = 1, ens.p
     if args.prange is not None:
-        pr = _parse_ints(args.prange, "--prange")
+        pr = args.prange
         if len(pr) != 2 or not 1 <= pr[0] <= pr[1] <= ens.p:
             raise ConfigError(f"--prange must be 'a,b' with 1 <= a <= b <= {ens.p}")
         lo, hi = pr
@@ -439,26 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_fit_flags(sp):
         sp.add_argument("--data", required=True, help="training CSV with a response column")
-        sp.add_argument("--response", help="response column name or 0-based index (default y)")
-        sp.add_argument("--family", choices=["gaussian", "binomial", "poisson"])
-        sp.add_argument("--screen", help="cor | marglik | ridge | registered plugin")
-        sp.add_argument("--screen-type", dest="screen_type", choices=["prob", "fixed"])
-        sp.add_argument("--nscreen", type=int)
-        sp.add_argument("--split-prop", dest="split_prop", type=float)
-        sp.add_argument("--screen-eps", dest="screen_eps", type=float)
-        sp.add_argument("--rp", help="gaussian | sparse | cw | haar-select | registered plugin")
-        sp.add_argument("--psi", type=float)
-        sp.add_argument("--rp-data", dest="rp_data", choices=["true", "false"])
-        sp.add_argument("--mslow", type=int)
-        sp.add_argument("--msup", type=int)
-        sp.add_argument("--b2", type=int)
-        sp.add_argument("--nnu", type=int)
-        sp.add_argument("--nus", help="explicit comma-separated threshold grid")
-        sp.add_argument("--nummods", help="comma-separated ensemble sizes, e.g. 10,20,30")
-        sp.add_argument("--measure", choices=list(MEASURES))
-        sp.add_argument("--model-eps", dest="model_eps", type=float)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
+        for opt in _FIT_OPTIONS:
+            _add_flag(sp, opt)
         sp.add_argument("--config", help="JSON file with defaults; flags override it")
         sp.add_argument("--out", required=True, help="output directory")
 
@@ -469,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cv = sub.add_parser("cv", help="fit and select by k-fold cross-validation")
     add_fit_flags(cv)
-    cv.add_argument("--nfolds", type=int)
+    _add_flag(cv, _NFOLDS)
     cv.set_defaults(func=cmd_cv)
 
     pr = sub.add_parser("predict", help="predict from a saved model or coefficient file")
@@ -499,8 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n-active", dest="n_active", type=int)
     sim.add_argument("--mu", type=float)
     sim.add_argument("--sigma2", type=float)
-    sim.add_argument("--coef-pool", dest="coef_pool")
-    sim.add_argument("--positions", choices=["first", "random"])
+    sim.add_argument("--coef-pool", dest="coef_pool", type=_floats)
+    sim.add_argument("--positions", dest="active_positions", choices=["first", "random"])
     sim.add_argument("--family", choices=["gaussian", "binomial", "poisson"])
     sim.add_argument("--rho", type=float)
     sim.add_argument("--n-test", dest="n_test", type=int)
@@ -523,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--xfit", help="CSV of predictors the model was fit on")
     rep.add_argument("--yfit", help="single-column CSV of the matching responses")
     rep.add_argument("--response", help="drop this column from --xfit")
-    rep.add_argument("--prange", help="1-based inclusive predictor range 'a,b'")
+    rep.add_argument("--prange", type=_ints, help="1-based inclusive predictor range 'a,b'")
     rep.add_argument("--coef-order", dest="coef_order",
                      help="file with one 1-based predictor index per line")
     rep.add_argument("--out", required=True)

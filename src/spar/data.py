@@ -403,14 +403,19 @@ def model_from_dict(doc: dict) -> SparEnsemble:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 
-def load_model(path) -> SparEnsemble:
+def read_json(path, what=""):
+    """The parsed JSON document at path; what ("config ") words the read error."""
     try:
         with open(path) as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {what}{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def load_model(path) -> SparEnsemble:
+    doc = read_json(path)
     if not isinstance(doc, dict) or "version" not in doc:
         raise ParseError(f"{path}: not a model document")
     return model_from_dict(doc)

@@ -16,20 +16,14 @@ import scipy.sparse
 
 from .errors import ConfigError, DataError
 from .families import SOLVER_ERRORS, fit_penalized_glm, linkinv_eval
+from .plugins import register, resolve
 
 _KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
-_PLUGINS: dict = {}
 
 
 def register_rp_plugin(name: str, fn) -> None:
     """Register a callable (m, index_set, snapshot, controls) -> matrix."""
-    if not callable(fn):
-        raise ConfigError("projection plugin must be callable")
-    _PLUGINS[str(name)] = fn
-
-
-def rp_plugin_names():
-    return sorted(_PLUGINS)
+    register("projection", name, fn)
 
 
 @dataclass(frozen=True)
@@ -312,12 +306,7 @@ def make_projection(
         return gen_haar_select(
             m, q, x_sub, y, family, spec.b2, spec.holdout_frac, model_epsilon, rng
         )
-    fn = spec.plugin
-    if not callable(fn):
-        try:
-            fn = _PLUGINS[fn]
-        except KeyError:
-            raise ConfigError(f"no projection plugin registered as {fn!r}") from None
+    fn = resolve("projection", spec.plugin)
     snapshot = {"x": x, "y": y, "rng": rng} if x is not None else None
     out = fn(m, np.asarray(index_set, dtype=int), snapshot, dict(spec.controls))
     return _normalize_plugin_output(out, m, q)
@@ -328,10 +317,15 @@ def _normalize_plugin_output(out, m, q):
         mat = out
     elif isinstance(out, tuple) and len(out) == 3:
         rows, cols, vals = (np.asarray(a) for a in out)
-        mat = ProjectionMatrix(
-            m, q, "plugin",
-            rows=rows.astype(int), cols=cols.astype(int), vals=vals.astype(float),
-        )
+        if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:
+            raise DataError("projection plugin triplets must be three vectors of one length")
+        index = np.stack([rows, cols])
+        if index.dtype.kind not in "iuf" or np.any(index != np.round(index)):
+            raise DataError("projection plugin triplet indices must be integers")
+        rows, cols = index.astype(int)
+        if np.any(index < 0) or np.any(rows >= m) or np.any(cols >= q):
+            raise DataError(f"projection plugin triplet indices must lie in [0, {m}) x [0, {q})")
+        mat = ProjectionMatrix(m, q, "plugin", rows=rows, cols=cols, vals=vals.astype(float))
     else:
         dense = np.asarray(out, dtype=float)
         if dense.shape != (m, q):
@@ -339,9 +333,7 @@ def _normalize_plugin_output(out, m, q):
         mat = ProjectionMatrix(m, q, "plugin", dense=dense)
     if mat.m != m or mat.q != q:
         raise DataError(f"projection plugin returned {mat.m} x {mat.q}, expected {m} x {q}")
-    if mat.dense is not None and not np.all(np.isfinite(mat.dense)):
-        raise DataError("projection plugin returned non-finite entries")
-    if mat.dense is None and not np.all(np.isfinite(mat.vals)):
+    if not np.all(np.isfinite(mat.vals if mat.is_sparse else mat.dense)):
         raise DataError("projection plugin returned non-finite entries")
     return mat
 

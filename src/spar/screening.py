@@ -16,22 +16,16 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError, SingularError
 from .families import Family, fit_penalized_glm
+from .plugins import register, resolve
 
 logger = logging.getLogger(__name__)
 
 _METHODS = ("cor", "marglik", "ridge", "plugin")
-_PLUGINS: dict = {}
 
 
 def register_screen_plugin(name: str, fn) -> None:
     """Register a callable (x, y, controls) -> omega under a CLI-usable name."""
-    if not callable(fn):
-        raise ConfigError("screening plugin must be callable")
-    _PLUGINS[str(name)] = fn
-
-
-def screen_plugin_names():
-    return sorted(_PLUGINS)
+    register("screening", name, fn)
 
 
 @dataclass(frozen=True)
@@ -171,12 +165,7 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec) -> ScreeningResult:
         return screen_marglik(x, y, fam, eps)
     if spec.method == "ridge":
         return screen_ridge(x, y, fam, spec.epsilon)
-    fn = spec.plugin
-    if not callable(fn):
-        try:
-            fn = _PLUGINS[fn]
-        except KeyError:
-            raise ConfigError(f"no screening plugin registered as {fn!r}") from None
+    fn = resolve("screening", spec.plugin)
     x, y = _check_input(x, y)
     omega = np.asarray(fn(x, y, dict(spec.controls)), dtype=float)
     if omega.shape != (x.shape[1],):

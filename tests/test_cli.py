@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from spar.api import fit_spar
 from spar.cli import main
 from spar.data import load_csv, load_model
 from spar.ensemble import linkinv_eval
@@ -133,6 +134,53 @@ def test_config_unknown_key(sim_dir, tmp_path, capsys):
                "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"b2": "x"}, {"threads": "two"}, {"nscreen": "five"}, {"split_prop": [0.5]},
+    {"mslow": 2.5}, {"nummods": "2,x"}, {"nus": [0.1, None]}, {"rp_data": "maybe"},
+    {"psi": True}, {"response": 1.5},
+    # predict options, never read by fit or cv
+    {"opt_par": "1se"}, {"type": "link"}, {"avg_type": "response"},
+], ids=lambda cfg: next(iter(cfg)))
+def test_config_malformed_value_exits_2(cfg, sim_dir, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["fit", "--data", str(sim_dir / "train.csv"),
+               "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and repr(next(iter(cfg))) in line
+
+
+@pytest.mark.parametrize("cfg, flags", [
+    ({"nnu": 5.0, "seed": 11.0, "nummods": [2, 3.0], "rp_data": True, "psi": 1},
+     ["--nnu", "5", "--seed", "11", "--nummods", "2,3", "--rp-data", "true", "--psi", "1"]),
+    ({"nnu": "5", "seed": "11", "nummods": "2,3", "rp_data": "false", "split_prop": "0.5",
+      "nus": "0,0.1", "nfolds": 4},
+     ["--nnu", "5", "--seed", "11", "--nummods", "2,3", "--rp-data", "false",
+      "--split-prop", "0.5", "--nus", "0,0.1"]),
+], ids=["numbers-and-lists", "strings"])
+def test_config_forms_match_flags(cfg, flags, sim_dir, tmp_path):
+    """Integral numbers, numeric strings and both list forms parse as their flags do."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    data = ["--data", str(sim_dir / "train.csv"), "--val-data", str(sim_dir / "test.csv")]
+    assert main(["fit", *data, "--config", str(path), "--out", str(tmp_path / "a")]) == 0
+    assert main(["fit", *data, *flags, "--out", str(tmp_path / "b")]) == 0
+    model_a, model_b = (tmp_path / d / "model.json" for d in "ab")
+    assert model_a.read_bytes() == model_b.read_bytes()
+
+
+def test_fit_defaults_match_library(sim_dir, tmp_path):
+    """spar fit with no options records the config block fit_spar records with none."""
+    assert main(["fit", "--data", str(sim_dir / "train.csv"),
+                 "--val-data", str(sim_dir / "test.csv"), "--out", str(tmp_path)]) == 0
+    ds = load_csv(sim_dir / "train.csv", response="y")
+    val = load_csv(sim_dir / "test.csv", response="y")
+    ens = fit_spar(ds.x, ds.y, xval=val.x, yval=val.y)
+    written = json.loads((tmp_path / "model.json").read_text())
+    assert written["config"] == json.loads(json.dumps(ens.config))
 
 
 def test_exit_codes(sim_dir, tmp_path, monkeypatch, capsys):

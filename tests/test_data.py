@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spar.data as data_mod
-from spar import fit_spar, fit_spar_cv
+from spar import RpSpec, fit_spar, fit_spar_cv
 from spar.data import (
     SyntheticSpec,
     generate_synthetic,
@@ -246,11 +246,24 @@ def test_model_roundtrip_preserves_predictions(tmp_path):
     assert back.config == ens.config
 
 
-def test_model_serialization_is_stable():
-    ens, _ = _small_fit()
+@given(family=st.sampled_from(["gaussian", "binomial", "poisson"]),
+       kind=st.sampled_from(["cw", "gaussian", "sparse", "haar_select"]),
+       cv=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_model_serialization_is_stable(family, kind, cv, seed):
+    """save -> load -> save is byte-identical on random small ensembles."""
+    ds, _ = generate_synthetic(
+        SyntheticSpec(n=30, p=12, n_active=3, sigma2=1.0, coef_pool=(-0.5, 0.5), family=family),
+        seed,
+    )
+    common = dict(family=family, rp=RpSpec(kind=kind, msup=4, b2=3), nnu=4, nummods=(2, 3),
+                  seed=seed)
+    if cv:
+        ens = fit_spar_cv(ds.x, ds.y, nfolds=3, **common)
+    else:
+        ens = fit_spar(ds.x, ds.y, **common)
     text = serialize_model(ens)
-    again = serialize_model(loads_model(text))
-    assert text == again  # byte-identical re-serialization
+    assert serialize_model(loads_model(text)) == text
 
 
 def test_model_roundtrip_cv_grid(tmp_path):

@@ -3,7 +3,8 @@
 Every recipe is refit in a temporary directory, and every file it writes
 (model.json, selection.csv, predictions.csv and coef.csv for the library
 recipes; model.json, selection.csv, summary.txt and cv_folds.csv for the
-`spar fit`/`spar cv` ones) must equal the committed file exactly.  tests/golden/regen.py rewrites the committed files.
+`spar fit`/`spar cv` ones) must equal the committed file exactly.
+tests/golden/regen.py rewrites the committed files.
 """
 
 import importlib.util

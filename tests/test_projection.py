@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spar.projection as projection_mod
 from spar.errors import ConfigError, DataError, SingularError
@@ -188,11 +190,15 @@ def test_matmul_matches_dense_product():
         assert np.max(np.abs(phi.matmul(x) - x @ phi.to_dense().T)) < 1e-12
 
 
-def test_backmap_matches_dense_transpose():
-    rng = np.random.default_rng(17)
-    gamma = rng.standard_normal(5)
-    phi = gen_cw(5, 12, False, None, np.random.default_rng(18))
-    assert np.allclose(phi.backmap(gamma), phi.to_dense().T @ gamma)
+@given(m=st.integers(1, 8), q=st.integers(1, 40), data_driven=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_backmap_matches_dense_transpose(m, q, data_driven, seed, data):
+    """A cw matrix has one entry per column, so both sides round the same single product."""
+    rng = np.random.default_rng(seed)
+    phi = gen_cw(m, q, data_driven, rng.standard_normal(q) if data_driven else None, rng)
+    gamma = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
+    assert np.array_equal(phi.backmap(gamma), phi.to_dense().T @ gamma)
 
 
 def test_with_column_values_shares_structure():
@@ -250,8 +256,28 @@ def test_projection_plugin_normalization():
     assert phi.kind == "plugin"
     assert np.all(phi.to_dense() == 2.0)
 
+    triplets = RpSpec(kind="plugin",
+                      plugin=lambda m, idx, data, controls: ([0.0, 7], [3, 0], [2.0, 5.0]))
+    phi = make_projection(triplets, 8, np.arange(4), np.random.default_rng(2))
+    assert phi.is_sparse and phi.to_dense()[0, 3] == 2.0 and phi.to_dense()[7, 0] == 5.0
+
     spec_bad = RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: np.ones((m + 1, len(idx))))
     with pytest.raises(DataError):
         make_projection(spec_bad, 2, np.arange(4), np.random.default_rng(3))
     with pytest.raises(ConfigError):
         make_projection(RpSpec(kind="plugin", plugin="missing"), 2, np.arange(4), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("rows, cols, vals", [
+    ([0, 8], [0, 1], [1.0, 1.0]),  # row outside [0, m)
+    ([0, 1], [0, 4], [1.0, 1.0]),  # column outside [0, q)
+    ([-1, 1], [0, 1], [1.0, 1.0]),
+    ([0, 1], [0, 1, 2], [1.0, 1.0]),  # unequal lengths
+    ([0.5, 1], [0, 1], [1.0, 1.0]),  # non-integer index
+    (["a", "b"], [0, 1], [1.0, 1.0]),
+    ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
+])
+def test_projection_plugin_triplets_validated(rows, cols, vals):
+    spec = RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: (rows, cols, vals))
+    with pytest.raises(DataError):
+        make_projection(spec, 8, np.arange(4), np.random.default_rng(5))

@@ -6,13 +6,13 @@ from scipy.optimize import minimize_scalar
 
 from spar.errors import ConfigError, DataError
 from spar.families import BINOMIAL, GAUSSIAN, deviance_eval, linkinv_eval
+from spar.plugins import resolve
 from spar.screening import (
     ScreenSpec,
     compute_screening,
     register_screen_plugin,
     screen_cor,
     screen_marglik,
-    screen_plugin_names,
     screen_ridge,
     select_screened,
     split_for_screening,
@@ -122,7 +122,7 @@ def test_screen_plugin_roundtrip_and_validation():
         return np.abs(x).sum(axis=0)
 
     register_screen_plugin("colsum_ref", my_screen)
-    assert "colsum_ref" in screen_plugin_names()
+    assert resolve("screening", "colsum_ref") is my_screen
     x = np.random.default_rng(1).standard_normal((10, 3))
     spec = ScreenSpec(method="plugin", plugin="colsum_ref").validated().resolved(10)
     res = compute_screening(x, np.zeros(10), GAUSSIAN, spec)
