@@ -322,9 +322,9 @@ def _normalize_plugin_output(out, m, q):
         index = np.stack([rows, cols])
         if index.dtype.kind not in "iuf" or np.any(index != np.round(index)):
             raise DataError("projection plugin triplet indices must be integers")
-        rows, cols = index.astype(int)
-        if np.any(index < 0) or np.any(rows >= m) or np.any(cols >= q):
+        if np.any(index < 0) or np.any(index[0] >= m) or np.any(index[1] >= q):
             raise DataError(f"projection plugin triplet indices must lie in [0, {m}) x [0, {q})")
+        rows, cols = index.astype(int)
         mat = ProjectionMatrix(m, q, "plugin", rows=rows, cols=cols, vals=vals.astype(float))
     else:
         dense = np.asarray(out, dtype=float)

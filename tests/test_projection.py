@@ -273,6 +273,8 @@ def test_projection_plugin_normalization():
     ([0, 1], [0, 4], [1.0, 1.0]),  # column outside [0, q)
     ([-1, 1], [0, 1], [1.0, 1.0]),
     ([0, 1], [0, 1, 2], [1.0, 1.0]),  # unequal lengths
+    ([np.inf, 1], [0, 1], [1.0, 1.0]),  # integral-looking floats that no int can hold
+    ([2.0**63, 1], [0, 1], [1.0, 1.0]),
     ([0.5, 1], [0, 1], [1.0, 1.0]),  # non-integer index
     (["a", "b"], [0, 1], [1.0, 1.0]),
     ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
