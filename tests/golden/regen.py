@@ -19,6 +19,12 @@ size, with flags, a `--config` file or both, and keeps what the command
 writes under --out: model.json, selection.csv, summary.txt and, for
 `cv`, cv_folds.csv.
 
+Each `load-*` recipe fits a library cv recipe, saves its model.json in a
+temporary directory and runs `spar coef` and `spar predict` on the
+reloaded file: coef.json and coef-1se.json from `spar coef --model`,
+predictions-model*.csv from `spar predict --model` and
+predictions-coef*.csv from `spar predict --coef-file coef.json`.
+
 tests/test_golden.py rebuilds every recipe in a temporary directory and
 compares the files byte for byte.  Regenerate only together with a
 change that declares a behaviour change in CHANGES.md.
@@ -50,8 +56,8 @@ _DATA_SEEDS = {"gaussian": 11, "binomial": 12, "poisson": 13}
 _NUMMODS = {"validation": (4, 2), "cv": (2, 4)}
 
 
-def write_recipe(name: str, outdir: Path) -> None:
-    """Fit one recipe and write its four golden files into outdir."""
+def fit_recipe(name: str):
+    """(ensemble, new rows, their responses) of one library recipe."""
     fam, rp, mode = name.split("-")
     ds, _ = spar.generate_synthetic(
         spar.SyntheticSpec(n=40, p=60, n_active=6, sigma2=1.0, coef_pool=_COEF_POOLS[fam],
@@ -59,7 +65,6 @@ def write_recipe(name: str, outdir: Path) -> None:
         _DATA_SEEDS[fam],
     )
     x_val, y_val = ds.x_test[:20], ds.y_test[:20]
-    x_new = ds.x_test[20:]
     common = dict(
         family=fam,
         screen=spar.ScreenSpec(nscreen=20),
@@ -72,7 +77,12 @@ def write_recipe(name: str, outdir: Path) -> None:
         ens = spar.fit_spar(ds.x, ds.y, xval=x_val, yval=y_val, **common)
     else:
         ens = spar.fit_spar_cv(ds.x, ds.y, nfolds=5, **common)
+    return ens, ds.x_test[20:], ds.y_test[20:]
 
+
+def write_recipe(name: str, outdir: Path) -> None:
+    """Fit one recipe and write its four golden files into outdir."""
+    ens, x_new, _ = fit_recipe(name)
     outdir.mkdir(parents=True, exist_ok=True)
     spar.save_model(ens, outdir / "model.json")
     with open(outdir / "selection.csv", "w") as f:
@@ -151,15 +161,54 @@ def write_cli_recipe(name: str, outdir: Path) -> None:
         raise RuntimeError(f"{name}: spar {command} exited with {rc}")
 
 
+# name -> the library recipe whose saved model the CLI reloads
+LOAD_RECIPES = {"load-binomial-cw": "binomial-cw-cv",
+                "load-gaussian-haar_select": "gaussian-haar_select-cv"}
+# output file -> (command, flags after --model/--coef-file and --out)
+_LOAD_COMMANDS = {
+    "coef.json": ("coef", []),
+    "coef-1se.json": ("coef", ["--opt-par", "1se"]),
+    "predictions-model.csv": ("predict", []),
+    "predictions-model-link-response-1se.csv":
+        ("predict", ["--type", "link", "--avg-type", "response", "--opt-par", "1se"]),
+    "predictions-coef.csv": ("predict", ["--coef-file"]),
+    "predictions-coef-link.csv": ("predict", ["--coef-file", "--type", "link"]),
+}
+
+
+def write_load_recipe(name: str, outdir: Path) -> None:
+    """Save one library recipe's model, then export and predict from the reloaded file."""
+    ens, x_new, y_new = fit_recipe(LOAD_RECIPES[name])
+    outdir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spar.save_model(ens, tmp / "model.json")
+        spar.save_csv(tmp / "new.csv", x_new, y_new)
+        for fname, (command, flags) in _LOAD_COMMANDS.items():
+            if flags[:1] == ["--coef-file"]:
+                argv = ["--coef-file", str(outdir / "coef.json")] + flags[1:]
+            else:
+                argv = ["--model", str(tmp / "model.json")] + flags
+            if command == "predict":
+                argv += ["--data", str(tmp / "new.csv"), "--response", "y"]
+            run_dir = tmp / fname
+            if spar_main([command, *argv, "--out", str(run_dir)]) != 0:
+                raise RuntimeError(f"{name}: spar {command} for {fname} failed")
+            written = "coef.json" if command == "coef" else "predictions.csv"
+            shutil.copyfile(run_dir / written, outdir / fname)
+
+
 def write(name: str, outdir: Path) -> None:
-    """Write the golden files of a library or a CLI recipe into outdir."""
+    """Write the golden files of a library, a CLI or a load recipe into outdir."""
     if name in CLI_RECIPES:
         write_cli_recipe(name, outdir)
+    elif name in LOAD_RECIPES:
+        write_load_recipe(name, outdir)
     else:
         write_recipe(name, outdir)
 
 
-ALL_RECIPES = RECIPES + tuple(CLI_RECIPES)
+ALL_RECIPES = RECIPES + tuple(CLI_RECIPES) + tuple(LOAD_RECIPES)
 
 
 def main() -> int:
