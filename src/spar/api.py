@@ -20,7 +20,7 @@ from .ensemble import (
     get_family,
     standardize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, whole_number
 from .projection import RpSpec
 from .rng import split_stream
 from .screening import ScreenSpec, compute_screening, split_for_screening
@@ -43,7 +43,7 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     """Validate, fit and build the nu grid: (ensemble, screen, rp, model), specs resolved."""
     fam = get_family(family)
     check_measure(measure, fam)
-    nummods = tuple(int(m) for m in nummods)
+    nummods = tuple(whole_number("nummods", m) for m in nummods)
     if not nummods or any(m < 1 for m in nummods):
         raise ConfigError("nummods must be a non-empty collection of positive ints")
     screen = (screen or ScreenSpec()).validated()

@@ -22,6 +22,7 @@ from .api import fit_spar, fit_spar_cv
 from .data import (
     SyntheticSpec,
     generate_synthetic,
+    jsonable,
     load_csv,
     load_model,
     read_json,
@@ -93,7 +94,7 @@ class _Option(NamedTuple):
 # the options of spar fit and spar cv; the library signatures and specs hold the defaults
 _FIT_OPTIONS = (
     _Option("response", "response", _column,
-            {"help": "response column name or 0-based index (default y)"}),
+            {"help": "response column name (default y); a --config file may give a 0-based index"}),
     _Option("family", "family", _STR, {"choices": ["gaussian", "binomial", "poisson"]}),
     _Option("screen", "screen.method", _STR,
             {"help": "cor | marglik | ridge | registered plugin"}),
@@ -288,16 +289,8 @@ def cmd_coef(args) -> int:
     ens = load_model(args.model)
     coef = ens.coef(**_given(args, "nu", "nummod", "opt_par"))
     out = _outdir(args)
-    doc = {
-        "family": ens.family.name,
-        "intercept": float(coef.intercept),
-        "beta": [float(v) for v in coef.beta],
-        "nu": float(coef.nu),
-        "nummod": int(coef.nummod),
-        "active": int(coef.active),
-    }
     with open(out / "coef.json", "w") as f:
-        json.dump(doc, f, indent=1)
+        json.dump({"family": ens.family.name, **jsonable(coef)}, f, indent=1)
     return 0
 
 

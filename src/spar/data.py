@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -245,83 +245,48 @@ def save_csv(path, x, y=None, colnames=None) -> None:
 # ---- model persistence ----
 
 
-def _phi_payload(phi: ProjectionMatrix) -> dict:
-    rows, cols, vals = phi.triplets()
-    return {
-        "m": int(phi.m),
-        "q": int(phi.q),
-        "kind": phi.kind,
-        "storage": "sparse" if phi.is_sparse else "dense",
-        "data_driven": bool(phi.data_driven),
-        "rows": [int(v) for v in rows],
-        "cols": [int(v) for v in cols],
-        "vals": [float(v) for v in vals],
-    }
+def jsonable(obj):
+    """obj with every dataclass as the dict of its fields and numpy values as Python ones.
+
+    The one encoder of model.json and coef.json: floats keep their repr, so
+    saving a loaded model writes the same bytes.
+    """
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
 
 
-def _phi_restore(d: dict) -> ProjectionMatrix:
-    m, q = int(d["m"]), int(d["q"])
-    rows = np.asarray(d["rows"], dtype=int)
-    cols = np.asarray(d["cols"], dtype=int)
-    vals = np.asarray(d["vals"], dtype=float)
-    if d["storage"] == "dense":
-        dense = np.zeros((m, q))
-        dense[rows, cols] = vals
-        return ProjectionMatrix(m, q, d["kind"], dense=dense, data_driven=bool(d["data_driven"]))
-    return ProjectionMatrix(m, q, d["kind"], rows=rows, cols=cols, vals=vals,
-                            data_driven=bool(d["data_driven"]))
+def _pair_dict(pair):
+    return None if pair is None else {"nu": float(pair[0]), "nummod": int(pair[1])}
+
+
+def _dict_pair(d):
+    return None if d is None else (d["nu"], d["nummod"])
 
 
 def model_to_dict(ens: SparEnsemble) -> dict:
-    grid = None
-    if ens.grid is not None:
-        grid = {
-            "kind": ens.grid.kind,
-            "measure": ens.grid.measure,
-            "cells": [
-                {
-                    "nu": float(c.nu),
-                    "nummod": int(c.nummod),
-                    "value": float(c.value),
-                    "se": float(c.se),
-                    "active": int(c.active),
-                    "fold_values": [float(v) for v in c.fold_values],
-                }
-                for c in ens.grid.cells
-            ],
-        }
-    return {
-        "version": MODEL_FORMAT_VERSION,
-        "family": ens.family.name,
-        "p": int(ens.p),
-        "measure": ens.measure,
-        "master_seed": int(ens.master_seed),
-        "cv": bool(ens.cv),
-        "config": ens.config,
-        "stats": {
-            "x_mean": [float(v) for v in ens.stats.x_mean],
-            "x_sd": [float(v) for v in ens.stats.x_sd],
-            "y_mean": float(ens.stats.y_mean),
-            "y_sd": float(ens.stats.y_sd),
-            "constant_cols": [int(v) for v in ens.stats.constant_cols],
-        },
-        "nus": [float(v) for v in ens.nus],
-        "nummods": [int(v) for v in ens.nummods],
-        "models": [
-            {
-                "index_set": [int(v) for v in m.index_set],
-                "gamma0": float(m.gamma0),
-                "gamma": [float(v) for v in m.gamma],
-                "converged": bool(m.converged),
-                "failed": bool(m.failed),
-                "phi": _phi_payload(m.phi),
-            }
-            for m in ens.models
-        ],
-        "selection": grid,
-        "best": None if ens.best is None else {"nu": float(ens.best[0]), "nummod": int(ens.best[1])},
-        "one_se": None if ens.one_se is None else {"nu": float(ens.one_se[0]), "nummod": int(ens.one_se[1])},
-    }
+    selection = None if ens.grid is None else {
+        "kind": ens.grid.kind, "measure": ens.grid.measure, "cells": ens.grid.cells}
+    models = [
+        {"index_set": m.index_set, "gamma0": m.gamma0, "gamma": m.gamma,
+         "converged": m.converged, "failed": m.failed, "phi": m.phi.to_dict()}
+        for m in ens.models
+    ]
+    return jsonable({
+        "version": MODEL_FORMAT_VERSION, "family": ens.family.name, "p": ens.p,
+        "measure": ens.measure, "master_seed": ens.master_seed, "cv": ens.cv,
+        "config": ens.config, "stats": ens.stats, "nus": ens.nus, "nummods": ens.nummods,
+        "models": models,
+        "selection": selection,
+        "best": _pair_dict(ens.best),
+        "one_se": _pair_dict(ens.one_se),
+    })
 
 
 def serialize_model(ens: SparEnsemble) -> str:
@@ -336,68 +301,29 @@ def save_model(ens: SparEnsemble, path) -> None:
 def model_from_dict(doc: dict) -> SparEnsemble:
     try:
         version = str(doc["version"])
-        major = version.split(".")[0]
-        if major != MODEL_FORMAT_VERSION.split(".")[0]:
-            raise VersionError(
-                f"model format {version} not readable by a "
-                f"{MODEL_FORMAT_VERSION.split('.')[0]}.x reader"
-            )
-        fam = get_family(doc["family"])
+        major = MODEL_FORMAT_VERSION.split(".")[0]
+        if version.split(".")[0] != major:
+            raise VersionError(f"model format {version} not readable by a {major}.x reader")
+        st = doc["stats"]
         stats = StandardizationStats(
-            x_mean=np.asarray(doc["stats"]["x_mean"], dtype=float),
-            x_sd=np.asarray(doc["stats"]["x_sd"], dtype=float),
-            y_mean=float(doc["stats"]["y_mean"]),
-            y_sd=float(doc["stats"]["y_sd"]),
-            constant_cols=np.asarray(doc["stats"]["constant_cols"], dtype=int),
-        )
+            np.asarray(st["x_mean"], dtype=float), np.asarray(st["x_sd"], dtype=float),
+            st["y_mean"], st["y_sd"], np.asarray(st["constant_cols"], dtype=int))
         models = []
         for md in doc["models"]:
-            phi = _phi_restore(md["phi"])
+            phi = ProjectionMatrix.from_dict(md["phi"])
             gamma = np.asarray(md["gamma"], dtype=float)
-            models.append(
-                MarginalModel(
-                    index_set=np.asarray(md["index_set"], dtype=int),
-                    phi=phi,
-                    gamma0=float(md["gamma0"]),
-                    gamma=gamma,
-                    converged=bool(md["converged"]),
-                    beta_vals=phi.backmap(gamma),
-                    failed=bool(md["failed"]),
-                )
-            )
-        grid = None
-        if doc["selection"] is not None:
-            grid = SelectionGrid(
-                cells=[
-                    GridCell(
-                        nu=float(c["nu"]),
-                        nummod=int(c["nummod"]),
-                        value=float(c["value"]),
-                        se=float(c["se"]),
-                        active=int(c["active"]),
-                        fold_values=[float(v) for v in c["fold_values"]],
-                    )
-                    for c in doc["selection"]["cells"]
-                ],
-                measure=doc["selection"]["measure"],
-                kind=doc["selection"]["kind"],
-            )
-        best = doc["best"]
-        one_se = doc["one_se"]
+            models.append(MarginalModel(
+                np.asarray(md["index_set"], dtype=int), phi, md["gamma0"], gamma,
+                md["converged"], phi.backmap(gamma), md["failed"]))
+        sel = doc["selection"]
+        grid = None if sel is None else SelectionGrid(
+            [GridCell(**c) for c in sel["cells"]], sel["measure"], sel["kind"])
         return SparEnsemble(
-            family=fam,
-            stats=stats,
-            models=models,
-            nus=np.asarray(doc["nus"], dtype=float),
-            nummods=tuple(int(v) for v in doc["nummods"]),
-            p=int(doc["p"]),
-            measure=doc["measure"],
-            master_seed=int(doc["master_seed"]),
-            config=doc["config"],
-            grid=grid,
-            best=None if best is None else (float(best["nu"]), int(best["nummod"])),
-            one_se=None if one_se is None else (float(one_se["nu"]), int(one_se["nummod"])),
-            cv=bool(doc["cv"]),
+            family=get_family(doc["family"]), stats=stats, models=models,
+            nus=np.asarray(doc["nus"], dtype=float), nummods=tuple(doc["nummods"]),
+            p=doc["p"], measure=doc["measure"], master_seed=doc["master_seed"],
+            config=doc["config"], grid=grid, best=_dict_pair(doc["best"]),
+            one_se=_dict_pair(doc["one_se"]), cv=doc["cv"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
@@ -414,11 +340,14 @@ def read_json(path, what=""):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_model(path) -> SparEnsemble:
-    doc = read_json(path)
+def _model_from_doc(doc, where="") -> SparEnsemble:
     if not isinstance(doc, dict) or "version" not in doc:
-        raise ParseError(f"{path}: not a model document")
+        raise ParseError(f"{where}not a model document")
     return model_from_dict(doc)
+
+
+def load_model(path) -> SparEnsemble:
+    return _model_from_doc(read_json(path), f"{path}: ")
 
 
 def loads_model(text: str) -> SparEnsemble:
@@ -426,6 +355,4 @@ def loads_model(text: str) -> SparEnsemble:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise ParseError("not a model document")
-    return model_from_dict(doc)
+    return _model_from_doc(doc)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     SingularError,
+    whole_number,
 )
 from .families import (
     SOLVER_ERRORS,
@@ -61,7 +62,7 @@ class ModelSpec:
             raise ConfigError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ConfigError("tol must be > 0")
-        return self
+        return replace(self, max_iter=whole_number("max_iter", self.max_iter))
 
     def resolve_epsilon(self, fam: Family, n_rows: int) -> float:
         if self.epsilon is not None:

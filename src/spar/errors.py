@@ -13,6 +13,18 @@ class ConfigError(SparError):
     """Invalid or mutually inconsistent configuration."""
 
 
+def whole_number(name: str, value):
+    """None, or value as an int when it is whole (5, 5.0, np.int64(5)); else ConfigError."""
+    if value is None:
+        return None
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
 class DataError(SparError):
     """Problem with user-supplied data."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, whole_number
 from .families import SOLVER_ERRORS, fit_penalized_glm, linkinv_eval
 from .plugins import register, resolve
 
@@ -59,7 +59,8 @@ class RpSpec:
             raise ConfigError("holdout_frac must lie strictly between 0 and 1")
         if self.kind == "plugin" and self.plugin is None:
             raise ConfigError("kind 'plugin' needs a plugin callable or name")
-        return self
+        return replace(self, mslow=whole_number("mslow", self.mslow),
+                       msup=whole_number("msup", self.msup), b2=whole_number("b2", self.b2))
 
     def resolved(self, n: int, p: int) -> "RpSpec":
         """Fill mslow/msup defaults for n model rows and p predictors."""
@@ -75,64 +76,57 @@ class RpSpec:
 
 @dataclass
 class ProjectionMatrix:
-    """An m x q projection, stored dense or as one-entry-per-column triplets."""
+    """An m x q projection: an ndarray for the dense kinds, a CSC array for cw and triplets."""
 
-    m: int
-    q: int
     kind: str
-    dense: np.ndarray | None = None
-    rows: np.ndarray | None = None
-    cols: np.ndarray | None = None
-    vals: np.ndarray | None = None
+    mat: np.ndarray | scipy.sparse.csc_array
     data_driven: bool = False
 
     @property
+    def m(self) -> int:
+        return self.mat.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.mat.shape[1]
+
+    @property
     def is_sparse(self) -> bool:
-        return self.dense is None
+        return scipy.sparse.issparse(self.mat)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Target row of every stored entry, in triplets() order."""
+        return self.triplets()[0]
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return np.array(self.dense, dtype=float)
-        out = np.zeros((self.m, self.q))
-        np.add.at(out, (self.rows, self.cols), self.vals)
-        return out
+        return scipy.sparse.coo_array(self.mat).toarray()
 
     def triplets(self):
-        """(rows, cols, vals) of the nonzero entries, row-major order."""
-        if self.dense is None:
-            return (
-                np.asarray(self.rows, dtype=int),
-                np.asarray(self.cols, dtype=int),
-                np.asarray(self.vals, dtype=float),
-            )
-        rows, cols = np.nonzero(self.dense)
-        return rows, cols, self.dense[rows, cols]
+        """(rows, cols, vals) of the stored entries.
+
+        Row-major for dense storage (its nonzero entries), column-major
+        for CSC storage (explicit zeros included).
+        """
+        coo = scipy.sparse.coo_array(self.mat)
+        return coo.row, coo.col, coo.data
 
     def matmul(self, x_sub) -> np.ndarray:
-        """Z = x_sub @ phi.T, using the sparse structure when present."""
+        """Z = x_sub @ phi.T."""
         x_sub = np.asarray(x_sub, dtype=float)
         if x_sub.ndim != 2 or x_sub.shape[1] != self.q:
             raise DataError(
                 f"projection expects {self.q} columns, got "
                 f"{x_sub.shape[1] if x_sub.ndim == 2 else x_sub.shape}"
             )
-        if self.dense is not None:
-            return x_sub @ self.dense.T
-        phi = scipy.sparse.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.m, self.q)
-        )
-        return np.asarray((phi @ x_sub.T).T)
+        return x_sub @ self.mat.T
 
     def backmap(self, gamma) -> np.ndarray:
         """phi.T @ gamma, mapping reduced coefficients back to the q predictors."""
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.m,):
             raise DataError(f"gamma must have shape ({self.m},), got {gamma.shape}")
-        if self.dense is not None:
-            return self.dense.T @ gamma
-        out = np.zeros(self.q)
-        np.add.at(out, self.cols, self.vals * gamma[self.rows])
-        return out
+        return self.mat.T @ gamma
 
     def with_column_values(self, values) -> "ProjectionMatrix":
         """Copy with fresh per-column values; keeps the sparse structure.
@@ -140,20 +134,31 @@ class ProjectionMatrix:
         Only meaningful for the cw kind, where it refreshes the
         data-driven diagonal between cross-validation folds.
         """
-        if self.dense is not None or self.kind != "cw":
+        if self.kind != "cw":
             raise ConfigError("with_column_values applies to sparse cw matrices only")
         values = np.asarray(values, dtype=float)
         if values.shape != (self.q,):
             raise DataError(f"need {self.q} column values, got {values.shape}")
-        return ProjectionMatrix(
-            self.m,
-            self.q,
-            self.kind,
-            rows=self.rows.copy(),
-            cols=self.cols.copy(),
-            vals=values.copy(),
-            data_driven=self.data_driven,
+        mat = scipy.sparse.csc_array((values.copy(), self.mat.indices, self.mat.indptr),
+                                     shape=self.mat.shape)
+        return ProjectionMatrix(self.kind, mat, self.data_driven)
+
+    def to_dict(self) -> dict:
+        """The model-file form: shape, kind, storage and the triplets."""
+        rows, cols, vals = self.triplets()
+        storage = "sparse" if self.is_sparse else "dense"
+        return {"m": self.m, "q": self.q, "kind": self.kind, "storage": storage,
+                "data_driven": bool(self.data_driven),
+                "rows": rows.tolist(), "cols": cols.tolist(), "vals": vals.tolist()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ProjectionMatrix":
+        coo = scipy.sparse.coo_array(
+            (np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
+            shape=(d["m"], d["q"]),
         )
+        mat = coo.toarray() if d["storage"] == "dense" else coo.tocsc()
+        return cls(d["kind"], mat, d["data_driven"])
 
 
 def jl_min_dim(n: int, eps: float, tau: float) -> int:
@@ -182,7 +187,7 @@ def draw_goal_dims(n_models: int, mslow: int, msup: int, rng) -> np.ndarray:
 def gen_gaussian(m: int, q: int, rng) -> ProjectionMatrix:
     """Dense iid N(0, 1) matrix; apply 1/sqrt(m) yourself for JL scaling."""
     _check_dims(m, q)
-    return ProjectionMatrix(m, q, "gaussian", dense=rng.standard_normal((m, q)))
+    return ProjectionMatrix("gaussian", rng.standard_normal((m, q)))
 
 
 def gen_sparse(m: int, q: int, psi: float, rng) -> ProjectionMatrix:
@@ -193,7 +198,7 @@ def gen_sparse(m: int, q: int, psi: float, rng) -> ProjectionMatrix:
     u = rng.random((m, q))
     v = 1.0 / math.sqrt(psi)
     dense = np.where(u < psi / 2.0, v, np.where(u < psi, -v, 0.0))
-    return ProjectionMatrix(m, q, "sparse", dense=dense)
+    return ProjectionMatrix("sparse", dense)
 
 
 def gen_cw(m: int, q: int, data_driven: bool, diag_values, rng) -> ProjectionMatrix:
@@ -214,9 +219,8 @@ def gen_cw(m: int, q: int, data_driven: bool, diag_values, rng) -> ProjectionMat
         vals = vals.copy()
     else:
         vals = rng.integers(0, 2, size=q) * 2.0 - 1.0
-    return ProjectionMatrix(
-        m, q, "cw", rows=rows, cols=np.arange(q), vals=vals, data_driven=data_driven
-    )
+    mat = scipy.sparse.csc_array((vals, rows, np.arange(q + 1)), shape=(m, q))
+    return ProjectionMatrix("cw", mat, data_driven)
 
 
 def gen_haar(m: int, q: int, rng) -> ProjectionMatrix:
@@ -228,7 +232,7 @@ def gen_haar(m: int, q: int, rng) -> ProjectionMatrix:
     qmat, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0  # sign fix keeps the distribution Haar
-    return ProjectionMatrix(m, q, "haar", dense=(qmat * signs).T)
+    return ProjectionMatrix("haar", (qmat * signs).T)
 
 
 def gen_haar_select(
@@ -324,16 +328,17 @@ def _normalize_plugin_output(out, m, q):
             raise DataError("projection plugin triplet indices must be integers")
         if np.any(index < 0) or np.any(index[0] >= m) or np.any(index[1] >= q):
             raise DataError(f"projection plugin triplet indices must lie in [0, {m}) x [0, {q})")
-        rows, cols = index.astype(int)
-        mat = ProjectionMatrix(m, q, "plugin", rows=rows, cols=cols, vals=vals.astype(float))
+        # duplicate entries are summed here, once
+        csc = scipy.sparse.csc_array((vals.astype(float), tuple(index.astype(int))), shape=(m, q))
+        mat = ProjectionMatrix("plugin", csc)
     else:
         dense = np.asarray(out, dtype=float)
         if dense.shape != (m, q):
             raise DataError(f"projection plugin returned shape {dense.shape}, expected {(m, q)}")
-        mat = ProjectionMatrix(m, q, "plugin", dense=dense)
+        mat = ProjectionMatrix("plugin", dense)
     if mat.m != m or mat.q != q:
         raise DataError(f"projection plugin returned {mat.m} x {mat.q}, expected {m} x {q}")
-    if not np.all(np.isfinite(mat.vals if mat.is_sparse else mat.dense)):
+    if not np.all(np.isfinite(mat.triplets()[2])):
         raise DataError("projection plugin returned non-finite entries")
     return mat
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InsufficientDataError, SingularError
+from .errors import ConfigError, DataError, InsufficientDataError, SingularError, whole_number
 from .families import Family, fit_penalized_glm
 from .plugins import register, resolve
 
@@ -60,7 +60,7 @@ class ScreenSpec:
             raise ConfigError("screening epsilon must be >= 0")
         if self.method == "plugin" and self.plugin is None:
             raise ConfigError("method 'plugin' needs a plugin callable or name")
-        return self
+        return replace(self, nscreen=whole_number("nscreen", self.nscreen))
 
     def resolved(self, n: int) -> "ScreenSpec":
         """Fill the nscreen default (2n) for a data set with n rows."""

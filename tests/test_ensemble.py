@@ -109,7 +109,7 @@ def test_fit_models_identity_projection_matches_direct_glm():
     x = rng.standard_normal((n, p))
     y = x @ np.array([1.0, -1.0, 0.5, 0.0, 2.0, 0.0]) + rng.standard_normal(n)
     xs, ys, stats = standardize(x, y, "gaussian")
-    eye = ProjectionMatrix(m=p, q=p, kind="plugin", dense=np.eye(p))
+    eye = ProjectionMatrix("plugin", np.eye(p))
     fam = get_family("gaussian")
     models = fit_models(xs, ys, fam, None, ScreenSpec().resolved(n), RpSpec().resolved(n, p),
                         ModelSpec(), 1, 0, inds=[np.arange(p)], rpms=[eye])
@@ -177,7 +177,7 @@ def test_fit_models_partial_failure_records_zero_model(monkeypatch):
 
 def test_nu_grid_frozen_quantile_example():
     stats = StandardizationStats(np.zeros(4), np.ones(4), 0.0, 1.0, np.array([], dtype=int))
-    phi = ProjectionMatrix(m=1, q=4, kind="plugin", dense=np.ones((1, 4)))
+    phi = ProjectionMatrix("plugin", np.ones((1, 4)))
     mdl = MarginalModel(np.arange(4), phi, 0.0, np.ones(1), True, np.array([1.0, 2.0, 3.0, 4.0]))
     nus = build_nu_grid([mdl], 2)
     assert np.allclose(nus, [0.0, 2.5])
@@ -186,7 +186,7 @@ def test_nu_grid_frozen_quantile_example():
 
 
 def test_nu_grid_all_zero_coefficients():
-    phi = ProjectionMatrix(m=1, q=2, kind="plugin", dense=np.ones((1, 2)))
+    phi = ProjectionMatrix("plugin", np.ones((1, 2)))
     mdl = MarginalModel(np.arange(2), phi, 0.0, np.zeros(1), True, np.zeros(2))
     assert np.array_equal(build_nu_grid([mdl], 10), [0.0])
 
@@ -215,7 +215,7 @@ def _identity_stats(p):
 def _coef_model(beta, gamma0=0.0):
     beta = np.asarray(beta, dtype=float)
     p = beta.size
-    phi = ProjectionMatrix(m=1, q=p, kind="plugin", dense=beta.reshape(1, p))
+    phi = ProjectionMatrix("plugin", beta.reshape(1, p))
     return MarginalModel(np.arange(p), phi, gamma0, np.ones(1), True, beta.copy())
 
 
@@ -261,7 +261,7 @@ def _path_cases(draw):
     for _ in range(draw(st.integers(1, 5))):
         idx = np.sort(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)))
         beta = np.asarray(draw(st.lists(entry, min_size=idx.size, max_size=idx.size)), dtype=float)
-        phi = ProjectionMatrix(m=1, q=idx.size, kind="plugin", dense=np.zeros((1, idx.size)))
+        phi = ProjectionMatrix("plugin", np.zeros((1, idx.size)))
         models.append(MarginalModel(np.asarray(idx, dtype=int), phi, draw(st.floats(-2, 2)),
                                     np.zeros(1), True, beta))
     def vector(lo, hi):
@@ -297,9 +297,6 @@ def test_coef_path_cells_equal_brute_force(case):
         assert c.intercept == intercept
         assert np.array_equal(c.beta, beta)
         assert c.active == np.count_nonzero(beta)
-    for i in range(len(nummods)):
-        actives = [c.active for c in cells[i * nus.size:(i + 1) * nus.size]]
-        assert all(a >= b for a, b in zip(actives, actives[1:]))  # nus ascend
 
 
 def test_coef_path_refuses_out_of_range_nummods():
@@ -430,3 +427,30 @@ def test_ensemble_object_coef_and_predict():
     cm = ens.coef_matrix()
     assert cm.shape == (p, 3)
     assert np.allclose(cm[ens.models[0].index_set, 0], ens.models[0].beta_vals)
+
+
+# each size option as fit_spar keywords, at a value v
+_SIZE_OPTIONS = {
+    "nummods": lambda v: {"nummods": (v,)},
+    "mslow": lambda v: {"rp": RpSpec(mslow=v, msup=6)},
+    "msup": lambda v: {"rp": RpSpec(mslow=2, msup=v)},
+    "b2": lambda v: {"rp": RpSpec(kind="haar_select", b2=v, msup=4)},
+    "nscreen": lambda v: {"screen": ScreenSpec(nscreen=v)},
+    "max_iter": lambda v: {"model": ModelSpec(max_iter=v)},
+}
+
+
+@pytest.mark.parametrize("name", _SIZE_OPTIONS)
+def test_sizes_must_be_whole_numbers(name):
+    """2.5 is refused, not truncated; 5, 5.0 and np.int64(5) fit the same model."""
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((40, 30))
+    y = (x[:, 0] + rng.standard_normal(40) > 0).astype(float)
+
+    def fit(v):
+        return spar.fit_spar(x, y, family="binomial", nnu=3, **_SIZE_OPTIONS[name](v))
+
+    with pytest.raises(ConfigError, match=f"{name} must be a whole number, got 2.5"):
+        fit(2.5)
+    texts = {spar.serialize_model(fit(v)) for v in (5, 5.0, np.int64(5))}
+    assert len(texts) == 1

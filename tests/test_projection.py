@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -203,13 +204,74 @@ def test_backmap_matches_dense_transpose(m, q, data_driven, seed, data):
 
 def test_with_column_values_shares_structure():
     phi = gen_cw(4, 10, True, np.ones(10), np.random.default_rng(19))
-    new = phi.with_column_values(np.arange(10.0))
-    assert np.array_equal(new.rows, phi.rows)
-    assert np.array_equal(new.cols, phi.cols)
-    assert np.allclose(np.abs(new.vals), np.abs(np.arange(10.0)))
+    values = np.arange(10.0) - 4.0  # one explicit zero, kept as an entry
+    new = phi.with_column_values(values)
+    rows, cols, _ = phi.triplets()
+    new_rows, new_cols, new_vals = new.triplets()
+    assert np.array_equal(new_rows, rows) and np.array_equal(new_cols, cols)
+    assert np.array_equal(new_vals, values)
+    assert new.kind == "cw" and new.data_driven
     dense = gen_gaussian(3, 5, np.random.default_rng(20))
     with pytest.raises(ConfigError):
         dense.with_column_values(np.ones(5))
+
+
+def _triplet_matmul(rows, cols, vals, m, q, x):
+    """x @ phi.T through a CSR matrix built from the triplets, as spar once did per call."""
+    phi = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, q))
+    return np.asarray((phi @ x.T).T)
+
+
+def _triplet_backmap(rows, cols, vals, q, gamma):
+    """phi.T @ gamma by np.add.at over the triplets, as spar once did."""
+    out = np.zeros(q)
+    np.add.at(out, cols, vals * gamma[rows])
+    return out
+
+
+@given(m=st.integers(1, 8), q=st.integers(1, 40), n=st.integers(1, 10),
+       data_driven=st.booleans(), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_cw_products_equal_triplet_reference(m, q, n, data_driven, fortran, seed):
+    """matmul and backmap of a cw matrix give the bits of the triplet code, on C and F x."""
+    rng = np.random.default_rng(seed)
+    diag = np.where(rng.random(q) < 0.2, 0.0, rng.standard_normal(q)) if data_driven else None
+    x = rng.standard_normal((n, q))
+    x = np.asfortranarray(x) if fortran else x
+    gamma = rng.standard_normal(m)
+    phi = gen_cw(m, q, data_driven, diag, np.random.default_rng(seed + 1))
+    draws = np.random.default_rng(seed + 1)  # gen_cw's own draws: target rows, then signs
+    rows = draws.integers(0, m, size=q)
+    vals = diag if data_driven else draws.integers(0, 2, size=q) * 2.0 - 1.0
+    cols = np.arange(q)
+    assert np.array_equal(phi.matmul(x), _triplet_matmul(rows, cols, vals, m, q, x))
+    assert np.array_equal(phi.backmap(gamma), _triplet_backmap(rows, cols, vals, q, gamma))
+
+
+@given(m=st.integers(1, 6), q=st.integers(1, 12), n=st.integers(1, 8),
+       fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_plugin_triplet_products_equal_triplet_reference(m, q, n, fortran, seed):
+    """Duplicate-free plugin triplets, in any order, give the bits of the triplet code.
+
+    np.add.at sums a column's entries in the order it is given them and the
+    stored matrix sums them by row, so backmap's reference takes the
+    triplets column by column, rows ascending.
+    """
+    rng = np.random.default_rng(seed)
+    flat = rng.permutation(m * q)[: rng.integers(1, m * q + 1)]  # distinct cells, any order
+    rows, cols = np.divmod(flat, q)
+    vals = rng.standard_normal(flat.size)
+    x = rng.standard_normal((n, q))
+    x = np.asfortranarray(x) if fortran else x
+    gamma = rng.standard_normal(m)
+    spec = RpSpec(kind="plugin", plugin=lambda m_, idx, data, controls: (rows, cols, vals))
+    phi = make_projection(spec, m, np.arange(q), rng)
+    assert phi.is_sparse
+    assert np.array_equal(phi.matmul(x), _triplet_matmul(rows, cols, vals, m, q, x))
+    order = np.lexsort((rows, cols))
+    assert np.array_equal(phi.backmap(gamma),
+                          _triplet_backmap(rows[order], cols[order], vals[order], q, gamma))
 
 
 def test_triplets_roundtrip():
