@@ -71,7 +71,7 @@ class RpSpec:
             mslow = max(1, min(mslow, msup))
         if mslow > msup:
             raise ConfigError(f"mslow={mslow} exceeds msup={msup}")
-        return replace(self, mslow=int(mslow), msup=int(msup))
+        return replace(self, mslow=mslow, msup=msup)
 
 
 @dataclass
