@@ -144,12 +144,11 @@ class ProjectionMatrix:
         return ProjectionMatrix(self.kind, mat, self.data_driven)
 
     def to_dict(self) -> dict:
-        """The model-file form: shape, kind, storage and the triplets."""
+        """The model-file form: shape, kind, storage and the triplets as arrays."""
         rows, cols, vals = self.triplets()
         storage = "sparse" if self.is_sparse else "dense"
         return {"m": self.m, "q": self.q, "kind": self.kind, "storage": storage,
-                "data_driven": bool(self.data_driven),
-                "rows": rows.tolist(), "cols": cols.tolist(), "vals": vals.tolist()}
+                "data_driven": bool(self.data_driven), "rows": rows, "cols": cols, "vals": vals}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectionMatrix":
