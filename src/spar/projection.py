@@ -152,6 +152,7 @@ class ProjectionMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProjectionMatrix":
+        """The matrix of a to_dict form read back from a model file."""
         coo = scipy.sparse.coo_array(
             (np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
             shape=(d["m"], d["q"]),
