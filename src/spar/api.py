@@ -11,6 +11,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .ensemble import (
     ModelSpec,
     SparEnsemble,
@@ -94,6 +95,7 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     return ens, screen, rp, model
 
 
+@one_blas_thread
 def fit_spar(
     x,
     y,
@@ -117,7 +119,9 @@ def fit_spar(
     Without xval/yval the training data double as validation data,
     which biases the selection toward denser models; a warning is
     logged.  Returns a SparEnsemble with the selection grid attached
-    and best = (nu_best, nummod_best).
+    and best = (nu_best, nummod_best).  threads spreads the marginal
+    models over worker threads without changing the result; BLAS runs
+    on one thread during the call (see spar.blas).
     """
     ens, _, _, _ = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
@@ -132,6 +136,7 @@ def fit_spar(
     return ens
 
 
+@one_blas_thread
 def fit_spar_cv(
     x,
     y,
@@ -152,7 +157,7 @@ def fit_spar_cv(
     The full-data fit freezes the index sets, projections and nu grid;
     folds only refit the marginal GLMs (and refresh data-driven cw
     diagonals).  Returns a SparEnsemble with best and the one-standard-
-    error pair one_se.
+    error pair one_se.  threads works as in fit_spar, for the folds too.
     """
     ens, screen, rp, model = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import (
     ConfigError,
     DataError,
@@ -142,6 +143,7 @@ class MarginalModel:
         return out
 
 
+@one_blas_thread
 def fit_models(
     x_std,
     y_std,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ConfigError, DataError, InsufficientDataError, SingularError, whole_number
 from .families import Family, fit_penalized_glm
 from .plugins import register, resolve
@@ -156,6 +157,7 @@ def screen_ridge(x, y, family, epsilon=None) -> ScreeningResult:
     return ScreeningResult(omega, const, "ridge", n)
 
 
+@one_blas_thread
 def compute_screening(x, y, fam: Family, spec: ScreenSpec) -> ScreeningResult:
     """Dispatch on spec.method; plugin output is validated and cleaned."""
     if spec.method == "cor":

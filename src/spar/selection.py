@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .ensemble import (
     ModelSpec,
     SparEnsemble,
@@ -116,6 +117,7 @@ def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
     return out
 
 
+@one_blas_thread
 def cross_validate(
     ens: SparEnsemble,
     x,
