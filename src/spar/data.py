@@ -153,9 +153,11 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
         col = int(response)
         if not 0 <= col < width:
             raise ParseError(f"{path}: response column {col} out of range")
-    keep = [j for j in range(width) if j != col]
-    xnames = [names[j] for j in keep] if names else None
-    return Dataset(x=data[:, keep], y=data[:, col], colnames=xnames)
+    # row-major predictors, as fit_spar callers pass them: column sums of an
+    # F-ordered copy differ in the last bits.  A view for an edge column.
+    x = data[:, 1:] if col == 0 else data[:, :-1] if col == width - 1 else np.delete(data, col, 1)
+    xnames = [names[j] for j in range(width) if j != col] if names else None
+    return Dataset(x=x, y=data[:, col], colnames=xnames)
 
 
 def _parse_fast(path, has_header):

@@ -9,7 +9,7 @@ import pytest
 
 from spar.api import fit_spar
 from spar.cli import main
-from spar.data import load_csv, load_model
+from spar.data import load_csv, load_model, save_csv, serialize_model
 from spar.ensemble import linkinv_eval
 from spar.errors import NumericError
 
@@ -173,14 +173,32 @@ def test_config_forms_match_flags(cfg, flags, sim_dir, tmp_path):
 
 
 def test_fit_defaults_match_library(sim_dir, tmp_path):
-    """spar fit with no options records the config block fit_spar records with none."""
+    """spar fit with no options writes the model.json fit_spar writes with none.
+
+    The library side gets C-ordered copies of the loaded numbers, as a caller
+    holding them in memory would: an F-ordered x changes the last bits.
+    """
     assert main(["fit", "--data", str(sim_dir / "train.csv"),
                  "--val-data", str(sim_dir / "test.csv"), "--out", str(tmp_path)]) == 0
     ds = load_csv(sim_dir / "train.csv", response="y")
     val = load_csv(sim_dir / "test.csv", response="y")
-    ens = fit_spar(ds.x, ds.y, xval=val.x, yval=val.y)
-    written = json.loads((tmp_path / "model.json").read_text())
-    assert written["config"] == json.loads(json.dumps(ens.config))
+    ens = fit_spar(np.array(ds.x, order="C"), ds.y, xval=np.array(val.x, order="C"), yval=val.y)
+    assert (tmp_path / "model.json").read_text() == serialize_model(ens)
+
+
+@pytest.mark.parametrize("col", [0, 12, 30])
+def test_predict_csv_bytes_match_library(fit_dir, sim_dir, tmp_path, col):
+    """spar predict on a CSV writes ens.predict of the same numbers, whichever
+    column holds the response."""
+    ds = load_csv(sim_dir / "test.csv", response="y")
+    table = np.insert(ds.x, col, ds.y, axis=1)
+    names = [f"x{j}" for j in range(ds.x.shape[1])]
+    save_csv(tmp_path / "new.csv", table, colnames=names[:col] + ["y"] + names[col:])
+    assert main(["predict", "--model", str(fit_dir / "model.json"), "--data",
+                 str(tmp_path / "new.csv"), "--response", "y", "--out", str(tmp_path)]) == 0
+    preds = load_model(fit_dir / "model.json").predict(np.array(ds.x, order="C"))
+    expected = "prediction\n" + "".join(f"{v!r}\n" for v in preds.tolist())
+    assert (tmp_path / "predictions.csv").read_text() == expected
 
 
 def test_exit_codes(sim_dir, tmp_path, monkeypatch, capsys):
