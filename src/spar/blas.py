@@ -1,10 +1,10 @@
 """Run fits on one BLAS thread.
 
-spar's solves are small (m <= n, n in the hundreds): BLAS threads add only
+spar's solves are small (m <= n, n in the hundreds): BLAS threads only add
 synchronization to them, and the thread count changes the last bits of the
-fitted values.  The count is process-wide, so the guard state is too: the
-outermost guarded call sets every OpenBLAS mapped into the process to one
-thread, and the last one to return restores the counts found, also on raise.
+results.  The count is process-wide, and so is the guard: the outermost
+guarded call sets every OpenBLAS in the process to one thread, and the last
+one to return restores the counts found, also when it raises.
 """
 
 import ctypes
@@ -18,43 +18,35 @@ logger = logging.getLogger(__name__)
 _SYMBOLS = [(f"{p}openblas_get_num_threads{s}", f"{p}openblas_set_num_threads{s}")
             for p in ("scipy_", "") for s in ("64_", "")]
 _lock = threading.Lock()
-_depth = 0
-_saved = []  # [(setter, count)] found by the outermost guarded call
-_controls = None  # [(getter, setter)] looked up by the first guarded call
+_depth, _saved = 0, []  # open guarded calls; [(setter, count)] found by the outermost
 
 
-def find_openblas() -> list:
-    """(getter, setter) ctypes functions of every OpenBLAS mapped into this process."""
+@functools.cache
+def blas_controls() -> list:
+    """(getter, setter) of every OpenBLAS in the process, looked up once; none is logged."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split(None, 5)[5].strip() for line in f
                      if "openblas" in line.lower() and ".so" in line}
     except OSError:
-        return []
+        paths = set()
     found = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
-        except OSError:  # a mapped file since deleted or replaced
+        except OSError:  # mapped, then deleted or replaced on disk
             continue
-        names = next((pair for pair in _SYMBOLS if all(hasattr(lib, n) for n in pair)), None)
-        if names:
-            get, set_ = (getattr(lib, n) for n in names)
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            found.append((get, set_))
+        for get_name, set_name in _SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                found.append((get, set_))
+                break
+    if not found:
+        logger.warning("no OpenBLAS thread control found: fits run under the BLAS "
+                       "library's own threading, and results may depend on it")
     return found
-
-
-def blas_controls() -> list:
-    """find_openblas() of the first call; an empty result is logged once per process."""
-    global _controls
-    if _controls is None:
-        _controls = find_openblas()
-        if not _controls:
-            logger.warning("no OpenBLAS thread control found: fits run under the BLAS "
-                           "library's own threading, and results may depend on it")
-    return _controls
 
 
 def one_blas_thread(fn):
