@@ -142,6 +142,8 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
     if response is None:
         return Dataset(x=data, colnames=names)
     width = data.shape[1]
+    if names is not None and len(names) != width:
+        raise ParseError(f"{path}: header has {len(names)} columns but the body has {width}")
     if isinstance(response, str):
         if names is None:
             raise ConfigError("selecting the response by name needs a header row")

@@ -57,8 +57,8 @@ class ModelSpec:
     tol: float = 1e-8
 
     def validated(self) -> "ModelSpec":
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigError("model epsilon must be >= 0")
+        if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
+            raise ConfigError(f"model epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
         if self.tol <= 0:

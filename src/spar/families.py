@@ -5,6 +5,9 @@ The solver minimizes the negative log-likelihood plus an optional L2
 penalty (epsilon/2) * ||gamma||^2 on the slopes; the intercept is never
 penalized.  Gaussian fits reduce to one (weighted) least-squares solve,
 the other families run IRLS with step halving.
+
+fit_penalized_glm checks its inputs once; its IRLS loop then runs the
+unchecked _deviance and one LAPACK Cholesky per weighted solve.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit, gammaln, xlogy
 
 from .errors import ConfigError, DataError, DomainError, NumericError, SingularError
@@ -92,8 +95,8 @@ def link_eval(fam: Family, mu) -> np.ndarray:
 def linkinv_eval(fam: Family, eta) -> np.ndarray:
     """Apply the inverse link, clamping means away from the boundary."""
     eta = np.asarray(eta, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(eta))
-    if bad.size:
+    if not np.isfinite(eta).all():
+        bad = np.flatnonzero(~np.isfinite(eta))
         raise DomainError(f"non-finite linear predictor at index {bad[0]}")
     if fam.name == "gaussian":
         return eta.copy()
@@ -112,13 +115,21 @@ def variance_eval(fam: Family, mu) -> np.ndarray:
     return mu
 
 
-def deviance_eval(fam: Family, y, mu) -> float:
-    """Family deviance with the 0 * log 0 := 0 convention."""
+def _checked_pair(fam: Family, y, mu):
+    """y and mu as float arrays of one shape, y inside the family domain."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if y.shape != mu.shape:
         raise DataError(f"length mismatch: y has {y.shape}, mu has {mu.shape}")
-    validate_response(fam, y)
+    return validate_response(fam, y), mu
+
+
+def deviance_eval(fam: Family, y, mu) -> float:
+    """Family deviance with the 0 * log 0 := 0 convention."""
+    return _deviance(fam, *_checked_pair(fam, y, mu))
+
+
+def _deviance(fam: Family, y: np.ndarray, mu: np.ndarray) -> float:
     if fam.name == "gaussian":
         d = float(((y - mu) ** 2).sum())
     elif fam.name == "binomial":
@@ -142,11 +153,7 @@ def loglik_eval(fam: Family, y, mu, dispersion=None) -> float:
     estimate RSS/n; pass dispersion=1.0 to make -2 * (loglik - saturated
     loglik) coincide with the deviance.
     """
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if y.shape != mu.shape:
-        raise DataError(f"length mismatch: y has {y.shape}, mu has {mu.shape}")
-    validate_response(fam, y)
+    y, mu = _checked_pair(fam, y, mu)
     if fam.name == "gaussian":
         rss = float(((y - mu) ** 2).sum())
         phi = float(dispersion) if dispersion is not None else rss / len(y)
@@ -167,13 +174,31 @@ class GlmFit:
     deviance: float
 
 
+def _solve_pd(a, b):
+    """a^-1 b from the upper triangle of a, bit for bit scipy.linalg.solve(a, b, assume_a="pos").
+
+    One LAPACK Cholesky (dpotrf, dpotrs; a Fortran-ordered a is overwritten).
+    NumericError on a non-finite system, SingularError if a is not positive definite.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericError("non-finite weighted least-squares system")
+    if a.shape == (1, 1) and a[0, 0] != 0:  # scipy's scalar rule; a == 0 fails in dpotrf
+        return b / a[0, 0]
+    c, info = dpotrf(a, lower=0, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SingularError(f"singular weighted least-squares system: minor {info} is not positive")
+    return dpotrs(c, b, lower=0)[0]
+
+
 def _solve_wls(z, target, w, epsilon):
     """Minimize 1/2 sum w_i (t_i - g0 - z_i.g)^2 + eps/2 ||g||^2.
 
     Weighted centering eliminates the unpenalized intercept; the slope
     system is then solved in primal (m x m) or dual (n x n) form,
-    whichever is smaller.  Raises SingularError when the system cannot
-    be factorized, which with epsilon = 0 signals rank deficiency.
+    whichever is smaller, by one LAPACK Cholesky (a 1 x 1 system is b / a,
+    as in scipy.linalg.solve).  fit_penalized_glm has checked the inputs
+    once per fit.  Raises SingularError when the system cannot be
+    factorized, which with epsilon = 0 signals rank deficiency.
     """
     n, m = z.shape
     if w is None:
@@ -185,25 +210,19 @@ def _solve_wls(z, target, w, epsilon):
     tc = target - tbar
     if m == 0:
         return tbar, np.zeros(0)
-    try:
-        if m <= n:
-            g = zc.T @ (w[:, None] * zc)
-            g[np.diag_indices(m)] += epsilon
-            gamma = scipy.linalg.solve(g, zc.T @ (w * tc), assume_a="pos")
-        else:
-            if epsilon == 0:
-                raise SingularError(
-                    "least-squares system with more columns than rows is "
-                    "singular; retry with epsilon > 0"
-                )
-            a = np.sqrt(w)[:, None] * zc
-            k = a @ a.T
-            k[np.diag_indices(n)] += epsilon
-            gamma = a.T @ scipy.linalg.solve(k, np.sqrt(w) * tc, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"singular weighted least-squares system: {exc}") from exc
-    gamma0 = tbar - float(zbar @ gamma)
-    return gamma0, gamma
+    if m <= n:
+        g = zc.T @ (w[:, None] * zc)  # not exactly symmetric: dpotrf reads the upper triangle
+        g[np.diag_indices(m)] += epsilon
+        gamma = _solve_pd(g, zc.T @ (w * tc))
+    else:
+        if epsilon == 0:
+            raise SingularError("least-squares system with more columns than rows is "
+                                "singular; retry with epsilon > 0")
+        a = np.sqrt(w)[:, None] * zc
+        k = a @ a.T  # one syrk: exactly symmetric, so k.T is k in Fortran order, factorized in place
+        k[np.diag_indices(n)] += epsilon
+        gamma = a.T @ _solve_pd(k.T, np.sqrt(w) * tc)
+    return tbar - float(zbar @ gamma), gamma
 
 
 def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmFit:
@@ -240,8 +259,8 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
         raise DataError("empty design")
     if not np.all(np.isfinite(z)):
         raise DataError("non-finite entries in the design matrix")
-    if epsilon < 0:
-        raise ConfigError("epsilon must be >= 0")
+    if not 0 <= epsilon < np.inf:
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     if max_iter < 1:
         raise ConfigError("max_iter must be >= 1")
     validate_response(fam, y)
@@ -250,7 +269,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
         gamma0, gamma = _solve_wls(z, y, None, epsilon)
         mu = gamma0 + (z @ gamma if m else 0.0)
         mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
-        return GlmFit(float(gamma0), gamma, True, 1, deviance_eval(fam, y, mu))
+        return GlmFit(float(gamma0), gamma, True, 1, _deviance(fam, y, mu))
 
     # IRLS from the intercept-only start, with step halving on the
     # penalized objective (deviance/2 + penalty, dispersion 1).
@@ -266,7 +285,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
 
     eta = gamma0 + z @ gamma
     mu = linkinv_eval(fam, eta)
-    dev = deviance_eval(fam, y, mu)
+    dev = _deviance(fam, y, mu)
     obj = objective(dev, gamma)
     converged = False
     iterations = 0
@@ -284,7 +303,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
             cand = gamma + step * dg
             eta_c = cand0 + z @ cand
             mu_c = linkinv_eval(fam, eta_c)
-            dev_c = deviance_eval(fam, y, mu_c)
+            dev_c = _deviance(fam, y, mu_c)
             obj_c = objective(dev_c, cand)
             if obj_c <= obj + 1e-12 * (1.0 + abs(obj)):
                 accepted = True

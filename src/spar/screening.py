@@ -57,8 +57,8 @@ class ScreenSpec:
             raise ConfigError("nscreen must be >= 1")
         if self.split_data_prop is not None and not 0.0 < self.split_data_prop < 1.0:
             raise ConfigError("split_data_prop must lie strictly between 0 and 1")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ConfigError("screening epsilon must be >= 0")
+        if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
+            raise ConfigError(f"screening epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.method == "plugin" and self.plugin is None:
             raise ConfigError("method 'plugin' needs a plugin callable or name")
         return replace(self, nscreen=whole_number("nscreen", self.nscreen))

@@ -222,6 +222,20 @@ def test_exit_codes(sim_dir, tmp_path, monkeypatch, capsys):
     assert "forced" in capsys.readouterr().err
 
 
+def test_fit_refuses_bad_epsilon_and_ragged_header(sim_dir, tmp_path, capsys):
+    for flag in ("--model-eps", "--screen-eps"):
+        rc = main(["fit", "--data", str(sim_dir / "train.csv"), flag, "nan",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "epsilon must be finite" in capsys.readouterr().err
+    for header in ("a,b", "a,b,c,y"):
+        path = tmp_path / "ragged.csv"
+        path.write_text(header + "\n1,2,3\n4,5,6\n7,8,9\n")
+        rc = main(["fit", "--data", str(path), "--response", "a", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "but the body has 3" in capsys.readouterr().err
+
+
 def test_report_val_measure_and_numact(fit_dir, tmp_path):
     rc = main(["report", "--model", str(fit_dir / "model.json"),
                "--plot-type", "val-measure", "--out", str(tmp_path)])

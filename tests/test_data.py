@@ -223,6 +223,19 @@ def test_csv_parse_errors(tmp_path):
         load_csv(p, has_header=False, response="a")  # names need a header
 
 
+def test_csv_header_body_width_mismatch(tmp_path):
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("a,b\n1,2,3\n4,5,6\n")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b,c,y\n1,2,3\n4,5,6\n")
+    for path, response in ((narrow, 0), (narrow, "a"), (wide, "y"), (wide, "a"), (wide, 2)):
+        with pytest.raises(ParseError, match="header has (2|4) columns but the body has 3"):
+            load_csv(path, response=response)
+    # without a response the table loads as before
+    assert load_csv(narrow).x.shape == (2, 3) and load_csv(narrow).colnames == ["a", "b"]
+    assert load_csv(wide).x.shape == (2, 3)
+
+
 def _small_fit(cv=False):
     rng = np.random.default_rng(7)
     n, p = 45, 25

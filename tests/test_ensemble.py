@@ -80,8 +80,9 @@ def test_model_spec_epsilon_defaults():
     assert ModelSpec().resolve_epsilon(GAUSSIAN, 50) == 0.0
     assert ModelSpec().resolve_epsilon(BINOMIAL, 50) == pytest.approx(5e-3)
     assert ModelSpec(epsilon=2.0).resolve_epsilon(GAUSSIAN, 50) == 2.0
-    with pytest.raises(ConfigError):
-        ModelSpec(epsilon=-0.1).validated()
+    for eps in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            ModelSpec(epsilon=eps).validated()
 
 
 def _fit_default(x, y, family="gaussian", n_models=4, seed=0, **kwargs):
@@ -131,6 +132,19 @@ def test_fit_models_honors_supplied_inds_verbatim():
     assert np.array_equal(models[1].index_set, inds[1])
     for mdl in models:
         assert np.all(mdl.beta_dense(30)[np.setdiff1d(np.arange(30), mdl.index_set)] == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+def test_fit_models_counts_an_overflowing_solve_as_failed():
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 4))
+    y = (x[:, 0] + rng.standard_normal(40) > 0).astype(float)
+    x[:, 1] *= 1e200  # model 0's Gram matrix overflows
+    eye = ProjectionMatrix("plugin", np.eye(2))
+    models = fit_models(x, y, BINOMIAL, None, ScreenSpec().resolved(40), RpSpec().resolved(40, 4),
+                        ModelSpec(), 2, 0, inds=[[0, 1], [2, 3]], rpms=[eye, eye])
+    assert [m.failed for m in models] == [True, False]
+    assert np.all(models[0].gamma == 0) and np.all(np.isfinite(models[1].gamma))
 
 
 def test_fit_models_backmap_identity():

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, xlogy
 
-from spar.errors import ConfigError, DomainError, SingularError
+from spar.errors import ConfigError, DomainError, NumericError, SingularError
 from spar.families import (
     BINOMIAL,
     GAUSSIAN,
     POISSON,
+    _solve_wls,
     deviance_eval,
     fit_penalized_glm,
     get_family,
@@ -237,3 +241,97 @@ def test_solver_rejects_bad_input():
         fit_penalized_glm(np.ones((4, 1)), np.array([0.0, 1.0, 2.0, 0.5]), "binomial", 0.0)
     with pytest.raises(ConfigError):
         fit_penalized_glm(np.ones((4, 1)), np.zeros(4), "gaussian", -1.0)
+    for eps in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            fit_penalized_glm(np.ones((4, 1)), np.zeros(4), "gaussian", eps)
+
+
+@pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
+def test_overflowing_system_raises_numeric_error():
+    rng = np.random.default_rng(71)
+    z = rng.standard_normal((30, 3))
+    y = rng.integers(0, 2, 30).astype(float)
+    with pytest.raises(NumericError, match="non-finite"):
+        fit_penalized_glm(z * 1e200, y, "binomial", 0.1)
+    wide = rng.standard_normal((30, 40)) * 1e200  # the n x n dual system
+    with pytest.raises(NumericError, match="non-finite"):
+        fit_penalized_glm(wide, y, "gaussian", 0.1)
+
+
+def _solve_wls_scipy(z, target, w, epsilon):
+    """The weighted ridge solve through scipy.linalg.solve: the oracle _solve_wls must match."""
+    n, m = z.shape
+    if w is None:
+        w = np.ones(n)
+    sw = float(w.sum())
+    zbar = (w @ z) / sw
+    tbar = float(w @ target) / sw
+    zc = z - zbar
+    tc = target - tbar
+    try:
+        if m <= n:
+            g = zc.T @ (w[:, None] * zc)
+            g[np.diag_indices(m)] += epsilon
+            gamma = scipy.linalg.solve(g, zc.T @ (w * tc), assume_a="pos")
+        else:
+            a = np.sqrt(w)[:, None] * zc
+            k = a @ a.T
+            k[np.diag_indices(n)] += epsilon
+            gamma = a.T @ scipy.linalg.solve(k, np.sqrt(w) * tc, assume_a="pos")
+    except np.linalg.LinAlgError as exc:
+        raise SingularError(str(exc)) from exc
+    return tbar - float(zbar @ gamma), gamma
+
+
+@given(
+    shape=st.sampled_from(["m=1", "primal", "dual"]),
+    n=st.integers(3, 40),
+    weighted=st.booleans(),
+    penalized=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_wls_equals_scipy_solve_bit_for_bit(shape, n, weighted, penalized, seed):
+    rng = np.random.default_rng(seed)
+    m = {"m=1": 1, "primal": int(rng.integers(2, n - 1)) if n > 3 else 2,
+         "dual": int(rng.integers(n + 1, 2 * n + 2))}[shape]
+    eps = float(rng.uniform(0.01, 3.0)) if penalized or m > n else 0.0
+    z = rng.standard_normal((n, m))
+    target = rng.standard_normal(n)
+    w = rng.uniform(0.05, 0.25, n) if weighted else None
+    g0, g = _solve_wls(z, target, w, eps)
+    r0, r = _solve_wls_scipy(z, target, w, eps)
+    assert g0 == r0
+    assert g.shape == r.shape and np.array_equal(g, r)
+
+
+def test_solve_wls_duplicated_column_singular_without_penalty():
+    rng = np.random.default_rng(51)
+    col = rng.standard_normal(20)
+    z = np.column_stack([col, rng.standard_normal(20), col])
+    target = rng.standard_normal(20)
+    w = rng.uniform(0.05, 0.25, 20)
+    for weights in (None, w):
+        with pytest.raises(SingularError):
+            _solve_wls_scipy(z, target, weights, 0.0)
+        with pytest.raises(SingularError):
+            _solve_wls(z, target, weights, 0.0)
+
+
+def test_irls_path_frozen():
+    """Iterations, convergence and deviance of two fixed IRLS fits, recorded on the
+    scipy.linalg.solve implementation (binomial primal, poisson dual branch)."""
+    rng = np.random.default_rng(2024)
+    z = rng.standard_normal((80, 6))
+    eta = 0.3 + z @ np.array([1.0, -0.5, 0.8, 0.0, 0.0, 0.2])
+    y = (rng.uniform(size=80) < 1 / (1 + np.exp(-eta))).astype(float)
+    fit = fit_penalized_glm(z, y, "binomial", 0.1)
+    assert (fit.iterations, fit.converged, fit.deviance) == (6, True, 82.28723719781664)
+    assert fit.gamma0 == 0.40680642212311613
+
+    rng = np.random.default_rng(2025)
+    z = rng.standard_normal((25, 40))
+    y = rng.poisson(np.exp(0.5 + 0.3 * z[:, 0] - 0.2 * z[:, 1])).astype(float)
+    fit = fit_penalized_glm(z, y, "poisson", 0.5)
+    assert (fit.iterations, fit.converged, fit.deviance) == (8, True, 0.6559810999385709)
+    assert fit.gamma0 == -0.3429145911302304

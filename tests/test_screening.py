@@ -144,6 +144,9 @@ def test_spec_validation():
         ScreenSpec(split_data_prop=1.5).validated()
     with pytest.raises(ConfigError):
         ScreenSpec(nscreen=0).validated()
+    for eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="epsilon"):
+            ScreenSpec(epsilon=eps).validated()
 
 
 # --- selection -------------------------------------------------------------
