@@ -25,6 +25,12 @@ reloaded file: coef.json and coef-1se.json from `spar coef --model`,
 predictions-model*.csv from `spar predict --model` and
 predictions-coef*.csv from `spar predict --coef-file coef.json`.
 
+Each `report-*` recipe saves a library cv recipe's model the same way
+and keeps one file per `spar report` run on it: val-measure and
+val-numact along nu and along nummod, each with the other axis at the
+best pair or fixed by --nu/--nummod, coefs with --prange and with
+--coef-order, and res-vs-fitted at the best pair and at a fixed one.
+
 tests/test_golden.py rebuilds every recipe in a temporary directory and
 compares the files byte for byte.  Regenerate only together with a
 change that declares a behaviour change in CHANGES.md.
@@ -198,17 +204,64 @@ def write_load_recipe(name: str, outdir: Path) -> None:
             shutil.copyfile(run_dir / written, outdir / fname)
 
 
+# name -> the library cv recipe whose saved model `spar report` reads
+REPORT_RECIPES = {"report-gaussian-cw": "gaussian-cw-cv"}
+# output file -> flags after --model and --out.  {nu} is the grid's second
+# nu printed to 13 digits, so --nu matches it within the on-grid tolerance;
+# {order} lists the predictors from last to first.
+_REPORT_COMMANDS = {
+    "val-measure-nu.csv": ["--plot-type", "val-measure"],
+    "val-measure-nu-nummod4.csv": ["--plot-type", "val-measure", "--nummod", "4"],
+    "val-measure-nummod.csv": ["--plot-type", "val-measure", "--plot-along", "nummod"],
+    "val-measure-nummod-nu.csv":
+        ["--plot-type", "val-measure", "--plot-along", "nummod", "--nu", "{nu}"],
+    "val-numact-nu.csv": ["--plot-type", "val-numact"],
+    "val-numact-nummod.csv": ["--plot-type", "val-numact", "--plot-along", "nummod",
+                              "--nu", "{nu}"],
+    "coefs-prange.csv": ["--plot-type", "coefs", "--prange", "5,20"],
+    "coefs-order.csv": ["--plot-type", "coefs", "--coef-order", "{order}", "--prange", "3,12"],
+    "res-vs-fitted.csv": ["--plot-type", "res-vs-fitted", "--xfit", "{x}", "--response", "y",
+                          "--yfit", "{y}"],
+    "res-vs-fitted-fixed.csv": ["--plot-type", "res-vs-fitted", "--xfit", "{x}",
+                                "--response", "y", "--yfit", "{y}", "--nu", "{nu}",
+                                "--nummod", "4"],
+}
+
+
+def write_report_recipe(name: str, outdir: Path) -> None:
+    """Save one library recipe's model, then run `spar report` on the reloaded file."""
+    ens, x_new, y_new = fit_recipe(REPORT_RECIPES[name])
+    outdir.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spar.save_model(ens, tmp / "model.json")
+        spar.save_csv(tmp / "new.csv", x_new, y_new)
+        (tmp / "y.csv").write_text("y\n" + "".join(f"{float(v)!r}\n" for v in y_new))
+        (tmp / "order.txt").write_text("".join(f"{j}\n" for j in range(ens.p, 0, -1)))
+        fill = {"nu": f"{ens.nus[1]:.12e}", "order": str(tmp / "order.txt"),
+                "x": str(tmp / "new.csv"), "y": str(tmp / "y.csv")}
+        for fname, flags in _REPORT_COMMANDS.items():
+            run_dir = tmp / fname
+            argv = ["report", "--model", str(tmp / "model.json"), "--out", str(run_dir)]
+            if spar_main(argv + [f.format(**fill) for f in flags]) != 0:
+                raise RuntimeError(f"{name}: spar report for {fname} failed")
+            written = flags[1].replace("-", "_") + ".csv"
+            shutil.copyfile(run_dir / written, outdir / fname)
+
+
 def write(name: str, outdir: Path) -> None:
-    """Write the golden files of a library, a CLI or a load recipe into outdir."""
+    """Write the golden files of a library, a CLI, a load or a report recipe into outdir."""
     if name in CLI_RECIPES:
         write_cli_recipe(name, outdir)
     elif name in LOAD_RECIPES:
         write_load_recipe(name, outdir)
+    elif name in REPORT_RECIPES:
+        write_report_recipe(name, outdir)
     else:
         write_recipe(name, outdir)
 
 
-ALL_RECIPES = RECIPES + tuple(CLI_RECIPES) + tuple(LOAD_RECIPES)
+ALL_RECIPES = RECIPES + tuple(CLI_RECIPES) + tuple(LOAD_RECIPES) + tuple(REPORT_RECIPES)
 
 
 def main() -> int:

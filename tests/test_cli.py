@@ -261,6 +261,19 @@ def test_report_val_measure_and_numact(fit_dir, tmp_path):
     assert rc == 2  # 7 is not on the nummods grid
 
 
+def test_report_off_grid_nu_exits_2_listing_the_grid(fit_dir, tmp_path, capsys):
+    ens = load_model(fit_dir / "model.json")
+    off = float(ens.nus[1]) * (1 + 1e-6)  # outside the rtol 1e-9 match
+    rc = main(["report", "--model", str(fit_dir / "model.json"),
+               "--plot-type", "val-measure", "--plot-along", "nummod",
+               "--nu", repr(off), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"--nu={off} is not on the grid" in err
+    assert f"grid has {sorted({c.nu for c in ens.grid.cells})}" in err
+    assert not (tmp_path / "val_measure.csv").exists()
+
+
 def test_report_coefs_prange(fit_dir, tmp_path):
     rc = main(["report", "--model", str(fit_dir / "model.json"),
                "--plot-type", "coefs", "--prange", "4,6", "--out", str(tmp_path)])

@@ -4,8 +4,8 @@ Every recipe is refit in a temporary directory, and every file it writes
 (model.json, selection.csv, predictions.csv and coef.csv for the library
 recipes; model.json, selection.csv, summary.txt and cv_folds.csv for the
 `spar fit`/`spar cv` ones; coef.json and predictions from `spar coef` and
-`spar predict` on a reloaded model for the load ones) must equal the
-committed file exactly.
+`spar predict` on a reloaded model for the load ones; the `spar report`
+CSVs for the report one) must equal the committed file exactly.
 tests/golden/regen.py rewrites the committed files.
 """
 
