@@ -3,6 +3,11 @@
 Ensembles of L2-penalized GLMs fitted on screened and randomly
 projected predictors, with threshold and ensemble-size selection on a
 validation set or by cross-validation.
+
+This namespace holds the user surface: the fits, their specs and result
+types, data and model I/O, plugin registration and the errors.  The
+building blocks (generators, screening methods, the solver, the grid
+scorers) are imported from their modules, e.g. spar.projection.gen_cw.
 """
 
 from .api import fit_spar, fit_spar_cv
@@ -22,14 +27,7 @@ from .ensemble import (
     ModelSpec,
     SparEnsemble,
     StandardizationStats,
-    averaged_coef,
-    build_nu_grid,
-    eval_measure,
-    fit_models,
-    one_minus_auc,
-    predict_glm,
     standardize,
-    threshold_beta,
 )
 from .errors import (
     ConfigError,
@@ -43,41 +41,10 @@ from .errors import (
     SparError,
     VersionError,
 )
-from .families import (
-    Family,
-    GlmFit,
-    deviance_eval,
-    fit_penalized_glm,
-    get_family,
-    link_eval,
-    linkinv_eval,
-    loglik_eval,
-    validate_response,
-)
-from .projection import (
-    ProjectionMatrix,
-    RpSpec,
-    draw_goal_dims,
-    gen_cw,
-    gen_gaussian,
-    gen_haar,
-    gen_haar_select,
-    gen_sparse,
-    jl_min_dim,
-    register_rp_plugin,
-)
-from .screening import (
-    ScreenSpec,
-    ScreeningResult,
-    compute_screening,
-    register_screen_plugin,
-    screen_cor,
-    screen_marglik,
-    screen_ridge,
-    select_screened,
-    split_for_screening,
-)
-from .selection import GridCell, SelectionGrid, cross_validate, make_folds
+from .families import Family
+from .projection import ProjectionMatrix, RpSpec, register_rp_plugin
+from .screening import ScreenSpec, register_screen_plugin
+from .selection import GridCell, SelectionGrid
 
 __version__ = "0.1.0"
 
@@ -89,7 +56,6 @@ __all__ = [
     "Dataset",
     "DomainError",
     "Family",
-    "GlmFit",
     "GridCell",
     "InsufficientDataError",
     "MarginalModel",
@@ -99,7 +65,6 @@ __all__ = [
     "ProjectionMatrix",
     "RpSpec",
     "ScreenSpec",
-    "ScreeningResult",
     "SelectionGrid",
     "SingularError",
     "SparEnsemble",
@@ -107,44 +72,15 @@ __all__ = [
     "StandardizationStats",
     "SyntheticSpec",
     "VersionError",
-    "averaged_coef",
-    "build_nu_grid",
-    "compute_screening",
-    "cross_validate",
-    "deviance_eval",
-    "draw_goal_dims",
-    "eval_measure",
-    "fit_models",
-    "fit_penalized_glm",
     "fit_spar",
     "fit_spar_cv",
-    "gen_cw",
-    "gen_gaussian",
-    "gen_haar",
-    "gen_haar_select",
-    "gen_sparse",
     "generate_synthetic",
-    "get_family",
-    "jl_min_dim",
-    "link_eval",
-    "linkinv_eval",
     "load_csv",
     "load_model",
-    "loglik_eval",
-    "make_folds",
-    "one_minus_auc",
-    "predict_glm",
     "register_rp_plugin",
     "register_screen_plugin",
     "save_csv",
     "save_model",
-    "screen_cor",
-    "screen_marglik",
-    "screen_ridge",
-    "select_screened",
     "serialize_model",
-    "split_for_screening",
     "standardize",
-    "threshold_beta",
-    "validate_response",
 ]

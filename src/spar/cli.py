@@ -31,9 +31,10 @@ from .data import (
 )
 from .ensemble import MEASURES, AveragedCoef, ModelSpec, get_family, linkinv_eval
 from .errors import ConfigError, DataError, ParseError, SparError
+from .families import FAMILIES
 from .plugins import resolve
-from .projection import RpSpec
-from .screening import ScreenSpec
+from .projection import KINDS, RpSpec
+from .screening import METHODS, ScreenSpec
 
 logger = logging.getLogger(__name__)
 
@@ -95,7 +96,7 @@ class _Option(NamedTuple):
 _FIT_OPTIONS = (
     _Option("response", "response", _column,
             {"help": "response column name (default y); a --config file may give a 0-based index"}),
-    _Option("family", "family", _STR, {"choices": ["gaussian", "binomial", "poisson"]}),
+    _Option("family", "family", _STR, {"choices": list(FAMILIES)}),
     _Option("screen", "screen.method", _STR,
             {"help": "cor | marglik | ridge | registered plugin"}),
     _Option("screen_type", "screen.selection_type", _STR, {"choices": ["prob", "fixed"]}),
@@ -121,6 +122,9 @@ _FIT_OPTIONS = (
 # a flag of spar cv alone, accepted in spar fit configs so one file serves both
 _NFOLDS = _Option("nfolds", "nfolds", _INT)
 _OPTIONS = _FIT_OPTIONS + (_NFOLDS,)
+# the builtin screening methods and projection kinds; "plugin" stands for a spec's plugin
+_SCREENS = [m for m in METHODS if m != "plugin"]
+_PROJECTIONS = [k for k in KINDS if k != "plugin"]
 
 
 def _add_flag(parser, opt: _Option) -> None:
@@ -134,6 +138,7 @@ def _plugin(kind: str, name: str, unknown: str) -> str:
     except ConfigError:
         raise ConfigError(unknown) from None
     return name
+
 
 
 def _fit_options(args):
@@ -157,15 +162,15 @@ def _fit_options(args):
             spec, _, name = opt.target.rpartition(".")
             (specs[spec] if spec else kwargs)[name] = value
     screen, rp = specs["screen"], specs["rp"]
-    if screen.get("method") not in (None, "cor", "marglik", "ridge"):
+    if screen.get("method") not in (None, *_SCREENS):
         screen["plugin"] = _plugin("screening", screen["method"], f"unknown screening method "
-                                   f"{screen['method']!r}; builtins are cor, marglik, ridge")
+                                   f"{screen['method']!r}; builtins are {', '.join(_SCREENS)}")
         screen["method"] = "plugin"
     if "kind" in rp:
         raw, rp["kind"] = rp["kind"], rp["kind"].replace("-", "_")
-        if rp["kind"] not in ("gaussian", "sparse", "cw", "haar_select"):
+        if rp["kind"] not in _PROJECTIONS:
             rp["plugin"] = _plugin("projection", raw, f"unknown projection {rp['kind']!r}; "
-                                   "builtins are gaussian, sparse, cw, haar-select")
+                                   "builtins are " + ", ".join(_PROJECTIONS).replace("_", "-"))
             rp["kind"] = "plugin"
     for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec)):
         if specs[name]:
@@ -307,15 +312,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fixed_grid_value(cells, attr, requested, best_value, flag):
-    values = np.unique([getattr(c, attr) for c in cells])
+def _fixed_grid_value(grid, attr, requested):
+    """The grid's attr value matching requested (to rtol 1e-9); the best cell's when none is."""
     if requested is None:
-        return best_value
-    hits = values[np.isclose(values, requested, rtol=1e-9, atol=0.0)] if attr == "nu" \
-        else values[values == requested]
+        return getattr(grid.best_cell(), attr)
+    values = np.unique([getattr(c, attr) for c in grid.cells])
+    hits = values[np.isclose(values, requested, rtol=1e-9, atol=0.0)]
     if hits.size == 0:
-        raise ConfigError(f"{flag}={requested} is not on the grid; grid has {values.tolist()}")
-    return float(hits[0]) if attr == "nu" else int(hits[0])
+        raise ConfigError(f"--{attr}={requested} is not on the grid; grid has {values.tolist()}")
+    return hits[0]
 
 
 def cmd_report(args) -> int:
@@ -325,30 +330,17 @@ def cmd_report(args) -> int:
     if plot in ("val-measure", "val-numact"):
         if ens.grid is None:
             raise DataError("model file carries no selection grid")
-        along = args.plot_along or "nu"
-        cells = ens.grid.cells
-        best = ens.grid.best_cell()
-        if along == "nu":
-            fixed = _fixed_grid_value(cells, "nummod", args.nummod, best.nummod, "--nummod")
-            rows = [c for c in cells if c.nummod == fixed]
-            key = lambda c: c.nu
-            axis = "nu"
-        else:
-            fixed = _fixed_grid_value(cells, "nu", args.nu, best.nu, "--nu")
-            rows = [c for c in cells if c.nu == fixed]
-            key = lambda c: c.nummod
-            axis = "nummod"
-        rows = sorted(rows, key=key)
-        name = "val_measure.csv" if plot == "val-measure" else "val_numact.csv"
-        with open(out / name, "w") as f:
-            if plot == "val-measure":
-                f.write(f"{axis},measure,se\n")
-                for c in rows:
-                    f.write(f"{key(c)!r},{c.value!r},{c.se!r}\n")
-            else:
-                f.write(f"{axis},active\n")
-                for c in rows:
-                    f.write(f"{key(c)!r},{c.active}\n")
+        axis = args.plot_along or "nu"
+        other = "nummod" if axis == "nu" else "nu"  # held at --nu/--nummod or the best pair
+        fixed = _fixed_grid_value(ens.grid, other, getattr(args, other))
+        rows = sorted((c for c in ens.grid.cells if getattr(c, other) == fixed),
+                      key=lambda c: getattr(c, axis))
+        # CSV column -> GridCell attribute
+        cols = {"measure": "value", "se": "se"} if plot == "val-measure" else {"active": "active"}
+        with open(out / (plot.replace("-", "_") + ".csv"), "w") as f:
+            f.write(",".join((axis, *cols)) + "\n")
+            for c in rows:
+                f.write(",".join(repr(getattr(c, a)) for a in (axis, *cols.values())) + "\n")
         return 0
     if plot == "res-vs-fitted":
         if args.xfit is None or args.yfit is None:
@@ -400,6 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_pick_flags(sp, model_required=True):
+        """The flags of predict, coef and report that pick a saved model's pair."""
+        sp.add_argument("--model", required=model_required)
+        sp.add_argument("--nu", type=float)
+        sp.add_argument("--nummod", type=int)
+        sp.add_argument("--opt-par", dest="opt_par", choices=["best", "1se"])
+        sp.add_argument("--out", required=True)
+
     def add_fit_flags(sp):
         sp.add_argument("--data", required=True, help="training CSV with a response column")
         for opt in _FIT_OPTIONS:
@@ -418,24 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     cv.set_defaults(func=cmd_cv)
 
     pr = sub.add_parser("predict", help="predict from a saved model or coefficient file")
-    pr.add_argument("--model")
+    add_pick_flags(pr, model_required=False)
     pr.add_argument("--coef-file", dest="coef_file")
     pr.add_argument("--data", required=True, help="CSV of predictors")
     pr.add_argument("--response", help="drop this column from --data before predicting")
     pr.add_argument("--type", choices=["response", "link"])
     pr.add_argument("--avg-type", dest="avg_type", choices=["link", "response"])
-    pr.add_argument("--nu", type=float)
-    pr.add_argument("--nummod", type=int)
-    pr.add_argument("--opt-par", dest="opt_par", choices=["best", "1se"])
-    pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)
 
     co = sub.add_parser("coef", help="export the averaged coefficient vector")
-    co.add_argument("--model", required=True)
-    co.add_argument("--nu", type=float)
-    co.add_argument("--nummod", type=int)
-    co.add_argument("--opt-par", dest="opt_par", choices=["best", "1se"])
-    co.add_argument("--out", required=True)
+    add_pick_flags(co)
     co.set_defaults(func=cmd_coef)
 
     sim = sub.add_parser("simulate", help="draw a synthetic data set with known truth")
@@ -446,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sigma2", type=float)
     sim.add_argument("--coef-pool", dest="coef_pool", type=_floats)
     sim.add_argument("--positions", dest="active_positions", choices=["first", "random"])
-    sim.add_argument("--family", choices=["gaussian", "binomial", "poisson"])
+    sim.add_argument("--family", choices=list(FAMILIES))
     sim.add_argument("--rho", type=float)
     sim.add_argument("--n-test", dest="n_test", type=int)
     sim.add_argument("--seed", type=int)
@@ -454,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     rep = sub.add_parser("report", help="emit plot-ready CSVs from a saved model")
-    rep.add_argument("--model", required=True)
+    add_pick_flags(rep)
     rep.add_argument(
         "--plot-type",
         dest="plot_type",
@@ -462,16 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="val-measure",
     )
     rep.add_argument("--plot-along", dest="plot_along", choices=["nu", "nummod"])
-    rep.add_argument("--nu", type=float)
-    rep.add_argument("--nummod", type=int)
-    rep.add_argument("--opt-par", dest="opt_par", choices=["best", "1se"])
     rep.add_argument("--xfit", help="CSV of predictors the model was fit on")
     rep.add_argument("--yfit", help="single-column CSV of the matching responses")
     rep.add_argument("--response", help="drop this column from --xfit")
     rep.add_argument("--prange", type=_ints, help="1-based inclusive predictor range 'a,b'")
     rep.add_argument("--coef-order", dest="coef_order",
                      help="file with one 1-based predictor index per line")
-    rep.add_argument("--out", required=True)
     rep.set_defaults(func=cmd_report)
     return p
 

@@ -333,7 +333,6 @@ def predict_glm(
     nummod: int,
     type: str = "response",
     avg_type: str = "link",
-    coef: AveragedCoef | None = None,
 ) -> np.ndarray:
     """Ensemble predictions on new data.
 
@@ -349,8 +348,8 @@ def predict_glm(
         raise ConfigError("avg_type must be 'link' or 'response'")
     p = len(stats.x_mean)
     x_new = check_x_new(x_new, p)
-    if coef is not None or avg_type == "link":
-        c = coef if coef is not None else averaged_coef(models, stats, p, nu, nummod)
+    if avg_type == "link":
+        c = averaged_coef(models, stats, p, nu, nummod)
         eta = c.intercept + x_new @ c.beta
         return eta if type == "link" else linkinv_eval(fam, eta)
 
@@ -457,13 +456,10 @@ class SparEnsemble:
         return averaged_coef(self.models, self.stats, self.p, nu, nummod)
 
     def predict(self, x_new, type="response", avg_type="link", nu=None,
-                nummod=None, coef=None, opt_par="best") -> np.ndarray:
-        if coef is None:
-            nu, nummod = self._pick(nu, nummod, opt_par)
-        else:
-            nu, nummod = coef.nu, coef.nummod
+                nummod=None, opt_par="best") -> np.ndarray:
+        nu, nummod = self._pick(nu, nummod, opt_par)
         return predict_glm(self.models, self.stats, self.family, x_new,
-                           nu, nummod, type, avg_type, coef)
+                           nu, nummod, type, avg_type)
 
     def coef_matrix(self) -> np.ndarray:
         """p x M matrix of standardized pre-threshold coefficients."""

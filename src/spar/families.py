@@ -35,27 +35,26 @@ class Family:
 
     name: str
     link: str
-    dispersion_known: bool
 
 
-GAUSSIAN = Family("gaussian", "identity", dispersion_known=False)
-BINOMIAL = Family("binomial", "logit", dispersion_known=True)
-POISSON = Family("poisson", "log", dispersion_known=True)
+GAUSSIAN = Family("gaussian", "identity")
+BINOMIAL = Family("binomial", "logit")
+POISSON = Family("poisson", "log")
 
-_FAMILIES = {f.name: f for f in (GAUSSIAN, BINOMIAL, POISSON)}
+FAMILIES = {f.name: f for f in (GAUSSIAN, BINOMIAL, POISSON)}
 
 
 def get_family(family) -> Family:
     """Resolve a family name (or pass a Family through)."""
     if isinstance(family, Family):
-        if family.name not in _FAMILIES:
+        if family.name not in FAMILIES:
             raise ConfigError(f"unsupported family {family.name!r}")
         return family
     try:
-        return _FAMILIES[family]
+        return FAMILIES[family]
     except (KeyError, TypeError):
         raise ConfigError(
-            f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
+            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
         ) from None
 
 
@@ -204,25 +203,26 @@ def _solve_wls(z, target, w, epsilon):
     if w is None:
         w = np.ones(n)
     sw = float(w.sum())
-    zbar = (w @ z) / sw
-    tbar = float(w @ target) / sw
-    zc = z - zbar
-    tc = target - tbar
-    if m == 0:
-        return tbar, np.zeros(0)
-    if m <= n:
-        g = zc.T @ (w[:, None] * zc)  # not exactly symmetric: dpotrf reads the upper triangle
-        g[np.diag_indices(m)] += epsilon
-        gamma = _solve_pd(g, zc.T @ (w * tc))
-    else:
-        if epsilon == 0:
-            raise SingularError("least-squares system with more columns than rows is "
-                                "singular; retry with epsilon > 0")
-        a = np.sqrt(w)[:, None] * zc
-        k = a @ a.T  # one syrk: exactly symmetric, so k.T is k in Fortran order, factorized in place
-        k[np.diag_indices(n)] += epsilon
-        gamma = a.T @ _solve_pd(k.T, np.sqrt(w) * tc)
-    return tbar - float(zbar @ gamma), gamma
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_pd refuses an overflow
+        zbar = (w @ z) / sw
+        tbar = float(w @ target) / sw
+        zc = z - zbar
+        tc = target - tbar
+        if m == 0:
+            return tbar, np.zeros(0)
+        if m <= n:
+            g = zc.T @ (w[:, None] * zc)  # not exactly symmetric: dpotrf reads the upper triangle
+            g[np.diag_indices(m)] += epsilon
+            gamma = _solve_pd(g, zc.T @ (w * tc))
+        else:
+            if epsilon == 0:
+                raise SingularError("least-squares system with more columns than rows is "
+                                    "singular; retry with epsilon > 0")
+            zc *= np.sqrt(w)[:, None]  # weighted in place: one n x m copy of z, not two
+            k = zc @ zc.T  # one syrk: exactly symmetric, k.T (Fortran order) is factorized in place
+            k[np.diag_indices(n)] += epsilon
+            gamma = zc.T @ _solve_pd(k.T, np.sqrt(w) * tc)
+        return tbar - float(zbar @ gamma), gamma
 
 
 def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmFit:

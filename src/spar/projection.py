@@ -15,10 +15,10 @@ import numpy as np
 import scipy.sparse
 
 from .errors import ConfigError, DataError, whole_number
-from .families import SOLVER_ERRORS, fit_penalized_glm, linkinv_eval
+from .families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
 from .plugins import register, resolve
 
-_KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
+KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
 
 
 def register_rp_plugin(name: str, fn) -> None:
@@ -45,8 +45,8 @@ class RpSpec:
     controls: dict = field(default_factory=dict)
 
     def validated(self) -> "RpSpec":
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown projection kind {self.kind!r}; choose from {_KINDS}")
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown projection kind {self.kind!r}; choose from {KINDS}")
         if not 0.0 < self.psi <= 1.0:
             raise ConfigError("psi must lie in (0, 1]")
         if self.mslow is not None and self.mslow < 1:
@@ -246,8 +246,6 @@ def gen_haar_select(
     misclassification (binomial) or MSE (otherwise) on the holdout;
     ties keep the earliest candidate.
     """
-    from .families import get_family
-
     fam = get_family(family)
     x_sub = np.asarray(x_sub, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -21,7 +21,7 @@ from .plugins import register, resolve
 
 logger = logging.getLogger(__name__)
 
-_METHODS = ("cor", "marglik", "ridge", "plugin")
+METHODS = ("cor", "marglik", "ridge", "plugin")
 
 
 def register_screen_plugin(name: str, fn) -> None:
@@ -47,9 +47,9 @@ class ScreenSpec:
     controls: dict = field(default_factory=dict)
 
     def validated(self) -> "ScreenSpec":
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ConfigError(
-                f"unknown screening method {self.method!r}; choose from {_METHODS}"
+                f"unknown screening method {self.method!r}; choose from {METHODS}"
             )
         if self.selection_type not in ("prob", "fixed"):
             raise ConfigError("selection_type must be 'prob' or 'fixed'")
@@ -74,8 +74,6 @@ class ScreenSpec:
 class ScreeningResult:
     omega: np.ndarray  # length-p coefficient vector, 0 at excluded columns
     excluded: np.ndarray  # indices of constant columns
-    method: str
-    n_rows: int
     failed_fits: int = 0  # marglik fits that did not converge
 
 
@@ -107,10 +105,10 @@ def screen_cor(x, y) -> ScreeningResult:
     ok = denom > 0
     omega[ok] = (xc.T @ yc)[ok] / denom[ok]
     omega[const] = 0.0
-    return ScreeningResult(omega, const, "cor", x.shape[0])
+    return ScreeningResult(omega, const)
 
 
-def screen_marglik(x, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> ScreeningResult:
+def screen_marglik(x, y, family, epsilon=0.0) -> ScreeningResult:
     """Slope of a univariate (optionally penalized) GLM per column.
 
     Fits that do not converge, or hit a singular system, contribute 0
@@ -125,7 +123,7 @@ def screen_marglik(x, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> Screeni
         if j in const:
             continue
         try:
-            fit = fit_penalized_glm(x[:, j : j + 1], y, family, epsilon, max_iter, tol)
+            fit = fit_penalized_glm(x[:, j : j + 1], y, family, epsilon)
         except SingularError:
             failed += 1
             continue
@@ -135,9 +133,7 @@ def screen_marglik(x, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> Screeni
             failed += 1
     if failed:
         logger.warning("marginal screening: %d of %d univariate fits failed", failed, p)
-    return ScreeningResult(
-        omega, np.asarray(sorted(const), dtype=int), "marglik", x.shape[0], failed
-    )
+    return ScreeningResult(omega, np.asarray(sorted(const), dtype=int), failed)
 
 
 def screen_ridge(x, y, family, epsilon=None) -> ScreeningResult:
@@ -147,14 +143,13 @@ def screen_ridge(x, y, family, epsilon=None) -> ScreeningResult:
     form (an n x n system), so the cost is O(n^2 p).
     """
     x, y = _check_input(x, y)
-    n = x.shape[0]
     if epsilon is None:
-        epsilon = 1e-2 * n
+        epsilon = 1e-2 * x.shape[0]
     const = _constant_columns(x)
     fit = fit_penalized_glm(x, y, family, epsilon)
     omega = np.asarray(fit.gamma, dtype=float)
     omega[const] = 0.0
-    return ScreeningResult(omega, const, "ridge", n)
+    return ScreeningResult(omega, const)
 
 
 @one_blas_thread
@@ -178,7 +173,7 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec) -> ScreeningResult:
         raise DataError("screening plugin returned non-finite coefficients")
     const = _constant_columns(x)
     omega[const] = 0.0
-    return ScreeningResult(omega, const, "plugin", x.shape[0])
+    return ScreeningResult(omega, const)
 
 
 def select_screened(result: ScreeningResult, spec: ScreenSpec, rng) -> np.ndarray:

@@ -79,14 +79,18 @@ class SelectionGrid:
             f.write(f"{c.nu!r},{c.nummod},{c.value!r},{c.se!r},{c.active}\n")
 
 
+def _scored_cells(ens: SparEnsemble, models, stats, x, y, measure: str):
+    """(cell, measure of its avg_type='link' predictions on x, y) along models' coef_path."""
+    fam = ens.family
+    for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods):
+        yield c, eval_measure(measure, fam, y, linkinv_eval(fam, c.intercept + x @ c.beta))
+
+
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val, measure: str) -> SelectionGrid:
     """Score every (nu, nummod) pair on held-out data (avg_type='link')."""
-    cells = []
     x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
-    for c in coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods):
-        mu = linkinv_eval(ens.family, c.intercept + x_val @ c.beta)
-        value = eval_measure(measure, ens.family, y_val, mu)
-        cells.append(GridCell(c.nu, c.nummod, value, 0.0, c.active))
+    cells = [GridCell(c.nu, c.nummod, value, 0.0, c.active)
+             for c, value in _scored_cells(ens, ens.models, ens.stats, x_val, y_val, measure)]
     return SelectionGrid(cells, measure, "validation")
 
 
@@ -175,11 +179,8 @@ def cross_validate(
             len(ens.models), master_seed, model_rows=model_rows if split else None,
             inds=inds, rpms=rpms, threads=threads,
         )
-        vals = [
-            eval_measure(measure, fam, y[test], linkinv_eval(fam, c.intercept + x[test] @ c.beta))
-            for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods)
-        ]
-        fold_measures.append(np.asarray(vals))
+        scored = _scored_cells(ens, models, stats, x[test], y[test], measure)
+        fold_measures.append(np.asarray([value for _, value in scored]))
 
     if len(fold_measures) < 2:
         raise CvError(

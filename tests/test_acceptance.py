@@ -77,10 +77,7 @@ def test_02_jl_distance_preservation(criterion):
 
 
 def test_03_screening_sampling_law(criterion):
-    result = ScreeningResult(
-        omega=np.array([2.0, 1.0, 1.0]), excluded=np.zeros(0, dtype=int),
-        method="cor", n_rows=10,
-    )
+    result = ScreeningResult(omega=np.array([2.0, 1.0, 1.0]), excluded=np.zeros(0, dtype=int))
     spec = ScreenSpec(method="cor", nscreen=1, selection_type="prob").validated()
     rng = np.random.default_rng(2024)
     draws = 100_000

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,15 +135,18 @@ def test_fit_models_honors_supplied_inds_verbatim():
         assert np.all(mdl.beta_dense(30)[np.setdiff1d(np.arange(30), mdl.index_set)] == 0.0)
 
 
-@pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
 def test_fit_models_counts_an_overflowing_solve_as_failed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 4))
     y = (x[:, 0] + rng.standard_normal(40) > 0).astype(float)
     x[:, 1] *= 1e200  # model 0's Gram matrix overflows
     eye = ProjectionMatrix("plugin", np.eye(2))
-    models = fit_models(x, y, BINOMIAL, None, ScreenSpec().resolved(40), RpSpec().resolved(40, 4),
-                        ModelSpec(), 2, 0, inds=[[0, 1], [2, 3]], rpms=[eye, eye])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        models = fit_models(x, y, BINOMIAL, None, ScreenSpec().resolved(40),
+                            RpSpec().resolved(40, 4), ModelSpec(), 2, 0,
+                            inds=[[0, 1], [2, 3]], rpms=[eye, eye])
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert [m.failed for m in models] == [True, False]
     assert np.all(models[0].gamma == 0) and np.all(np.isfinite(models[1].gamma))
 

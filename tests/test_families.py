@@ -1,5 +1,8 @@
 """Family functions and the penalized GLM solver against closed-form oracles."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -246,16 +249,34 @@ def test_solver_rejects_bad_input():
             fit_penalized_glm(np.ones((4, 1)), np.zeros(4), "gaussian", eps)
 
 
-@pytest.mark.filterwarnings("ignore:.* encountered in matmul:RuntimeWarning")
 def test_overflowing_system_raises_numeric_error():
     rng = np.random.default_rng(71)
     z = rng.standard_normal((30, 3))
     y = rng.integers(0, 2, 30).astype(float)
-    with pytest.raises(NumericError, match="non-finite"):
-        fit_penalized_glm(z * 1e200, y, "binomial", 0.1)
-    wide = rng.standard_normal((30, 40)) * 1e200  # the n x n dual system
-    with pytest.raises(NumericError, match="non-finite"):
-        fit_penalized_glm(wide, y, "gaussian", 0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericError, match="non-finite"):
+            fit_penalized_glm(z * 1e200, y, "binomial", 0.1)
+        wide = rng.standard_normal((30, 40)) * 1e200  # the n x n dual system
+        with pytest.raises(NumericError, match="non-finite"):
+            fit_penalized_glm(wide, y, "gaussian", 0.1)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+def test_dual_solve_keeps_one_weighted_copy_of_the_design(family):
+    """A p > n solve holds the centred, weighted design once: peak below 1.5 x z.nbytes."""
+    rng = np.random.default_rng(72)
+    z = rng.standard_normal((50, 4000))
+    y = (z[:, 0] > 0).astype(float)
+    fit_penalized_glm(z, y, family, 1.0)  # warm up numpy and LAPACK outside the trace
+    tracemalloc.start()
+    try:
+        fit_penalized_glm(z, y, family, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * z.nbytes, f"peak {peak / z.nbytes:.2f} x z.nbytes"
 
 
 def _solve_wls_scipy(z, target, w, epsilon):

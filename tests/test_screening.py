@@ -156,8 +156,7 @@ def _result(omega, excluded=()):
     from spar.screening import ScreeningResult
 
     omega = np.asarray(omega, dtype=float)
-    return ScreeningResult(omega=omega, excluded=np.asarray(excluded, dtype=int),
-                           method="cor", n_rows=10, failed_fits=0)
+    return ScreeningResult(omega=omega, excluded=np.asarray(excluded, dtype=int), failed_fits=0)
 
 
 def test_select_fixed_top_ranked():
