@@ -140,7 +140,6 @@ def _plugin(kind: str, name: str, unknown: str) -> str:
     return name
 
 
-
 def _fit_options(args):
     """(response, fit keywords) of the options given: each flag, else its config value."""
     cfg = {} if args.config is None else read_json(args.config, "config ")

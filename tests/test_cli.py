@@ -236,7 +236,7 @@ def test_fit_refuses_bad_epsilon_and_ragged_header(sim_dir, tmp_path, capsys):
         assert "but the body has 3" in capsys.readouterr().err
 
 
-def test_report_val_measure_and_numact(fit_dir, tmp_path):
+def test_report_val_measure_and_numact(fit_dir, tmp_path, capsys):
     rc = main(["report", "--model", str(fit_dir / "model.json"),
                "--plot-type", "val-measure", "--out", str(tmp_path)])
     assert rc == 0
@@ -259,19 +259,15 @@ def test_report_val_measure_and_numact(fit_dir, tmp_path):
                "--plot-type", "val-measure", "--nummod", "7",
                "--out", str(tmp_path)])
     assert rc == 2  # 7 is not on the nummods grid
+    assert "--nummod=7 is not on the grid; grid has [2, 3]" in capsys.readouterr().err
 
-
-def test_report_off_grid_nu_exits_2_listing_the_grid(fit_dir, tmp_path, capsys):
-    ens = load_model(fit_dir / "model.json")
-    off = float(ens.nus[1]) * (1 + 1e-6)  # outside the rtol 1e-9 match
+    off = expect[2].nu * (1 + 1e-6)  # outside the rtol 1e-9 match
     rc = main(["report", "--model", str(fit_dir / "model.json"),
                "--plot-type", "val-measure", "--plot-along", "nummod",
-               "--nu", repr(off), "--out", str(tmp_path)])
+               "--nu", repr(off), "--out", str(tmp_path / "off")])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert f"--nu={off} is not on the grid" in err
-    assert f"grid has {sorted({c.nu for c in ens.grid.cells})}" in err
-    assert not (tmp_path / "val_measure.csv").exists()
+    assert (f"--nu={off} is not on the grid; grid has {sorted(c.nu for c in expect)}"
+            in capsys.readouterr().err)
 
 
 def test_report_coefs_prange(fit_dir, tmp_path):

@@ -35,12 +35,9 @@ def test_all_is_the_user_surface():
     assert set(spar.__all__) == EXPORTS
     for name in spar.__all__:
         assert getattr(spar, name) is not None
-
-
-def test_every_error_class_is_exported():
     classes = {name for name, obj in vars(errors).items()
                if isinstance(obj, type) and issubclass(obj, errors.SparError)}
-    assert classes == ERRORS
+    assert classes == ERRORS  # every error class, and only those
 
 
 @pytest.mark.parametrize("path", [
