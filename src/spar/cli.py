@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from argparse import ArgumentTypeError
@@ -22,7 +21,7 @@ from .api import fit_spar, fit_spar_cv
 from .data import (
     SyntheticSpec,
     generate_synthetic,
-    jsonable,
+    dumps,
     load_csv,
     load_model,
     read_json,
@@ -294,7 +293,7 @@ def cmd_coef(args) -> int:
     coef = ens.coef(**_given(args, "nu", "nummod", "opt_par"))
     out = _outdir(args)
     with open(out / "coef.json", "w") as f:
-        json.dump({"family": ens.family.name, **jsonable(coef)}, f, indent=1)
+        f.write(dumps({"family": ens.family.name, **vars(coef)}))
     return 0
 
 
@@ -307,7 +306,7 @@ def cmd_simulate(args) -> int:
     if ds.x_test is not None:
         save_csv(out / "test.csv", ds.x_test, ds.y_test, ds.colnames)
     with open(out / "truth.json", "w") as f:
-        json.dump(truth, f, indent=1)
+        f.write(dumps(truth))
     return 0
 
 

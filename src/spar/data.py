@@ -6,8 +6,10 @@ column.  load_csv first reads the body with np.loadtxt, which refuses
 every cell that float() would read differently; whenever that fast path
 fails, finds a non-finite value or an empty body, the file is parsed
 again row by row, and that strict parser alone decides the result and
-words every error.  Models persist as versioned JSON; floats round-trip
-exactly through repr, so save -> load -> save is byte-identical.
+words every error.  Models persist as versioned JSON, written as
+json.dumps(indent=1) would write them but one array at a time (dumps);
+floats round-trip exactly through repr, so save -> load -> save is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -249,21 +251,52 @@ def save_csv(path, x, y=None, colnames=None) -> None:
 # ---- model persistence ----
 
 
-def jsonable(obj):
-    """obj with every dataclass as the dict of its fields and numpy values as Python ones.
+def dumps(obj, depth=0) -> str:
+    """json.dumps(obj, indent=1), dataclasses as dicts of their fields, numpy values as tolist().
 
-    The one encoder of model.json and coef.json: floats keep their repr, so
-    saving a loaded model writes the same bytes.
+    The one encoder of model.json, coef.json and truth.json.  It writes one array at a
+    time: the numbers of a 1-D float or integer array in one join, where json's indenting
+    encoder takes a generator step per number.  depth is the nesting level of obj.
     """
     if is_dataclass(obj):
         obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    return obj
+    pair = "[]"
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiu":
+        fmt = int.__repr__ if obj.dtype.kind != "f" else (
+            float.__repr__ if np.isfinite(obj).all() else _float)
+        items = map(fmt, obj.tolist())
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        return dumps(obj.tolist(), depth)
+    elif isinstance(obj, dict):
+        pair = "{}"
+        items = (f"{_atom(k, key=True)}: {dumps(v, depth + 1)}" for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = (dumps(v, depth + 1) for v in obj)
+    else:
+        return _atom(obj)
+    inner = "\n" + " " * (depth + 1)
+    body = ("," + inner).join(items)
+    return pair[0] + inner + body + inner[:-1] + pair[1] if body else pair
+
+
+def _float(v) -> str:
+    text = float.__repr__(v)
+    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
+
+
+def _atom(v, key=False) -> str:
+    """json's text for a str, None, bool, int or float value, or for a dict key."""
+    if isinstance(v, str):
+        return json.encoder.encode_basestring_ascii(v)
+    if v is None or isinstance(v, bool):
+        text = "null" if v is None else "true" if v else "false"
+    elif isinstance(v, (int, float)):
+        text = int.__repr__(v) if isinstance(v, int) else _float(v)
+    else:
+        name = v.__class__.__name__
+        raise TypeError(f"keys must be str, int, float, bool or None, not {name}" if key
+                        else f"Object of type {name} is not JSON serializable")
+    return f'"{text}"' if key else text
 
 
 def _pair_dict(pair):
@@ -274,7 +307,7 @@ def _dict_pair(d):
     return None if d is None else (d["nu"], d["nummod"])
 
 
-def model_to_dict(ens: SparEnsemble) -> dict:
+def serialize_model(ens: SparEnsemble) -> str:
     selection = None if ens.grid is None else {
         "kind": ens.grid.kind, "measure": ens.grid.measure, "cells": ens.grid.cells}
     models = [
@@ -282,7 +315,7 @@ def model_to_dict(ens: SparEnsemble) -> dict:
          "converged": m.converged, "failed": m.failed, "phi": m.phi.to_dict()}
         for m in ens.models
     ]
-    return jsonable({
+    return dumps({
         "version": MODEL_FORMAT_VERSION, "family": ens.family.name, "p": ens.p,
         "measure": ens.measure, "master_seed": ens.master_seed, "cv": ens.cv,
         "config": ens.config, "stats": ens.stats, "nus": ens.nus, "nummods": ens.nummods,
@@ -293,8 +326,9 @@ def model_to_dict(ens: SparEnsemble) -> dict:
     })
 
 
-def serialize_model(ens: SparEnsemble) -> str:
-    return json.dumps(model_to_dict(ens), indent=1)
+def model_to_dict(ens: SparEnsemble) -> dict:
+    """The plain JSON document of ens that model_from_dict reads."""
+    return json.loads(serialize_model(ens))
 
 
 def save_model(ens: SparEnsemble, path) -> None:

@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import warnings
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from unittest import mock
 
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spar.data as data_mod
 from spar import RpSpec, fit_spar, fit_spar_cv
 from spar.data import (
     SyntheticSpec,
+    dumps,
     generate_synthetic,
     load_csv,
     load_model,
@@ -316,3 +319,88 @@ def test_loaded_beta_recomputed_from_projection():
     back = model_from_dict(doc)
     for a, b in zip(ens.models, back.models):
         assert np.max(np.abs(a.beta_vals - b.phi.backmap(b.gamma))) < 1e-15
+
+
+GOLDEN_MODELS = sorted((Path(__file__).resolve().parent / "golden").glob("*/model.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_MODELS, ids=lambda p: p.parent.name)
+def test_saving_a_loaded_golden_model_writes_its_bytes(path):
+    assert serialize_model(load_model(path)) == path.read_text()
+
+
+def test_model_to_dict_is_the_plain_document():
+    def plain(v):
+        if isinstance(v, dict):
+            return all(isinstance(k, str) and plain(x) for k, x in v.items())
+        if isinstance(v, list):
+            return all(map(plain, v))
+        return v is None or type(v) in (str, int, float, bool)
+
+    for ens in (_small_fit()[0], _small_fit(cv=True)[0]):
+        doc = model_to_dict(ens)
+        assert plain(doc)
+        assert doc == json.loads(serialize_model(ens))
+        assert serialize_model(model_from_dict(doc)) == serialize_model(ens)
+
+
+def _jsonable_reference(obj):
+    """The encoder dumps replaced: its output went through json.dumps(..., indent=1)."""
+    if is_dataclass(obj):
+        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    return obj
+
+
+@dataclass
+class _Pair:
+    first: object
+    second: object
+
+
+_special_floats = st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324])
+_float_arrays = hnp.arrays(np.float64, st.integers(0, 12),
+                           elements=st.floats(width=64) | _special_floats)
+_int_arrays = hnp.arrays(st.sampled_from([np.int32, np.int64, np.uint8]), st.integers(0, 12))
+_other_arrays = st.one_of(
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, max_side=3)),
+    hnp.arrays(np.bool_, st.integers(0, 5)),
+    hnp.arrays(np.float32, st.integers(0, 5)),
+    hnp.arrays(np.int64, st.just(0)),
+    st.builds(np.array, st.floats()),
+)
+_numpy_scalars = st.one_of(
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+)
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    _float_arrays, _int_arrays, _other_arrays, _numpy_scalars,
+)
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_documents = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(_keys, children, max_size=4),
+    st.builds(_Pair, children, children),
+), max_leaves=12)
+
+
+@given(_documents)
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    assert dumps(obj) == json.dumps(_jsonable_reference(obj), indent=1)
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, {"a": [1, {2}]}, {(1, 2): 0}, {np.int64(1): 0},
+                                 _Pair(object(), 1), 1j])
+def test_dumps_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(_jsonable_reference(obj), indent=1)
+    with pytest.raises(TypeError):
+        dumps(obj)
