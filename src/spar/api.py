@@ -41,7 +41,7 @@ def _spec_echo(spec) -> dict:
 
 def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
                        measure, inds, rpms, seed, threads):
-    """Validate, fit and build the nu grid: (ensemble, screen, rp, model), specs resolved."""
+    """Validate, fit and build the nu grid: (ensemble, screen, model), specs resolved."""
     fam = get_family(family)
     check_measure(measure, fam)
     nummods = tuple(whole_number("nummods", m) for m in nummods)
@@ -61,8 +61,8 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     rp = rp.resolved(len(model_rows), p)
 
     split = screen.split_data_prop is not None  # without a split, index no rows: no copies
-    rp_needs_omega = rp.kind == "cw" and rp.data_driven and rpms is None
-    need_omega = inds is None or rp_needs_omega
+    drawn = rpms is None or any(r is None for r in rpms)  # fit_models draws a projection
+    need_omega = inds is None or (drawn and rp.kind == "cw" and rp.data_driven)
     screen_result = None
     if need_omega:
         xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
@@ -92,7 +92,7 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
         family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
         p=p, measure=measure, master_seed=int(seed), config=config,
     )
-    return ens, screen, rp, model
+    return ens, screen, model
 
 
 @one_blas_thread
@@ -123,7 +123,7 @@ def fit_spar(
     models over worker threads without changing the result; BLAS runs
     on one thread during the call (see spar.blas).
     """
-    ens, _, _, _ = _fit_ensemble_only(
+    ens, _, _ = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
     )
     if xval is None or yval is None:
@@ -159,11 +159,11 @@ def fit_spar_cv(
     diagonals).  Returns a SparEnsemble with best and the one-standard-
     error pair one_se.  threads works as in fit_spar, for the folds too.
     """
-    ens, screen, rp, model = _fit_ensemble_only(
+    ens, screen, model = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
     )
     ens.config["nfolds"] = int(nfolds)
-    grid = cross_validate(ens, x, y, screen, rp, model, nfolds, measure, seed, threads)
+    grid = cross_validate(ens, x, y, screen, model, nfolds, measure, seed, threads)
     ens.grid = grid
     ens.best = grid.best_pair()
     ens.one_se = grid.one_se_pair()

@@ -326,11 +326,6 @@ def serialize_model(ens: SparEnsemble) -> str:
     })
 
 
-def model_to_dict(ens: SparEnsemble) -> dict:
-    """The plain JSON document of ens that model_from_dict reads."""
-    return json.loads(serialize_model(ens))
-
-
 def save_model(ens: SparEnsemble, path) -> None:
     with open(path, "w") as f:
         f.write(serialize_model(ens))
@@ -378,19 +373,8 @@ def read_json(path, what=""):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _model_from_doc(doc, where="") -> SparEnsemble:
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise ParseError(f"{where}not a model document")
-    return model_from_dict(doc)
-
-
 def load_model(path) -> SparEnsemble:
-    return _model_from_doc(read_json(path), f"{path}: ")
-
-
-def loads_model(text: str) -> SparEnsemble:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return _model_from_doc(doc)
+    doc = read_json(path)
+    if not isinstance(doc, dict) or "version" not in doc:
+        raise ParseError(f"{path}: not a model document")
+    return model_from_dict(doc)

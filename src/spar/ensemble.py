@@ -150,7 +150,7 @@ def fit_models(
     fam: Family,
     screen_result: ScreeningResult | None,
     screen_spec: ScreenSpec,
-    rp_spec: RpSpec,
+    rp_spec: RpSpec | None,
     model_spec: ModelSpec,
     n_models: int,
     master_seed: int,

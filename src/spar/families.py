@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit, gammaln, xlogy
+from scipy.special import expit, xlogy
 
 from .errors import ConfigError, DataError, DomainError, NumericError, SingularError
 
@@ -114,18 +114,13 @@ def variance_eval(fam: Family, mu) -> np.ndarray:
     return mu
 
 
-def _checked_pair(fam: Family, y, mu):
-    """y and mu as float arrays of one shape, y inside the family domain."""
+def deviance_eval(fam: Family, y, mu) -> float:
+    """Family deviance with the 0 * log 0 := 0 convention."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if y.shape != mu.shape:
         raise DataError(f"length mismatch: y has {y.shape}, mu has {mu.shape}")
-    return validate_response(fam, y), mu
-
-
-def deviance_eval(fam: Family, y, mu) -> float:
-    """Family deviance with the 0 * log 0 := 0 convention."""
-    return _deviance(fam, *_checked_pair(fam, y, mu))
+    return _deviance(fam, validate_response(fam, y), mu)
 
 
 def _deviance(fam: Family, y: np.ndarray, mu: np.ndarray) -> float:
@@ -143,25 +138,6 @@ def _deviance(fam: Family, y: np.ndarray, mu: np.ndarray) -> float:
         m = np.maximum(mu, POISSON_MU_FLOOR)
         d = 2.0 * float((xlogy(y, y) - xlogy(y, m) - (y - m)).sum())
     return max(d, 0.0)
-
-
-def loglik_eval(fam: Family, y, mu, dispersion=None) -> float:
-    """Log-likelihood at mu.
-
-    For the gaussian family the dispersion defaults to the plug-in
-    estimate RSS/n; pass dispersion=1.0 to make -2 * (loglik - saturated
-    loglik) coincide with the deviance.
-    """
-    y, mu = _checked_pair(fam, y, mu)
-    if fam.name == "gaussian":
-        rss = float(((y - mu) ** 2).sum())
-        phi = float(dispersion) if dispersion is not None else rss / len(y)
-        if phi <= 0:
-            phi = np.finfo(float).tiny
-        return -0.5 * len(y) * np.log(2.0 * np.pi * phi) - rss / (2.0 * phi)
-    if fam.name == "binomial":
-        return float((xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu)).sum())
-    return float((xlogy(y, mu) - mu - gammaln(y + 1.0)).sum())
 
 
 @dataclass

@@ -127,7 +127,6 @@ def cross_validate(
     x,
     y,
     screen_spec: ScreenSpec,
-    rp_spec,
     model_spec: ModelSpec,
     nfolds: int,
     measure: str,
@@ -169,13 +168,13 @@ def cross_validate(
         rpms = [m.phi for m in ens.models]
         if need_omega:
             xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
-            sr = compute_screening(xs, ys, fam, screen_spec.resolved(len(train)))
+            sr = compute_screening(xs, ys, fam, screen_spec)
             rpms = [
                 phi.with_column_values(sr.omega[idx]) if r else phi
                 for phi, idx, r in zip(rpms, inds, refresh)
             ]
         models = fit_models(
-            x_std, y_std, fam, None, screen_spec, rp_spec, model_spec,
+            x_std, y_std, fam, None, screen_spec, None, model_spec,
             len(ens.models), master_seed, model_rows=model_rows if split else None,
             inds=inds, rpms=rpms, threads=threads,
         )

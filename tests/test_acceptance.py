@@ -4,6 +4,7 @@ Each test records a single pass/fail line; conftest prints the collected
 lines as an "acceptance criteria" section at the end of the run.
 """
 
+import json
 import time
 
 import numpy as np
@@ -15,6 +16,7 @@ from spar.data import (
     SyntheticSpec,
     generate_synthetic,
     load_model,
+    model_from_dict,
     save_model,
     serialize_model,
 )
@@ -199,9 +201,7 @@ def test_05_grid_consistency(criterion):
 
 
 def _roundtrip(ens):
-    from spar.data import loads_model
-
-    return loads_model(serialize_model(ens))
+    return model_from_dict(json.loads(serialize_model(ens)))
 
 
 def test_06_loo_cv_brute_force(criterion):

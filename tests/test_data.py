@@ -23,9 +23,7 @@ from spar.data import (
     generate_synthetic,
     load_csv,
     load_model,
-    loads_model,
     model_from_dict,
-    model_to_dict,
     save_csv,
     save_model,
     serialize_model,
@@ -279,12 +277,12 @@ def test_model_serialization_is_stable(family, kind, cv, seed):
     else:
         ens = fit_spar(ds.x, ds.y, **common)
     text = serialize_model(ens)
-    assert serialize_model(loads_model(text)) == text
+    assert serialize_model(model_from_dict(json.loads(text))) == text
 
 
 def test_model_roundtrip_cv_grid(tmp_path):
     ens, x = _small_fit(cv=True)
-    back = loads_model(serialize_model(ens))
+    back = model_from_dict(json.loads(serialize_model(ens)))
     assert back.one_se == ens.one_se
     assert len(back.grid.cells) == len(ens.grid.cells)
     for a, b in zip(back.grid.cells, ens.grid.cells):
@@ -293,7 +291,7 @@ def test_model_roundtrip_cv_grid(tmp_path):
 
 def test_model_version_gate():
     ens, _ = _small_fit()
-    doc = model_to_dict(ens)
+    doc = json.loads(serialize_model(ens))
     doc["version"] = "2.0"
     with pytest.raises(VersionError):
         model_from_dict(doc)
@@ -304,10 +302,14 @@ def test_model_version_gate():
 def test_model_malformed_payloads(tmp_path):
     ens, _ = _small_fit()
     text = serialize_model(ens)
-    with pytest.raises(ParseError):
-        loads_model(text[: len(text) // 2])
-    with pytest.raises(ParseError):
-        loads_model(json.dumps({"hello": 1}))
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(text[: len(text) // 2])
+    with pytest.raises(ParseError, match="invalid JSON"):
+        load_model(truncated)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"hello": 1}))
+    with pytest.raises(ParseError, match="not a model document"):
+        load_model(other)
     p = tmp_path / "missing.json"
     with pytest.raises(ParseError):
         load_model(p)
@@ -315,7 +317,7 @@ def test_model_malformed_payloads(tmp_path):
 
 def test_loaded_beta_recomputed_from_projection():
     ens, _ = _small_fit()
-    doc = model_to_dict(ens)
+    doc = json.loads(serialize_model(ens))
     back = model_from_dict(doc)
     for a, b in zip(ens.models, back.models):
         assert np.max(np.abs(a.beta_vals - b.phi.backmap(b.gamma))) < 1e-15
@@ -327,21 +329,6 @@ GOLDEN_MODELS = sorted((Path(__file__).resolve().parent / "golden").glob("*/mode
 @pytest.mark.parametrize("path", GOLDEN_MODELS, ids=lambda p: p.parent.name)
 def test_saving_a_loaded_golden_model_writes_its_bytes(path):
     assert serialize_model(load_model(path)) == path.read_text()
-
-
-def test_model_to_dict_is_the_plain_document():
-    def plain(v):
-        if isinstance(v, dict):
-            return all(isinstance(k, str) and plain(x) for k, x in v.items())
-        if isinstance(v, list):
-            return all(map(plain, v))
-        return v is None or type(v) in (str, int, float, bool)
-
-    for ens in (_small_fit()[0], _small_fit(cv=True)[0]):
-        doc = model_to_dict(ens)
-        assert plain(doc)
-        assert doc == json.loads(serialize_model(ens))
-        assert serialize_model(model_from_dict(doc)) == serialize_model(ens)
 
 
 def _jsonable_reference(obj):

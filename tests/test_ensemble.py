@@ -135,6 +135,19 @@ def test_fit_models_honors_supplied_inds_verbatim():
         assert np.all(mdl.beta_dense(30)[np.setdiff1d(np.arange(30), mdl.index_set)] == 0.0)
 
 
+def test_fit_spar_draws_the_projections_left_none():
+    """An rpms entry of None draws its projection, data-driven cw included, as without rpms."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 30))
+    y = x[:, 2] + rng.standard_normal(40)
+    common = dict(nnu=3, nummods=(2,), inds=[np.array([5, 2, 9]), np.arange(12)], seed=4)
+    drawn = spar.fit_spar(x, y, **common)
+    text = spar.serialize_model(drawn)
+    assert spar.serialize_model(spar.fit_spar(x, y, rpms=[None, None], **common)) == text
+    mixed = spar.fit_spar(x, y, rpms=[drawn.models[0].phi, None], **common)
+    assert spar.serialize_model(mixed) == text
+
+
 def test_fit_models_counts_an_overflowing_solve_as_failed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 4))
