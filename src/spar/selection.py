@@ -95,7 +95,12 @@ def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val, measure: str) -> S
 
 
 def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
-    """Permute into nfolds near-equal blocks, class-stratified for binomial."""
+    """Permute into nfolds blocks, class-stratified for binomial.
+
+    Fold sizes differ by at most one, and so do each class's counts per
+    fold; no fold is empty, since nfolds <= n.  Each class is dealt on
+    from the fold where the previous class's larger blocks ended.
+    """
     n = len(y)
     if nfolds < 2:
         raise ConfigError("nfolds must be >= 2")
@@ -108,17 +113,12 @@ def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
     else:
         groups = [np.arange(n)]
     folds = [[] for _ in range(nfolds)]
+    start = 0
     for g in groups:
         for i, part in enumerate(np.array_split(rng.permutation(g), nfolds)):
-            folds[i].append(part)
-    out = []
-    for parts in folds:
-        fold = np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=int)
-        if fold.size == 0:
-            logger.warning("a cross-validation fold came up empty and is skipped")
-            continue
-        out.append(fold.astype(int))
-    return out
+            folds[(start + i) % nfolds].append(part)
+        start = (start + g.size) % nfolds
+    return [np.sort(np.concatenate(parts)) for parts in folds]
 
 
 @one_blas_thread

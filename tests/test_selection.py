@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spar import fit_spar, fit_spar_cv
 from spar.errors import ConfigError, CvError, DataError, NumericError
@@ -104,6 +106,28 @@ def test_make_folds_stratified_binomial():
     for fold in folds:
         assert np.sum(y[fold] == 1) == 2  # 10 positives spread 2 per fold
         assert len(fold) == 10
+
+
+@given(data=st.data(), nfolds=st.integers(2, 12), seed=st.integers(0, 2**16),
+       family=st.sampled_from(["gaussian", "binomial", "poisson"]))
+@settings(max_examples=200, deadline=None)
+def test_make_folds_partition_is_even(data, nfolds, seed, family):
+    """Folds partition range(n), none empty, sizes (and binomial class counts) within one."""
+    n = data.draw(st.integers(nfolds, 60))
+    y = np.asarray(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    folds = make_folds(y, get_family(family), nfolds, fold_stream(seed))
+    assert len(folds) == nfolds
+    assert np.array_equal(np.sort(np.concatenate(folds)), np.arange(n))
+    sizes = [f.size for f in folds]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    if family == "binomial":
+        for cls in (0.0, 1.0):
+            counts = [np.count_nonzero(y[f] == cls) for f in folds]
+            assert max(counts) - min(counts) <= 1
+    else:  # one group: the sorted array_split blocks of one permutation
+        perm = fold_stream(seed).permutation(np.arange(n))
+        for fold, block in zip(folds, np.array_split(perm, nfolds)):
+            assert np.array_equal(fold, np.sort(block))
 
 
 def test_make_folds_loo_and_bounds():
