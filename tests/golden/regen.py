@@ -129,6 +129,10 @@ CLI_RECIPES = {
     "cli-cv-haar-config": ("cv", "gaussian",
                            {"rp": "haar-select", "b2": 4, "msup": 4, "nummods": [2, 3],
                             "nnu": 5, "nfolds": 3, "seed": 2}, {}),
+    # a screening split in the full fit and in every fold, with the data-driven cw refresh
+    "cli-cv-split-cw": ("cv", "gaussian", None,
+                        {"split_prop": 0.5, "nscreen": 30, "nfolds": 3, "nummods": [2, 3],
+                         "nnu": 5, "seed": 5}),
 }
 
 
