@@ -24,7 +24,7 @@ from .ensemble import (
 from .errors import ConfigError, whole_number
 from .projection import RpSpec
 from .rng import split_stream
-from .screening import ScreenSpec, compute_screening, split_for_screening
+from .screening import ScreenSpec, split_for_screening
 from .selection import cross_validate, evaluate_validation_grid
 
 logger = logging.getLogger(__name__)
@@ -55,24 +55,10 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     x_std, y_std, stats = standardize(x, y, fam)
     n, p = x.shape
     screen = screen.resolved(n)
-    screen_rows, model_rows = split_for_screening(
-        n, screen.split_data_prop, split_stream(seed, 0)
-    )
+    screen_rows, model_rows = split_for_screening(n, screen.split_data_prop, split_stream(seed, 0))
     rp = rp.resolved(len(model_rows), p)
-
-    split = screen.split_data_prop is not None  # without a split, index no rows: no copies
-    drawn = rpms is None or any(r is None for r in rpms)  # fit_models draws a projection
-    need_omega = inds is None or (drawn and rp.kind == "cw" and rp.data_driven)
-    screen_result = None
-    if need_omega:
-        xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
-        screen_result = compute_screening(xs, ys, fam, screen)
-
-    models = fit_models(
-        x_std, y_std, fam, screen_result, screen, rp, model,
-        max(nummods), seed, model_rows=model_rows if split else None, inds=inds, rpms=rpms,
-        threads=threads,
-    )
+    models = fit_models(x_std, y_std, fam, screen, rp, model, max(nummods), seed,
+                        screen_rows, model_rows, inds=inds, rpms=rpms, threads=threads)
     nu_grid = build_nu_grid(models, nnu, nus)
     config = {
         "family": fam.name,
@@ -118,10 +104,14 @@ def fit_spar(
 
     Without xval/yval the training data double as validation data,
     which biases the selection toward denser models; a warning is
-    logged.  Returns a SparEnsemble with the selection grid attached
-    and best = (nu_best, nummod_best).  threads spreads the marginal
-    models over worker threads without changing the result; BLAS runs
-    on one thread during the call (see spar.blas).
+    logged.  inds (index sets, used verbatim) and rpms (their
+    projections; None entries are drawn) fix the first max(nummods)
+    models.  A data-driven cw projection
+    in rpms carries this fit's screening coefficients of its columns;
+    one with data_driven=False keeps its values.  Returns a SparEnsemble
+    with the selection grid and best = (nu_best, nummod_best).  threads
+    spreads the models over worker threads without changing the result;
+    BLAS runs on one thread during the call (see spar.blas).
     """
     ens, _, _ = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads

@@ -37,7 +37,7 @@ from .families import (
 )
 from .projection import ProjectionMatrix, RpSpec, draw_goal_dims, make_projection
 from .rng import DIM_DRAW, PHI_DRAW, SCREEN_DRAW, model_stream
-from .screening import ScreeningResult, ScreenSpec, select_screened
+from .screening import ScreenSpec, compute_screening, select_screened
 
 logger = logging.getLogger(__name__)
 
@@ -148,38 +148,44 @@ def fit_models(
     x_std,
     y_std,
     fam: Family,
-    screen_result: ScreeningResult | None,
     screen_spec: ScreenSpec,
     rp_spec: RpSpec | None,
     model_spec: ModelSpec,
     n_models: int,
     master_seed: int,
-    model_rows=None,
+    screen_rows,
+    model_rows,
     inds=None,
     rpms=None,
     threads: int = 1,
 ) -> list[MarginalModel]:
-    """Fit the marginal models (algorithm step 4).
+    """Screen on screen_rows and fit the marginal models on model_rows (algorithm step 4).
 
-    Supplied inds/rpms are honored verbatim; otherwise each model draws
-    its own index set, goal dimension and projection from streams keyed
-    by (seed, model index, purpose), so results do not depend on the
-    thread count.  A model whose solve fails is recorded with zero
-    coefficients; only all models failing raises.
+    The full fit and every CV fold run this path.  Supplied inds and rpms
+    are used verbatim, except that a data-driven cw projection always
+    carries this fit's screening coefficients of its columns; screening
+    runs only when something reads it.  The rest each model draws from
+    streams keyed by (seed, model index, purpose), so results do not
+    depend on the thread count.  A model whose solve fails is recorded
+    with zero coefficients; only all models failing raises.
     """
-    n, p = x_std.shape
-    if model_rows is None:  # every row: fit on x_std itself, no copy
-        x_fit, y_fit = x_std, y_std
-    else:
-        rows = np.asarray(model_rows, dtype=int)
-        x_fit, y_fit = x_std[rows], y_std[rows]
-    eps = model_spec.resolve_epsilon(fam, len(y_fit))
+    p = x_std.shape[1]
     if inds is not None and len(inds) < n_models:
         raise ConfigError(f"{len(inds)} index sets supplied for {n_models} models")
     if rpms is not None and len(rpms) < n_models:
         raise ConfigError(f"{len(rpms)} projections supplied for {n_models} models")
-    if inds is None and screen_result is None:
-        raise ConfigError("screening coefficients required when index sets are not supplied")
+    split = screen_spec.split_data_prop is not None
+
+    def rows_of(rows):  # without a split, index no rows: no copies
+        return (x_std[rows], y_std[rows]) if split else (x_std, y_std)
+
+    supplied = [] if rpms is None else [r for r in rpms[:n_models] if r is not None]
+    drawn_cw = len(supplied) < n_models and rp_spec.kind == "cw" and rp_spec.data_driven
+    refresh = any(r.kind == "cw" and r.data_driven for r in supplied)
+    screen_result = (compute_screening(*rows_of(screen_rows), fam, screen_spec)
+                     if inds is None or drawn_cw or refresh else None)
+    x_fit, y_fit = rows_of(model_rows)
+    eps = model_spec.resolve_epsilon(fam, len(y_fit))
 
     def fit_one(k: int) -> MarginalModel:
         if inds is not None:
@@ -193,6 +199,8 @@ def fit_models(
             phi = rpms[k]
             if phi.q != q:
                 raise ConfigError(f"model {k}: projection has q={phi.q}, index set has {q}")
+            if phi.kind == "cw" and phi.data_driven:
+                phi = phi.with_column_values(screen_result.omega[idx])
         else:
             m_k = int(draw_goal_dims(1, rp_spec.mslow, rp_spec.msup, model_stream(master_seed, k, DIM_DRAW))[0])
             m_k = max(1, min(m_k, q))  # more goal dims than inputs adds nothing

@@ -4,10 +4,10 @@ Both paths score every (nu, nummod) pair with the chosen measure and
 take the argmin, breaking ties toward the sparser model: larger nu
 first, then smaller nummod.  The cells come from ensemble.coef_path,
 which builds the whole grid in one pass over the models, in
-nummods x nus order.  Cross-validation refits the marginal
-models per fold with the index sets and projections frozen from the
-full-data fit; only the data-driven diagonal of cw projections is
-refreshed from fold-level screening coefficients.
+nummods x nus order.  Cross-validation refits the marginal models per
+fold through ensemble.fit_models, as the full-data fit does, with its
+index sets and projections frozen; only data-driven cw diagonals are
+refreshed, from the fold's screening coefficients.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .ensemble import (
 from .errors import ConfigError, CvError, NumericError
 from .families import linkinv_eval
 from .rng import fold_stream, split_stream
-from .screening import ScreenSpec, compute_screening, split_for_screening
+from .screening import ScreenSpec, split_for_screening
 
 logger = logging.getLogger(__name__)
 
@@ -135,21 +135,19 @@ def cross_validate(
 ) -> SelectionGrid:
     """K-fold CV over the frozen (nu, nummod) grid of a fitted ensemble.
 
-    Per fold: restandardize the training part, recompute screening
-    coefficients only if a data-driven cw diagonal must be refreshed,
-    refit the marginal GLMs with frozen structure, and score the
-    held-out part on the cells of the fold's coef_path.  Cell means and
-    standard errors (sd / sqrt(#folds)) aggregate over the usable folds;
-    active counts come from the full-data ensemble's coef_path.
+    Per fold: restandardize the training part, split it for screening,
+    refit the marginal GLMs with the full fit's index sets and
+    projections through fit_models, and score the held-out part on the
+    cells of the fold's coef_path.  Cell means and standard errors
+    (sd / sqrt(#folds)) aggregate over the usable folds; active counts
+    come from the full-data ensemble's coef_path.
     """
     x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)
     fam = ens.family
-    split = screen_spec.split_data_prop is not None  # without a split, index no rows: no copies
     folds = make_folds(y, fam, nfolds, fold_stream(master_seed))
     inds = [m.index_set for m in ens.models]
-    refresh = [m.phi.kind == "cw" and m.phi.data_driven for m in ens.models]
-    need_omega = any(refresh)
+    rpms = [m.phi for m in ens.models]
 
     fold_measures = []  # one (n_cells,) array per usable fold
     n_all = np.arange(len(y))
@@ -162,22 +160,10 @@ def cross_validate(
             logger.warning("fold %d: held-out response is one-class; fold skipped", i)
             continue
         x_std, y_std, stats = standardize(x[train], y[train], fam)
-        screen_rows, model_rows = split_for_screening(
-            len(train), screen_spec.split_data_prop, split_stream(master_seed, i + 1)
-        )
-        rpms = [m.phi for m in ens.models]
-        if need_omega:
-            xs, ys = (x_std[screen_rows], y_std[screen_rows]) if split else (x_std, y_std)
-            sr = compute_screening(xs, ys, fam, screen_spec)
-            rpms = [
-                phi.with_column_values(sr.omega[idx]) if r else phi
-                for phi, idx, r in zip(rpms, inds, refresh)
-            ]
-        models = fit_models(
-            x_std, y_std, fam, None, screen_spec, None, model_spec,
-            len(ens.models), master_seed, model_rows=model_rows if split else None,
-            inds=inds, rpms=rpms, threads=threads,
-        )
+        rows = split_for_screening(len(train), screen_spec.split_data_prop,
+                                   split_stream(master_seed, i + 1))
+        models = fit_models(x_std, y_std, fam, screen_spec, None, model_spec, len(ens.models),
+                            master_seed, *rows, inds=inds, rpms=rpms, threads=threads)
         scored = _scored_cells(ens, models, stats, x[test], y[test], measure)
         fold_measures.append(np.asarray([value for _, value in scored]))
 

@@ -90,17 +90,18 @@ def _fit_default(x, y, family="gaussian", n_models=4, seed=0, **kwargs):
     fam = get_family(family)
     xs, ys, stats = standardize(x, y, family)
     screen = ScreenSpec().resolved(len(y))
-    sr = compute_screening(xs, ys, fam, screen)
+    rows = np.arange(len(y))
     rp = kwargs.pop("rp", RpSpec()).resolved(len(y), x.shape[1])
-    models = fit_models(xs, ys, fam, sr, screen, rp, ModelSpec(), n_models, seed, **kwargs)
-    return models, stats, sr
+    models = fit_models(xs, ys, fam, screen, rp, ModelSpec(), n_models, seed, rows, rows,
+                        **kwargs)
+    return models, stats
 
 
 def test_fit_models_no_screening_when_p_small():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((100, 10))
     y = x @ np.arange(10.0) + rng.standard_normal(100)
-    models, _, _ = _fit_default(x, y)
+    models, _ = _fit_default(x, y)
     for mdl in models:
         assert np.array_equal(mdl.index_set, np.arange(10))
 
@@ -113,8 +114,9 @@ def test_fit_models_identity_projection_matches_direct_glm():
     xs, ys, stats = standardize(x, y, "gaussian")
     eye = ProjectionMatrix("plugin", np.eye(p))
     fam = get_family("gaussian")
-    models = fit_models(xs, ys, fam, None, ScreenSpec().resolved(n), RpSpec().resolved(n, p),
-                        ModelSpec(), 1, 0, inds=[np.arange(p)], rpms=[eye])
+    rows = np.arange(n)
+    models = fit_models(xs, ys, fam, ScreenSpec().resolved(n), RpSpec().resolved(n, p),
+                        ModelSpec(), 1, 0, rows, rows, inds=[np.arange(p)], rpms=[eye])
     direct = fit_penalized_glm(xs, ys, "gaussian", 0.0)
     assert np.max(np.abs(models[0].beta_vals - direct.gamma)) < 1e-10
 
@@ -126,9 +128,10 @@ def test_fit_models_honors_supplied_inds_verbatim():
     xs, ys, _ = standardize(x, y, "gaussian")
     fam = get_family("gaussian")
     inds = [np.array([5, 2, 9]), np.array([0, 1])]
-    models = fit_models(xs, ys, fam, None, ScreenSpec().resolved(40),
+    rows = np.arange(40)
+    models = fit_models(xs, ys, fam, ScreenSpec().resolved(40),
                         RpSpec(data_driven=False, mslow=2, msup=2).validated().resolved(40, 30),
-                        ModelSpec(), 2, 0, inds=inds)
+                        ModelSpec(), 2, 0, rows, rows, inds=inds)
     assert np.array_equal(models[0].index_set, inds[0])  # order preserved too
     assert np.array_equal(models[1].index_set, inds[1])
     for mdl in models:
@@ -148,6 +151,35 @@ def test_fit_spar_draws_the_projections_left_none():
     assert spar.serialize_model(mixed) == text
 
 
+def test_fit_spar_refreshes_supplied_data_driven_cw_projections():
+    """A supplied data-driven cw projection carries this fit's screening coefficients.
+
+    The projections come from a fit on other data; their structure is
+    kept and their values are this fit's omega at each index set.  A
+    data_driven=False copy is used verbatim.
+    """
+    rng = np.random.default_rng(12)
+    x1, x2 = rng.standard_normal((2, 40, 30))
+    y1 = x1[:, 2] + rng.standard_normal(40)
+    y2 = x2[:, 7] - x2[:, 3] + rng.standard_normal(40)
+    common = dict(nnu=3, nummods=(3,), screen=ScreenSpec(nscreen=12), seed=2)
+    first = spar.fit_spar(x1, y1, xval=x1, yval=y1, **common)
+    inds = [m.index_set for m in first.models]
+    rpms = [m.phi for m in first.models]
+    assert all(phi.kind == "cw" and phi.data_driven for phi in rpms)
+    second = spar.fit_spar(x2, y2, xval=x2, yval=y2, inds=inds, rpms=rpms, **common)
+    xs, ys, _ = standardize(x2, y2, "gaussian")
+    omega = compute_screening(xs, ys, GAUSSIAN, ScreenSpec(nscreen=12)).omega
+    for mdl, phi in zip(second.models, rpms):
+        assert np.array_equal(mdl.phi.mat.data, omega[mdl.index_set])
+        assert not np.array_equal(mdl.phi.mat.data, phi.mat.data)
+        assert np.array_equal(mdl.phi.rows, phi.rows)
+    fixed = [ProjectionMatrix("cw", phi.mat, data_driven=False) for phi in rpms]
+    kept = spar.fit_spar(x2, y2, xval=x2, yval=y2, inds=inds, rpms=fixed, **common)
+    for mdl, phi in zip(kept.models, fixed):
+        assert mdl.phi is phi
+
+
 def test_fit_models_counts_an_overflowing_solve_as_failed():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 4))
@@ -156,9 +188,9 @@ def test_fit_models_counts_an_overflowing_solve_as_failed():
     eye = ProjectionMatrix("plugin", np.eye(2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        models = fit_models(x, y, BINOMIAL, None, ScreenSpec().resolved(40),
+        models = fit_models(x, y, BINOMIAL, ScreenSpec().resolved(40),
                             RpSpec().resolved(40, 4), ModelSpec(), 2, 0,
-                            inds=[[0, 1], [2, 3]], rpms=[eye, eye])
+                            np.arange(40), np.arange(40), inds=[[0, 1], [2, 3]], rpms=[eye, eye])
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert [m.failed for m in models] == [True, False]
     assert np.all(models[0].gamma == 0) and np.all(np.isfinite(models[1].gamma))
@@ -168,7 +200,7 @@ def test_fit_models_backmap_identity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((60, 50))
     y = rng.standard_normal(60)
-    models, _, _ = _fit_default(x, y, n_models=3, seed=5)
+    models, _ = _fit_default(x, y, n_models=3, seed=5)
     for mdl in models:
         assert np.max(np.abs(mdl.beta_vals - mdl.phi.to_dense().T @ mdl.gamma)) < 1e-12
 
@@ -199,7 +231,7 @@ def test_fit_models_partial_failure_records_zero_model(monkeypatch):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 8))
     y = rng.standard_normal(30)
-    models, _, _ = _fit_default(x, y, n_models=3)
+    models, _ = _fit_default(x, y, n_models=3)
     # first model failed twice (eps=0 retry also routed through flaky? no: only
     # the first call raises), so it either recovered on retry or is zeroed
     assert sum(m.failed for m in models) <= 1
@@ -268,7 +300,7 @@ def test_averaged_coef_destandardization_identity():
     x = rng.standard_normal((n, p)) * rng.uniform(0.5, 3.0, p) + rng.uniform(-2, 2, p)
     y = x @ rng.standard_normal(p) + rng.standard_normal(n)
     xs, ys, stats = standardize(x, y, "gaussian")
-    models, stats2, _ = _fit_default(x, y, n_models=3, seed=11)
+    models, stats2 = _fit_default(x, y, n_models=3, seed=11)
     c = averaged_coef(models, stats2, p, 0.0, 3)
     eta_orig = c.intercept + x @ c.beta
     gbar = np.mean([m.gamma0 for m in models])

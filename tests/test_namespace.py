@@ -71,3 +71,22 @@ def test_every_public_function_has_a_caller():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined - referenced - set(spar.__all__) == {"jl_min_dim"}
+
+
+def test_only_fit_models_screens_and_refreshes_cw_values():
+    """The full fit and every CV fold screen and refresh cw values on one path.
+
+    Outside screening.py, compute_screening is called only by
+    ensemble.fit_models, and so is ProjectionMatrix.with_column_values.
+    """
+    callers = {"compute_screening": set(), "with_column_values": set()}
+    for path in sorted((ROOT / "src" / "spar").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers and path.name != "screening.py":
+                    callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"compute_screening": {"ensemble.fit_models"},
+                       "with_column_values": {"ensemble.fit_models"}}
