@@ -102,21 +102,23 @@ def fit_spar(
 ) -> SparEnsemble:
     """Fit the ensemble and select (nu, nummod) on a validation set.
 
-    Without xval/yval the training data double as validation data,
+    Without xval and yval the training data double as validation data,
     which biases the selection toward denser models; a warning is
-    logged.  inds (index sets, used verbatim) and rpms (their
-    projections; None entries are drawn) fix the first max(nummods)
-    models.  A data-driven cw projection
+    logged.  Giving only one of them raises ConfigError.  inds (index
+    sets, used verbatim) and rpms (their projections; None entries are
+    drawn) fix the first max(nummods) models.  A data-driven cw projection
     in rpms carries this fit's screening coefficients of its columns;
     one with data_driven=False keeps its values.  Returns a SparEnsemble
     with the selection grid and best = (nu_best, nummod_best).  threads
     spreads the models over worker threads without changing the result;
     BLAS runs on one thread during the call (see spar.blas).
     """
+    if (xval is None) != (yval is None):
+        raise ConfigError("give both xval and yval, or neither")
     ens, _, _ = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
     )
-    if xval is None or yval is None:
+    if xval is None:
         logger.warning("no validation data supplied; selecting on the training data")
         xval, yval = x, y
     grid = evaluate_validation_grid(ens, np.asarray(xval, dtype=float),

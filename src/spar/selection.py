@@ -27,7 +27,7 @@ from .ensemble import (
     fit_models,
     standardize,
 )
-from .errors import ConfigError, CvError, NumericError
+from .errors import ConfigError, CvError, DataError, NumericError
 from .families import linkinv_eval
 from .rng import fold_stream, split_stream
 from .screening import ScreenSpec, split_for_screening
@@ -144,6 +144,8 @@ def cross_validate(
     """
     x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)
+    if len(y) != x.shape[0]:
+        raise DataError(f"x has {x.shape[0]} rows but y has {len(y)} entries")
     fam = ens.family
     folds = make_folds(y, fam, nfolds, fold_stream(master_seed))
     inds = [m.index_set for m in ens.models]

@@ -1,15 +1,23 @@
 """Grid selection, tie-breaking, the one-SE rule, folds and cross-validation."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import fit_spar, fit_spar_cv
+from spar import ModelSpec, ScreenSpec, fit_spar, fit_spar_cv
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.rng import fold_stream
-from spar.selection import GridCell, SelectionGrid, evaluate_validation_grid, make_folds
+from spar.selection import (
+    GridCell,
+    SelectionGrid,
+    cross_validate,
+    evaluate_validation_grid,
+    make_folds,
+)
 
 
 def _grid(cells):
@@ -213,3 +221,28 @@ def test_validation_grid_refuses_bad_held_out_x():
     xv[4, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         evaluate_validation_grid(ens, xv, yv, "mse")
+
+
+def test_cross_validate_refuses_y_of_another_length():
+    """A shorter y would silently drop x's trailing rows; a longer one indexed past x."""
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((60, 15))
+    y = x[:, 0] + rng.standard_normal(60)
+    ens = fit_spar_cv(x, y, nfolds=3, nnu=3, nummods=(2,), seed=1)
+    for y_bad in (y[:50], np.r_[y, y[:10]]):
+        with pytest.raises(DataError, match=f"x has 60 rows but y has {len(y_bad)}"):
+            cross_validate(ens, x, y_bad, ScreenSpec().resolved(60), ModelSpec(), 3, "deviance", 1)
+
+
+def test_fit_spar_needs_both_validation_arrays_or_neither(caplog):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, 15))
+    y = x[:, 0] + 0.3 * rng.standard_normal(40)
+    with pytest.raises(ConfigError, match="both xval and yval"):
+        fit_spar(x, y, xval=x, nnu=3, nummods=(2,))
+    with pytest.raises(ConfigError, match="both xval and yval"):
+        fit_spar(x, y, yval=y, nnu=3, nummods=(2,))
+    with caplog.at_level(logging.WARNING, logger="spar.api"):
+        ens = fit_spar(x, y, nnu=3, nummods=(2,))
+    assert "no validation data supplied; selecting on the training data" in caplog.text
+    assert ens.grid.kind == "validation"
