@@ -55,7 +55,9 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     x_std, y_std, stats = standardize(x, y, fam)
     n, p = x.shape
     screen = screen.resolved(n)
-    screen_rows, model_rows = split_for_screening(n, screen.split_data_prop, split_stream(seed, 0))
+    screen_rows, model_rows = split_for_screening(
+        n, screen.split_data_prop, split_stream(seed, 0)
+    )
     rp = rp.resolved(len(model_rows), p)
     models = fit_models(x_std, y_std, fam, screen, rp, model, max(nummods), seed,
                         screen_rows, model_rows, inds=inds, rpms=rpms, threads=threads)

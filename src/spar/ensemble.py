@@ -164,10 +164,10 @@ def fit_models(
     The full fit and every CV fold run this path.  Supplied inds and rpms
     are used verbatim, except that a data-driven cw projection always
     carries this fit's screening coefficients of its columns; screening
-    runs only when something reads it.  The rest each model draws from
-    streams keyed by (seed, model index, purpose), so results do not
-    depend on the thread count.  A model whose solve fails is recorded
-    with zero coefficients; only all models failing raises.
+    runs only when something reads it.  What is not supplied, each model
+    draws from streams keyed by (seed, model index, purpose), so results
+    do not depend on the thread count.  A model whose solve fails is
+    recorded with zero coefficients; only all models failing raises.
     """
     p = x_std.shape[1]
     if inds is not None and len(inds) < n_models:

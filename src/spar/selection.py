@@ -162,10 +162,12 @@ def cross_validate(
             logger.warning("fold %d: held-out response is one-class; fold skipped", i)
             continue
         x_std, y_std, stats = standardize(x[train], y[train], fam)
-        rows = split_for_screening(len(train), screen_spec.split_data_prop,
-                                   split_stream(master_seed, i + 1))
+        screen_rows, model_rows = split_for_screening(
+            len(train), screen_spec.split_data_prop, split_stream(master_seed, i + 1)
+        )
         models = fit_models(x_std, y_std, fam, screen_spec, None, model_spec, len(ens.models),
-                            master_seed, *rows, inds=inds, rpms=rpms, threads=threads)
+                            master_seed, screen_rows, model_rows, inds=inds, rpms=rpms,
+                            threads=threads)
         scored = _scored_cells(ens, models, stats, x[test], y[test], measure)
         fold_measures.append(np.asarray([value for _, value in scored]))
 
