@@ -7,11 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from spar import register_rp_plugin, register_screen_plugin
 from spar.api import fit_spar
 from spar.cli import main
 from spar.data import load_csv, load_model, save_csv, serialize_model
 from spar.ensemble import linkinv_eval
 from spar.errors import NumericError
+from spar.projection import gen_sparse
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +222,77 @@ def test_exit_codes(sim_dir, tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "forced" in capsys.readouterr().err
+
+
+def _colsum(x, y, controls):
+    return np.abs(x).sum(axis=0)
+
+
+def _half_sparse(m, index_set, snapshot, controls):
+    return gen_sparse(m, len(index_set), 0.5, snapshot["rng"])
+
+
+def test_fit_with_registered_plugins_by_flags_and_config(sim_dir, tmp_path):
+    """A registered plugin's name works as --screen/--rp and as their config keys."""
+    register_screen_plugin("pin-colsum", _colsum)
+    register_rp_plugin("pin-half-sparse", _half_sparse)
+    data = ["--data", str(sim_dir / "train.csv"), "--val-data", str(sim_dir / "test.csv"),
+            *FIT_FLAGS]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"screen": "pin-colsum", "rp": "pin-half-sparse"}))
+    assert main(["fit", *data, "--screen", "pin-colsum", "--rp", "pin-half-sparse",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["fit", *data, "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    model_a, model_b = ((tmp_path / d / "model.json").read_bytes() for d in "ab")
+    assert model_a == model_b
+    config = json.loads(model_a)["config"]
+    assert (config["screen"]["method"], config["screen"]["plugin"]) == ("plugin", "pin-colsum")
+    assert (config["rp"]["kind"], config["rp"]["plugin"]) == ("plugin", "pin-half-sparse")
+
+
+@pytest.mark.parametrize("key, builtins", [
+    ("screen", ("cor", "marglik", "ridge")),
+    ("rp", ("gaussian", "sparse", "cw", "haar")),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_plugin_name_exits_2_and_names_the_builtins(key, builtins, source, sim_dir,
+                                                            tmp_path, capsys):
+    options = ["--" + key, "bogus"]
+    if source == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        options = ["--config", str(cfg)]
+    rc = main(["fit", "--data", str(sim_dir / "train.csv"), *options,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "'bogus'" in line
+    assert all(name in line for name in builtins)
+
+
+def test_report_coefs_in_coef_order(fit_dir, tmp_path):
+    order = tmp_path / "order.txt"
+    order.write_text("".join(f"{j}\n" for j in range(30, 0, -1)))
+    rc = main(["report", "--model", str(fit_dir / "model.json"), "--plot-type", "coefs",
+               "--coef-order", str(order), "--prange", "1,2", "--out", str(tmp_path)])
+    assert rc == 0
+    lines = (tmp_path / "coefs.csv").read_text().splitlines()
+    assert [int(l.split(",")[0]) for l in lines[1:]] == [30, 29]
+
+
+@pytest.mark.parametrize("text, code", [
+    ("1\nx\n", 3),  # non-numeric
+    ("1\n2.5\n", 3),  # not a whole number
+    ("1,2\n3,4\n", 3),  # two columns
+    ("1\n1\n", 2),  # whole numbers, but not a permutation of 1..p
+])
+def test_report_coef_order_exit_codes(text, code, fit_dir, tmp_path, capsys):
+    order = tmp_path / "order.txt"
+    order.write_text(text)
+    rc = main(["report", "--model", str(fit_dir / "model.json"), "--plot-type", "coefs",
+               "--coef-order", str(order), "--out", str(tmp_path)])
+    assert rc == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_fit_refuses_bad_epsilon_and_ragged_header(sim_dir, tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import ModelSpec, ScreenSpec, fit_spar, fit_spar_cv
+from spar import ModelSpec, RpSpec, ScreenSpec, fit_spar, fit_spar_cv
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.rng import fold_stream
@@ -246,3 +246,21 @@ def test_fit_spar_needs_both_validation_arrays_or_neither(caplog):
         ens = fit_spar(x, y, nnu=3, nummods=(2,))
     assert "no validation data supplied; selecting on the training data" in caplog.text
     assert ens.grid.kind == "validation"
+
+
+def test_fit_spar_echoes_a_plugin_callable_by_its_name():
+    def colsum(x, y, controls):
+        return np.abs(x).sum(axis=0)
+
+    def dense_ones(m, index_set, snapshot, controls):
+        return np.ones((m, len(index_set)))
+
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((40, 15))
+    y = x[:, 0] + 0.3 * rng.standard_normal(40)
+    ens = fit_spar(x, y, screen=ScreenSpec(method="plugin", plugin=colsum),
+                   rp=RpSpec(kind="plugin", plugin=dense_ones), xval=x, yval=y,
+                   nnu=3, nummods=(2,))
+    assert ens.config["screen"]["method"] == "plugin"
+    assert ens.config["screen"]["plugin"] == "colsum"
+    assert (ens.config["rp"]["kind"], ens.config["rp"]["plugin"]) == ("plugin", "dense_ones")
