@@ -21,7 +21,7 @@ from .ensemble import (
     get_family,
     standardize,
 )
-from .errors import ConfigError, whole_number
+from .errors import ConfigError, whole_at_least, whole_number
 from .projection import RpSpec
 from .rng import split_stream
 from .screening import ScreenSpec, split_for_screening
@@ -50,6 +50,11 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     screen = (screen or ScreenSpec()).validated()
     rp = (rp or RpSpec()).validated()
     model = (model or ModelSpec()).validated()
+    seed = whole_at_least("seed", seed, 0)
+    threads = whole_at_least("threads", threads, 1)
+    nnu = whole_at_least("nnu", nnu, 1)
+    if nus is not None:
+        build_nu_grid((), nnu, nus)  # refuses a bad explicit grid before the fit
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_std, y_std, stats = standardize(x, y, fam)
@@ -72,13 +77,13 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
         "nus": None if nus is None else [float(v) for v in np.atleast_1d(nus)],
         "nummods": list(nummods),
         "measure": measure,
-        "seed": int(seed),
+        "seed": seed,
         # the worker count is an execution knob, not part of the model:
         # serialized output must not depend on it
     }
     ens = SparEnsemble(
         family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
-        p=p, measure=measure, master_seed=int(seed), config=config,
+        p=p, measure=measure, master_seed=seed, config=config,
     )
     return ens, screen, model
 
@@ -113,7 +118,9 @@ def fit_spar(
     one with data_driven=False keeps its values.  Returns a SparEnsemble
     with the selection grid and best = (nu_best, nummod_best).  threads
     spreads the models over worker threads without changing the result;
-    BLAS runs on one thread during the call (see spar.blas).
+    BLAS runs on one thread during the call (see spar.blas).  The specs,
+    seed (whole, >= 0), threads and nnu (whole, >= 1) and an explicit nus
+    are checked before any fitting: ConfigError names a bad one.
     """
     if (xval is None) != (yval is None):
         raise ConfigError("give both xval and yval, or neither")
@@ -152,11 +159,15 @@ def fit_spar_cv(
     folds only refit the marginal GLMs (and refresh data-driven cw
     diagonals).  Returns a SparEnsemble with best and the one-standard-
     error pair one_se.  threads works as in fit_spar, for the folds too.
+    nfolds (whole, from 2 to the rows of x) is checked with the rest.
     """
+    nfolds = whole_at_least("nfolds", nfolds, 2)
+    if nfolds > len(x):
+        raise ConfigError(f"nfolds={nfolds} exceeds the {len(x)} observations")
     ens, screen, model = _fit_ensemble_only(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
     )
-    ens.config["nfolds"] = int(nfolds)
+    ens.config["nfolds"] = nfolds
     grid = cross_validate(ens, x, y, screen, model, nfolds, measure, seed, threads)
     ens.grid = grid
     ens.best = grid.best_pair()

@@ -27,7 +27,7 @@ from .ensemble import (
     SparEnsemble,
     StandardizationStats,
 )
-from .errors import ConfigError, DataError, ParseError, VersionError
+from .errors import ConfigError, DataError, ParseError, VersionError, whole_at_least
 from .families import get_family, linkinv_eval
 from .projection import ProjectionMatrix
 from .selection import GridCell, SelectionGrid
@@ -92,7 +92,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int):
     """
     spec = spec.validated()
     fam = get_family(spec.family)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(whole_at_least("seed", seed, 0))
     beta = np.zeros(spec.p)
     if spec.active_positions == "first":
         active = np.arange(spec.n_active)

@@ -240,11 +240,14 @@ def build_nu_grid(models, nnu: int, explicit=None) -> np.ndarray:
     coefficient is zero the grid degenerates to {0} with a warning.
     """
     if explicit is not None:
-        nus = np.unique(np.asarray(explicit, dtype=float))
+        try:
+            nus = np.unique(np.asarray(explicit, dtype=float))
+        except (TypeError, ValueError):
+            raise ConfigError(f"nus must be numbers, got {explicit!r}") from None
         if nus.size == 0:
-            raise ConfigError("explicit nu grid is empty")
+            raise ConfigError("nus must not be empty")
         if not np.all(np.isfinite(nus)) or nus[0] < 0:
-            raise ConfigError("nu values must be finite and >= 0")
+            raise ConfigError("nus must be finite and >= 0")
         return nus
     if nnu < 1:
         raise ConfigError("nnu must be >= 1")

@@ -25,6 +25,14 @@ def whole_number(name: str, value):
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
+def whole_at_least(name: str, value, least: int) -> int:
+    """value as an int when it is a whole number >= least; else ConfigError naming it."""
+    number = whole_number(name, value)
+    if number is None or number < least:
+        raise ConfigError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return number
+
+
 class DataError(SparError):
     """Problem with user-supplied data."""
 

@@ -46,6 +46,12 @@ def test_synthetic_spec_validation():
         SyntheticSpec(family="gamma").validated()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_generate_synthetic_refuses_a_bad_seed(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        generate_synthetic(SyntheticSpec(n=5, p=3, n_active=1), seed)
+
+
 def test_generate_synthetic_shapes_truth_and_determinism():
     spec = SyntheticSpec(n=30, p=12, n_active=4, n_test=8)
     ds, truth = generate_synthetic(spec, seed=5)

@@ -517,3 +517,27 @@ def test_sizes_must_be_whole_numbers(name):
         fit(2.5)
     texts = {spar.serialize_model(fit(v)) for v in (5, 5.0, np.int64(5))}
     assert len(texts) == 1
+
+
+
+# fit arguments the specs do not hold, each as fit_spar_cv keywords
+_BAD_FIT_ARGUMENTS = [
+    {"seed": -1}, {"seed": 1.5}, {"threads": 0}, {"threads": -3}, {"threads": 2.5},
+    {"nnu": 2.5}, {"nnu": 0}, {"nus": []}, {"nus": [0.1, -1.0]}, {"nus": ["a"]},
+    {"nfolds": 2.5}, {"nfolds": 1}, {"nfolds": 41},
+]
+
+
+@pytest.mark.parametrize("kwargs", _BAD_FIT_ARGUMENTS, ids=repr)
+def test_fit_arguments_are_refused_before_the_fit(kwargs, monkeypatch):
+    """Each bad argument is a ConfigError naming it, raised before standardize runs."""
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal((40, 12))
+    y = x[:, 0] + rng.standard_normal(40)
+    monkeypatch.setattr("spar.api.standardize", lambda *a: pytest.fail("the fit started"))
+    (name,) = kwargs
+    with pytest.raises(ConfigError, match=name):
+        spar.fit_spar_cv(x, y, **kwargs)
+    if name != "nfolds":
+        with pytest.raises(ConfigError, match=name):
+            spar.fit_spar(x, y, **kwargs)
