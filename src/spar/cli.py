@@ -1,8 +1,11 @@
 """Command line interface: spar fit|cv|predict|simulate|coef|report.
 
-Exit codes: 0 success, 2 configuration error (including usage errors),
-3 data error, 4 numerical failure.  Diagnostics go to stderr; numerical
-output goes to files under --out (and the fit summary to stdout).
+Options become library specs and keywords; the specs check them (plugin
+names included) before any data is read.  Exit codes: 0 success, 2
+configuration error (including usage errors), 3 data error or an output
+path that cannot be written, 4 numerical failure.  Diagnostics go to
+stderr; numerical output goes to files under --out (and the fit summary
+to stdout).
 """
 
 from __future__ import annotations
@@ -31,9 +34,8 @@ from .data import (
 from .ensemble import MEASURES, AveragedCoef, ModelSpec, get_family, linkinv_eval
 from .errors import ConfigError, DataError, ParseError, SparError
 from .families import FAMILIES
-from .plugins import resolve
-from .projection import KINDS, RpSpec
-from .screening import METHODS, ScreenSpec
+from .projection import RpSpec
+from .screening import ScreenSpec
 
 logger = logging.getLogger(__name__)
 
@@ -121,22 +123,10 @@ _FIT_OPTIONS = (
 # a flag of spar cv alone, accepted in spar fit configs so one file serves both
 _NFOLDS = _Option("nfolds", "nfolds", _INT)
 _OPTIONS = _FIT_OPTIONS + (_NFOLDS,)
-# the builtin screening methods and projection kinds; "plugin" stands for a spec's plugin
-_SCREENS = [m for m in METHODS if m != "plugin"]
-_PROJECTIONS = [k for k in KINDS if k != "plugin"]
 
 
 def _add_flag(parser, opt: _Option) -> None:
     parser.add_argument("--" + opt.key.replace("_", "-"), type=opt.parse, **opt.flag)
-
-
-def _plugin(kind: str, name: str, unknown: str) -> str:
-    """name when a plugin of this kind is registered under it; else ConfigError(unknown)."""
-    try:
-        resolve(kind, name)
-    except ConfigError:
-        raise ConfigError(unknown) from None
-    return name
 
 
 def _fit_options(args):
@@ -159,20 +149,11 @@ def _fit_options(args):
         if value is not None:
             spec, _, name = opt.target.rpartition(".")
             (specs[spec] if spec else kwargs)[name] = value
-    screen, rp = specs["screen"], specs["rp"]
-    if screen.get("method") not in (None, *_SCREENS):
-        screen["plugin"] = _plugin("screening", screen["method"], f"unknown screening method "
-                                   f"{screen['method']!r}; builtins are {', '.join(_SCREENS)}")
-        screen["method"] = "plugin"
-    if "kind" in rp:
-        raw, rp["kind"] = rp["kind"], rp["kind"].replace("-", "_")
-        if rp["kind"] not in _PROJECTIONS:
-            rp["plugin"] = _plugin("projection", raw, f"unknown projection {rp['kind']!r}; "
-                                   "builtins are " + ", ".join(_PROJECTIONS).replace("_", "-"))
-            rp["kind"] = "plugin"
+    if specs["rp"].get("kind") == "haar-select":
+        specs["rp"]["kind"] = "haar_select"
     for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec)):
         if specs[name]:
-            kwargs[name] = cls(**specs[name])
+            kwargs[name] = cls(**specs[name]).validated()  # before any data is read
     return kwargs.pop("response", "y"), kwargs
 
 
@@ -216,8 +197,15 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_fit(ens, args) -> Path:
-    """model.json, selection.csv and summary.txt under --out; the summary also to stdout."""
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row of Python numbers, each written by repr."""
+    with open(path, "w") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def _write_fit(ens, args) -> None:
+    """model.json, selection.csv, summary.txt (also to stdout) and, after CV, cv_folds.csv."""
     out = _outdir(args)
     save_model(ens, out / "model.json")
     with open(out / "selection.csv", "w") as f:
@@ -225,7 +213,10 @@ def _write_fit(ens, args) -> Path:
     text = _summary(ens)
     (out / "summary.txt").write_text(text)
     sys.stdout.write(text)
-    return out
+    if ens.cv:
+        _write_csv(out / "cv_folds.csv", ("nu", "nummod", "fold", "value"),
+                   ((c.nu, c.nummod, i, v) for c in ens.grid.cells
+                    for i, v in enumerate(c.fold_values)))
 
 
 def cmd_fit(args) -> int:
@@ -242,13 +233,7 @@ def cmd_fit(args) -> int:
 def cmd_cv(args) -> int:
     response, kwargs = _fit_options(args)
     ds = load_csv(args.data, response=response)
-    ens = fit_spar_cv(ds.x, ds.y, **kwargs)
-    out = _write_fit(ens, args)
-    with open(out / "cv_folds.csv", "w") as f:
-        f.write("nu,nummod,fold,value\n")
-        for cell in ens.grid.cells:
-            for i, v in enumerate(cell.fold_values):
-                f.write(f"{cell.nu!r},{cell.nummod},{i},{v!r}\n")
+    _write_fit(fit_spar_cv(ds.x, ds.y, **kwargs), args)
     return 0
 
 
@@ -280,20 +265,15 @@ def cmd_predict(args) -> int:
     else:
         ens = load_model(args.model)
         preds = ens.predict(ds.x, **_given(args, "type", "avg_type", "nu", "nummod", "opt_par"))
-    out = _outdir(args)
-    with open(out / "predictions.csv", "w") as f:
-        f.write("prediction\n")
-        for v in np.asarray(preds, dtype=float):
-            f.write(f"{float(v)!r}\n")
+    _write_csv(_outdir(args) / "predictions.csv", ("prediction",),
+               np.asarray(preds, dtype=float).reshape(-1, 1).tolist())
     return 0
 
 
 def cmd_coef(args) -> int:
     ens = load_model(args.model)
     coef = ens.coef(**_given(args, "nu", "nummod", "opt_par"))
-    out = _outdir(args)
-    with open(out / "coef.json", "w") as f:
-        f.write(dumps({"family": ens.family.name, **vars(coef)}))
+    (_outdir(args) / "coef.json").write_text(dumps({"family": ens.family.name, **vars(coef)}))
     return 0
 
 
@@ -305,8 +285,7 @@ def cmd_simulate(args) -> int:
     save_csv(out / "train.csv", ds.x, ds.y, ds.colnames)
     if ds.x_test is not None:
         save_csv(out / "test.csv", ds.x_test, ds.y_test, ds.colnames)
-    with open(out / "truth.json", "w") as f:
-        f.write(dumps(truth))
+    (out / "truth.json").write_text(dumps(truth))
     return 0
 
 
@@ -335,51 +314,38 @@ def cmd_report(args) -> int:
                       key=lambda c: getattr(c, axis))
         # CSV column -> GridCell attribute
         cols = {"measure": "value", "se": "se"} if plot == "val-measure" else {"active": "active"}
-        with open(out / (plot.replace("-", "_") + ".csv"), "w") as f:
-            f.write(",".join((axis, *cols)) + "\n")
-            for c in rows:
-                f.write(",".join(repr(getattr(c, a)) for a in (axis, *cols.values())) + "\n")
+        _write_csv(out / (plot.replace("-", "_") + ".csv"), (axis, *cols),
+                   ([getattr(c, a) for a in (axis, *cols.values())] for c in rows))
         return 0
     if plot == "res-vs-fitted":
         if args.xfit is None or args.yfit is None:
             raise ConfigError("res-vs-fitted needs --xfit and --yfit")
         xds = load_csv(args.xfit, response=args.response)
-        yds = load_csv(args.yfit, has_header=True)
-        yv = yds.x[:, 0]
+        yv = load_csv(args.yfit).x[:, 0]
         fitted = ens.predict(xds.x, type="response", **_given(args, "nu", "nummod", "opt_par"))
         if len(yv) != len(fitted):
             raise DataError(f"--yfit has {len(yv)} rows, --xfit has {len(fitted)}")
-        with open(out / "res_vs_fitted.csv", "w") as f:
-            f.write("fitted,residual\n")
-            for fv, yvv in zip(fitted, yv):
-                f.write(f"{float(fv)!r},{float(yvv - fv)!r}\n")
+        _write_csv(out / "res_vs_fitted.csv", ("fitted", "residual"),
+                   zip(fitted.tolist(), (yv - fitted).tolist()))
         return 0
     # coefs: p x M matrix of standardized pre-threshold coefficients,
     # each predictor row sorted descending across models
     mat = ens.coef_matrix()
     order = np.arange(ens.p)
     if args.coef_order is not None:
-        try:
-            with open(args.coef_order) as f:
-                order = np.asarray([int(line) - 1 for line in f if line.strip()], dtype=int)
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.coef_order}: {exc}") from exc
-        except ValueError:
-            raise ParseError(f"{args.coef_order}: expected one 1-based integer per line") from None
+        column = load_csv(args.coef_order, has_header=False).x
+        if column.shape[1] != 1 or np.any(column % 1):
+            raise ParseError(f"{args.coef_order}: expected one 1-based integer per line")
+        order = column[:, 0].astype(int) - 1
         if sorted(order.tolist()) != list(range(ens.p)):
             raise ConfigError("--coef-order must be a permutation of 1..p")
-    lo, hi = 1, ens.p
-    if args.prange is not None:
-        pr = args.prange
-        if len(pr) != 2 or not 1 <= pr[0] <= pr[1] <= ens.p:
-            raise ConfigError(f"--prange must be 'a,b' with 1 <= a <= b <= {ens.p}")
-        lo, hi = pr
-    picked = order[lo - 1 : hi]
+    pr = args.prange if args.prange is not None else [1, ens.p]
+    if len(pr) != 2 or not 1 <= pr[0] <= pr[1] <= ens.p:
+        raise ConfigError(f"--prange must be 'a,b' with 1 <= a <= b <= {ens.p}")
+    picked = order[pr[0] - 1 : pr[1]]
     sorted_rows = -np.sort(-mat[picked], axis=1)  # descending within each row
-    with open(out / "coefs.csv", "w") as f:
-        f.write("predictor," + ",".join(f"m{k + 1}" for k in range(mat.shape[1])) + "\n")
-        for idx, row in zip(picked, sorted_rows):
-            f.write(f"{idx + 1}," + ",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(out / "coefs.csv", ("predictor", *(f"m{k + 1}" for k in range(mat.shape[1]))),
+               ([idx + 1, *row] for idx, row in zip(picked.tolist(), sorted_rows.tolist())))
     return 0
 
 
@@ -468,15 +434,11 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (SparError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SparError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ConfigError):
+            return 2
+        return 3 if isinstance(exc, (DataError, OSError)) else 4
 
 
 def entry() -> None:

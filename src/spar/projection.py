@@ -16,13 +16,13 @@ import scipy.sparse
 
 from .errors import ConfigError, DataError, whole_number
 from .families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
-from .plugins import register, resolve
+from .plugins import named_plugin, register, resolve
 
 KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
 
 
 def register_rp_plugin(name: str, fn) -> None:
-    """Register a callable (m, index_set, snapshot, controls) -> matrix."""
+    """Register a callable (m, index_set, snapshot, controls) -> matrix as an RpSpec.kind name."""
     register("projection", name, fn)
 
 
@@ -31,7 +31,9 @@ class RpSpec:
     """Projection family and its goal-dimension range.
 
     mslow defaults to ceil(log p) and msup to floor(n/2), resolved when
-    the data size is known.  data_driven only affects the cw kind.
+    the data size is known.  data_driven only affects the cw kind.  kind
+    may name a registered plugin, which validated() turns into
+    kind="plugin", plugin=<name>.
     """
 
     kind: str = "cw"
@@ -46,7 +48,7 @@ class RpSpec:
 
     def validated(self) -> "RpSpec":
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown projection kind {self.kind!r}; choose from {KINDS}")
+            return named_plugin(self, "kind", "projection", KINDS[:-1]).validated()
         if not 0.0 < self.psi <= 1.0:
             raise ConfigError("psi must lie in (0, 1]")
         if self.mslow is not None and self.mslow < 1:

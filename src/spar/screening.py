@@ -17,7 +17,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import ConfigError, DataError, InsufficientDataError, SingularError, whole_number
 from .families import Family, fit_penalized_glm
-from .plugins import register, resolve
+from .plugins import named_plugin, register, resolve
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +25,7 @@ METHODS = ("cor", "marglik", "ridge", "plugin")
 
 
 def register_screen_plugin(name: str, fn) -> None:
-    """Register a callable (x, y, controls) -> omega under a CLI-usable name."""
+    """Register a callable (x, y, controls) -> omega as a ScreenSpec.method and --screen name."""
     register("screening", name, fn)
 
 
@@ -35,7 +35,8 @@ class ScreenSpec:
 
     nscreen defaults to 2n, resolved once the data size is known.
     epsilon overrides the method's penalty default (0 for marglik,
-    1e-2 * n for ridge).
+    1e-2 * n for ridge).  method may name a registered plugin, which
+    validated() turns into method="plugin", plugin=<name>.
     """
 
     method: str = "ridge"
@@ -48,9 +49,7 @@ class ScreenSpec:
 
     def validated(self) -> "ScreenSpec":
         if self.method not in METHODS:
-            raise ConfigError(
-                f"unknown screening method {self.method!r}; choose from {METHODS}"
-            )
+            return named_plugin(self, "method", "screening", METHODS[:-1]).validated()
         if self.selection_type not in ("prob", "fixed"):
             raise ConfigError("selection_type must be 'prob' or 'fixed'")
         if self.nscreen is not None and self.nscreen < 1:

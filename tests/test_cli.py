@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spar import register_rp_plugin, register_screen_plugin
 from spar.api import fit_spar
-from spar.cli import main
+from spar.cli import _write_csv, main
 from spar.data import load_csv, load_model, save_csv, serialize_model
 from spar.ensemble import linkinv_eval
 from spar.errors import NumericError
@@ -295,6 +297,38 @@ def test_report_coef_order_exit_codes(text, code, fit_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--seed", "-1"]), ("fit", ["--threads", "0"]), ("cv", ["--nfolds", "1"]),
+], ids=["seed", "threads", "nfolds"])
+def test_bad_fit_arguments_exit_2(command, flags, sim_dir, tmp_path, capsys):
+    rc = main([command, "--data", str(sim_dir / "train.csv"), *flags,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and flags[0][2:] in line
+
+
+def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["simulate", "--n", "5", "--p", "3", "--n-active", "1", "--seed", "-1",
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be a whole number >= 0")
+
+
+def test_spec_errors_come_before_data_errors(tmp_path, capsys):
+    rc = main(["fit", "--data", str(tmp_path / "absent.csv"), "--psi", "2",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "psi" in capsys.readouterr().err
+
+
+def test_unwritable_output_path_exits_3(sim_dir, tmp_path, capsys):
+    """--out naming an existing file cannot be made a directory."""
+    train = str(sim_dir / "train.csv")
+    assert main(["fit", "--data", train, *FIT_FLAGS, "--out", train]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "train.csv" in line
+
+
 def test_fit_refuses_bad_epsilon_and_ragged_header(sim_dir, tmp_path, capsys):
     for flag in ("--model-eps", "--screen-eps"):
         rc = main(["fit", "--data", str(sim_dir / "train.csv"), flag, "nan",
@@ -396,3 +430,20 @@ def test_console_module_smoke(sim_dir, tmp_path):
     assert res.returncode == 0, res.stderr
     assert "best: nu=" in res.stdout
     assert (tmp_path / "model.json").exists()
+
+
+_CSV_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7e308, -1.7e308]),
+    st.integers(-(2**53), 2**53),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(_CSV_NUMBERS, min_size=w, max_size=w), min_size=1, max_size=8)))
+def test_write_csv_reads_back_bit_for_bit(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    _write_csv(path, [f"c{j}" for j in range(len(rows[0]))], rows)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert back.view(np.uint64).tolist() == np.array(rows, dtype=float).view(np.uint64).tolist()

@@ -90,3 +90,20 @@ def test_only_fit_models_screens_and_refreshes_cw_values():
                     callers[name].add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {"compute_screening": {"ensemble.fit_models"},
                        "with_column_values": {"ensemble.fit_models"}}
+
+
+def test_only_the_specs_modules_resolve_plugins():
+    """cli.py imports nothing from spar.plugins; outside plugins.py only screening.py and
+    projection.py call resolve, so plugin names are looked up in one place per kind."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "spar").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name == "cli.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module] if isinstance(node, ast.ImportFrom) else []
+                modules += [alias.name for alias in node.names]
+                assert not any(m and m.endswith("plugins") for m in modules), ast.unparse(node)
+            if (isinstance(node, ast.Call) and path.name != "plugins.py"
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "resolve"):
+                callers.add(path.name)
+    assert callers == {"screening.py", "projection.py"}

@@ -297,6 +297,21 @@ def test_rp_spec_validation_and_resolution():
     assert tight.mslow == tight.msup == 3
 
 
+def test_rp_spec_kind_may_name_a_registered_plugin():
+    def ones(m, index_set, snapshot, controls):
+        return np.ones((m, len(index_set)))
+
+    register_rp_plugin("wide-ones", ones)
+    assert RpSpec(kind="wide-ones").validated() == RpSpec(kind="plugin", plugin="wide-ones")
+    with pytest.raises(ConfigError, match="kind must be 'plugin'"):
+        RpSpec(kind="wide-ones", plugin=ones).validated()
+    with pytest.raises(ConfigError) as exc:
+        RpSpec(kind="fourier").validated()
+    assert str(exc.value) == (
+        "unknown projection kind 'fourier'; builtins are gaussian, sparse, cw, haar_select, "
+        "and no projection plugin is registered under that name")
+
+
 def test_make_projection_dispatch():
     rng = np.random.default_rng(22)
     idx = np.arange(7)

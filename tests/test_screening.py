@@ -135,6 +135,23 @@ def test_screen_plugin_roundtrip_and_validation():
         compute_screening(x, np.zeros(10), GAUSSIAN, ScreenSpec(method="plugin", plugin="nope"))
 
 
+def test_screen_spec_method_may_name_a_registered_plugin():
+    def colsum(x, y, controls):
+        return np.abs(x).sum(axis=0)
+
+    register_screen_plugin("colsum_by_method", colsum)
+    spec = ScreenSpec(method="colsum_by_method", nscreen=5.0).validated()
+    assert spec == ScreenSpec(method="plugin", plugin="colsum_by_method", nscreen=5)
+    with pytest.raises(ConfigError, match="method must be 'plugin'"):
+        ScreenSpec(method="colsum_by_method", plugin=colsum).validated()
+    for method in ("unknown", None):
+        with pytest.raises(ConfigError) as exc:
+            ScreenSpec(method=method).validated()
+        assert str(exc.value) == (
+            f"unknown screening method {method!r}; builtins are cor, marglik, ridge, "
+            "and no screening plugin is registered under that name")
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         ScreenSpec(method="unknown").validated()
