@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDataError,
     NumericError,
     SingularError,
-    whole_number,
+    whole_at_least,
 )
 from .families import (
     SOLVER_ERRORS,
@@ -59,11 +59,10 @@ class ModelSpec:
     def validated(self) -> "ModelSpec":
         if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
             raise ConfigError(f"model epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        max_iter = whole_at_least("max_iter", self.max_iter, 1)
         if self.tol <= 0:
             raise ConfigError("tol must be > 0")
-        return replace(self, max_iter=whole_number("max_iter", self.max_iter))
+        return replace(self, max_iter=max_iter)
 
     def resolve_epsilon(self, fam: Family, n_rows: int) -> float:
         if self.epsilon is not None:

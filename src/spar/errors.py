@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError and its
 subclasses -> 3, NumericError and its subclasses -> 4.
 """
 
+import numbers
+
 
 class SparError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,14 +16,11 @@ class ConfigError(SparError):
 
 
 def whole_number(name: str, value):
-    """None, or value as an int when it is whole (5, 5.0, np.int64(5)); else ConfigError."""
+    """None, or value as an int when it is a whole real (5, 5.0, np.int64(5), not "5" or True)."""
     if value is None:
         return None
-    try:
-        if float(value).is_integer():
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
+        return int(value)
     raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 

@@ -123,20 +123,24 @@ def deviance_eval(fam: Family, y, mu) -> float:
     return _deviance(fam, validate_response(fam, y), mu)
 
 
-def _deviance(fam: Family, y: np.ndarray, mu: np.ndarray) -> float:
+def _saturated(fam: Family, y: np.ndarray):
+    """The mu-free deviance terms, for a caller that scores one y at many mu."""
+    return xlogy(y, y), xlogy(1.0 - y, 1.0 - y) if fam.name == "binomial" else None
+
+
+def _deviance(fam: Family, y: np.ndarray, mu: np.ndarray, sat=None) -> float:
     if fam.name == "gaussian":
-        d = float(((y - mu) ** 2).sum())
-    elif fam.name == "binomial":
+        return max(float(((y - mu) ** 2).sum()), 0.0)
+    y_logy, y_c_logy = sat or _saturated(fam, y)
+    if fam.name == "binomial":
         # difference-of-xlogy form avoids 0/0 at exact-boundary mu; each
         # one-sided clamp only touches entries whose xlogy factor is 0
         m_lo = np.maximum(mu, BINOMIAL_MU_EPS)
         m_hi = np.minimum(mu, 1.0 - BINOMIAL_MU_EPS)
-        d = 2.0 * float(
-            (xlogy(y, y) - xlogy(y, m_lo) + xlogy(1.0 - y, 1.0 - y) - xlogy(1.0 - y, 1.0 - m_hi)).sum()
-        )
+        d = 2.0 * float((y_logy - xlogy(y, m_lo) + y_c_logy - xlogy(1.0 - y, 1.0 - m_hi)).sum())
     else:
         m = np.maximum(mu, POISSON_MU_FLOOR)
-        d = 2.0 * float((xlogy(y, y) - xlogy(y, m) - (y - m)).sum())
+        d = 2.0 * float((y_logy - xlogy(y, m) - (y - m)).sum())
     return max(d, 0.0)
 
 
@@ -255,13 +259,14 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
     else:
         gamma0 = float(np.log(max(y.mean(), POISSON_MU_FLOOR)))
     gamma = np.zeros(m)
+    sat = _saturated(fam, y)
 
     def objective(dev, g):
         return 0.5 * dev + 0.5 * epsilon * float(g @ g)
 
     eta = gamma0 + z @ gamma
     mu = linkinv_eval(fam, eta)
-    dev = _deviance(fam, y, mu)
+    dev = _deviance(fam, y, mu, sat)
     obj = objective(dev, gamma)
     converged = False
     iterations = 0
@@ -279,7 +284,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
             cand = gamma + step * dg
             eta_c = cand0 + z @ cand
             mu_c = linkinv_eval(fam, eta_c)
-            dev_c = _deviance(fam, y, mu_c)
+            dev_c = _deviance(fam, y, mu_c, sat)
             obj_c = objective(dev_c, cand)
             if obj_c <= obj + 1e-12 * (1.0 + abs(obj)):
                 accepted = True

@@ -8,13 +8,14 @@ selection.  All generators leave scaling to the caller.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, DataError, whole_number
+from .errors import ConfigError, DataError, whole_at_least, whole_number
 from .families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
 from .plugins import named_plugin, register, resolve
 
@@ -51,18 +52,17 @@ class RpSpec:
             return named_plugin(self, "kind", "projection", KINDS[:-1]).validated()
         if not 0.0 < self.psi <= 1.0:
             raise ConfigError("psi must lie in (0, 1]")
-        if self.mslow is not None and self.mslow < 1:
+        mslow, msup = whole_number("mslow", self.mslow), whole_number("msup", self.msup)
+        if mslow is not None and mslow < 1:
             raise ConfigError("mslow must be >= 1")
-        if self.msup is not None and self.mslow is not None and self.mslow > self.msup:
+        if msup is not None and mslow is not None and mslow > msup:
             raise ConfigError("mslow must not exceed msup")
-        if self.b2 < 1:
-            raise ConfigError("b2 must be >= 1")
+        b2 = whole_at_least("b2", self.b2, 1)
         if not 0.0 < self.holdout_frac < 1.0:
             raise ConfigError("holdout_frac must lie strictly between 0 and 1")
         if self.kind == "plugin" and self.plugin is None:
             raise ConfigError("kind 'plugin' needs a plugin callable or name")
-        return replace(self, mslow=whole_number("mslow", self.mslow),
-                       msup=whole_number("msup", self.msup), b2=whole_number("b2", self.b2))
+        return replace(self, mslow=mslow, msup=msup, b2=b2)
 
     def resolved(self, n: int, p: int) -> "RpSpec":
         """Fill mslow/msup defaults for n model rows and p predictors."""
@@ -227,10 +227,11 @@ def gen_cw(m: int, q: int, data_driven: bool, diag_values, rng) -> ProjectionMat
 
 def gen_haar(m: int, q: int, rng) -> ProjectionMatrix:
     """Orthonormal rows from orthogonalizing a q x m standard normal draw."""
-    _check_dims(m, q)
-    if m > q:
-        raise ConfigError(f"haar projection needs m <= q, got m={m}, q={q}")
-    g = rng.standard_normal((q, m))
+    _check_dims(m, q, haar=True)
+    return _haar_from(rng.standard_normal((q, m)))
+
+
+def _haar_from(g) -> ProjectionMatrix:
     qmat, r = np.linalg.qr(g)
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0  # sign fix keeps the distribution Haar
@@ -242,11 +243,14 @@ def gen_haar_select(
 ) -> ProjectionMatrix:
     """Best of b2 Haar candidates by holdout error.
 
-    All candidates are drawn first, so b2 = 1 consumes exactly the same
-    stream as gen_haar.  Each candidate is scored by refitting a
-    penalized GLM on the projected training part and evaluating
-    misclassification (binomial) or MSE (otherwise) on the holdout;
-    ties keep the earliest candidate.
+    rng moves as in b2 gen_haar calls and then the holdout split (b2 = 1
+    is gen_haar); a copy replays the draws, one candidate at a time, each
+    scored by a penalized GLM refit on the projected training rows:
+    misclassification (binomial) or MSE (otherwise) on the holdout.  Ties
+    keep the earliest candidate; if all fail, the first.  An unpenalized
+    gaussian fit with m < q and m + 1 < training rows scores the raw draw G
+    (X G spans what X Q spans) and only the winner gets its QR; every other
+    case, m == q included (all candidates tie up to rounding), scores Q.
     """
     fam = get_family(family)
     x_sub = np.asarray(x_sub, dtype=float)
@@ -256,9 +260,12 @@ def gen_haar_select(
         raise DataError(f"x_sub has {x_sub.shape[1]} columns, expected {q}")
     if b2 < 1:
         raise ConfigError("b2 must be >= 1")
-    candidates = [gen_haar(m, q, rng) for _ in range(b2)]
+    _check_dims(m, q, haar=True)
     if b2 == 1:
-        return candidates[0]
+        return gen_haar(m, q, rng)
+    replay, draw = copy.deepcopy(rng), np.empty((q, m))
+    for _ in range(b2):
+        rng.standard_normal(out=draw)
     n_test = int(round(holdout_frac * n))
     if n_test < 2 or n - n_test < 3:
         raise ConfigError(
@@ -267,23 +274,25 @@ def gen_haar_select(
         )
     test = np.sort(rng.choice(n, size=n_test, replace=False))
     train = np.setdiff1d(np.arange(n), test)
-    best_err = np.inf
-    best = candidates[0]
-    for cand in candidates:
-        z_tr = cand.matmul(x_sub[train])
+    x_tr, x_te, y_tr, y_te = x_sub[train], x_sub[test], y[train], y[test]
+    span_only = fam.name == "gaussian" and epsilon == 0 and m < q and m + 1 < len(train)
+    best_err, best = np.inf, None
+    for _ in range(b2):
+        g = replay.standard_normal((q, m))
+        best = g if best is None else best
+        basis = g if span_only else _haar_from(g).mat.T
         try:
-            fit = fit_penalized_glm(z_tr, y[train], fam, epsilon)
+            fit = fit_penalized_glm(x_tr @ basis, y_tr, fam, epsilon)
         except SOLVER_ERRORS:  # a failed candidate just drops out of the race
             continue
-        mu = linkinv_eval(fam, fit.gamma0 + cand.matmul(x_sub[test]) @ fit.gamma)
+        mu = linkinv_eval(fam, fit.gamma0 + (x_te @ basis) @ fit.gamma)
         if fam.name == "binomial":
-            err = float(np.mean((mu > 0.5) != (y[test] > 0.5)))
+            err = float(np.mean((mu > 0.5) != (y_te > 0.5)))
         else:
-            err = float(np.mean((y[test] - mu) ** 2))
+            err = float(np.mean((y_te - mu) ** 2))
         if err < best_err:
-            best_err = err
-            best = cand
-    return best
+            best_err, best = err, g
+    return _haar_from(best)
 
 
 def make_projection(
@@ -343,6 +352,8 @@ def _normalize_plugin_output(out, m, q):
     return mat
 
 
-def _check_dims(m, q):
+def _check_dims(m, q, haar=False):
     if m < 1 or q < 1:
         raise ConfigError(f"projection dimensions must be positive, got m={m}, q={q}")
+    if haar and m > q:
+        raise ConfigError(f"haar projection needs m <= q, got m={m}, q={q}")

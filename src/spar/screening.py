@@ -52,7 +52,8 @@ class ScreenSpec:
             return named_plugin(self, "method", "screening", METHODS[:-1]).validated()
         if self.selection_type not in ("prob", "fixed"):
             raise ConfigError("selection_type must be 'prob' or 'fixed'")
-        if self.nscreen is not None and self.nscreen < 1:
+        nscreen = whole_number("nscreen", self.nscreen)
+        if nscreen is not None and nscreen < 1:
             raise ConfigError("nscreen must be >= 1")
         if self.split_data_prop is not None and not 0.0 < self.split_data_prop < 1.0:
             raise ConfigError("split_data_prop must lie strictly between 0 and 1")
@@ -60,7 +61,7 @@ class ScreenSpec:
             raise ConfigError(f"screening epsilon must be finite and >= 0, got {self.epsilon!r}")
         if self.method == "plugin" and self.plugin is None:
             raise ConfigError("method 'plugin' needs a plugin callable or name")
-        return replace(self, nscreen=whole_number("nscreen", self.nscreen))
+        return replace(self, nscreen=nscreen)
 
     def resolved(self, n: int) -> "ScreenSpec":
         """Fill the nscreen default (2n) for a data set with n rows."""

@@ -14,7 +14,14 @@ from scipy.special import expit
 
 import spar
 import spar.ensemble as ensemble_mod
-from spar.errors import ConfigError, DataError, InsufficientDataError, NumericError, SingularError
+from spar.errors import (
+    ConfigError,
+    DataError,
+    InsufficientDataError,
+    NumericError,
+    SingularError,
+    whole_number,
+)
 from spar.families import BINOMIAL, GAUSSIAN, fit_penalized_glm, get_family
 from spar.ensemble import (
     AveragedCoef,
@@ -519,10 +526,26 @@ def test_sizes_must_be_whole_numbers(name):
     assert len(texts) == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ScreenSpec(nscreen="5").validated(),
+    lambda: RpSpec(b2="5").validated(),
+    lambda: RpSpec(mslow="2").validated(),
+    lambda: RpSpec(msup=True).validated(),
+    lambda: ModelSpec(max_iter="5").validated(),
+    lambda: whole_number("seed", True),
+    lambda: whole_number("seed", np.True_),
+    lambda: whole_number("seed", "7"),
+], ids=["nscreen", "b2", "mslow", "msup", "max_iter", "True", "np.True_", "str"])
+def test_sizes_refuse_strings_and_bools(make):
+    """A size given as a string or a bool is a ConfigError, not converted or a bare TypeError."""
+    with pytest.raises(ConfigError, match="must be a whole number"):
+        make()
+
 
 # fit arguments the specs do not hold, each as fit_spar_cv keywords
 _BAD_FIT_ARGUMENTS = [
-    {"seed": -1}, {"seed": 1.5}, {"threads": 0}, {"threads": -3}, {"threads": 2.5},
+    {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": True},
+    {"threads": 0}, {"threads": -3}, {"threads": 2.5},
     {"nnu": 2.5}, {"nnu": 0}, {"nus": []}, {"nus": [0.1, -1.0]}, {"nus": ["a"]},
     {"nfolds": 2.5}, {"nfolds": 1}, {"nfolds": 41},
 ]

@@ -1,5 +1,7 @@
 """Projection generators, the JL bound, and the triplet representation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import spar.projection as projection_mod
 from spar.errors import ConfigError, DataError, SingularError
-from spar.families import fit_penalized_glm
+from spar.families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
 from spar.projection import (
     ProjectionMatrix,
     RpSpec,
@@ -121,27 +123,52 @@ def test_haar_select_b2_one_matches_gen_haar():
     assert np.array_equal(a.to_dense(), b.to_dense())
 
 
+def _haar_select_reference(m, q, x, y, family, b2, frac, eps, rng):
+    """Best of b2 the direct way: every candidate's QR held, then the split, then scoring on Q."""
+    candidates = [gen_haar(m, q, rng) for _ in range(b2)]
+    if b2 == 1:
+        return candidates[0]
+    n = len(y)
+    test = np.sort(rng.choice(n, size=int(round(frac * n)), replace=False))
+    train = np.setdiff1d(np.arange(n), test)
+    best_err, best = np.inf, candidates[0]
+    for cand in candidates:
+        try:
+            fit = fit_penalized_glm(cand.matmul(x[train]), y[train], family, eps)
+        except SOLVER_ERRORS:
+            continue
+        mu = linkinv_eval(get_family(family), fit.gamma0 + cand.matmul(x[test]) @ fit.gamma)
+        if family == "binomial":
+            err = float(np.mean((mu > 0.5) != (y[test] > 0.5)))
+        else:
+            err = float(np.mean((y[test] - mu) ** 2))
+        if err < best_err:
+            best_err, best = err, cand
+    return best
+
+
+def _haar_problem(seed, n, q, family):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, q))
+    eta = x @ rng.standard_normal(q) / np.sqrt(q) + 0.5 * rng.standard_normal(n)
+    return x, (eta > 0).astype(float) if family == "binomial" else eta
+
+
+def _assert_matches_reference(m, q, x, y, family, b2, eps, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    chosen = gen_haar_select(m, q, x, y, family, b2, 0.25, eps, rng)
+    expect = _haar_select_reference(m, q, x, y, family, b2, 0.25, eps, ref_rng)
+    assert np.array_equal(chosen.to_dense(), expect.to_dense())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_haar_select_picks_holdout_argmin():
     """Replicate candidate draws and the split; expect the same winner."""
     rng_data = np.random.default_rng(11)
-    n, q, m, b2, frac = 32, 8, 3, 5, 0.25
+    n, q, m, b2 = 32, 8, 3, 5
     x = rng_data.standard_normal((n, q))
     y = x @ rng_data.standard_normal(q) + 0.2 * rng_data.standard_normal(n)
-
-    chosen = gen_haar_select(m, q, x, y, "gaussian", b2, frac, 0.1, np.random.default_rng(55))
-
-    rng = np.random.default_rng(55)
-    candidates = [gen_haar(m, q, rng) for _ in range(b2)]
-    n_test = int(round(frac * n))
-    test = np.sort(rng.choice(n, size=n_test, replace=False))
-    train = np.setdiff1d(np.arange(n), test)
-    errs = []
-    for cand in candidates:
-        fit = fit_penalized_glm(cand.matmul(x[train]), y[train], "gaussian", 0.1)
-        mu = fit.gamma0 + cand.matmul(x[test]) @ fit.gamma
-        errs.append(float(np.mean((y[test] - mu) ** 2)))
-    expect = candidates[int(np.argmin(errs))]
-    assert np.array_equal(chosen.to_dense(), expect.to_dense())
+    _assert_matches_reference(m, q, x, y, "gaussian", b2, 0.1, 55)
 
 
 def test_haar_select_failed_candidate_drops_out(monkeypatch):
@@ -171,6 +198,59 @@ def test_haar_select_failed_candidate_drops_out(monkeypatch):
         monkeypatch.setattr(projection_mod, "fit_penalized_glm", broken)
         with pytest.raises(type(exc)):
             gen_haar_select(4, 9, x, y, "gaussian", 5, 0.25, 0.0, np.random.default_rng(78))
+
+
+@given(n=st.integers(8, 40), q=st.integers(1, 12), m_frac=st.floats(0.0, 1.0),
+       b2=st.integers(1, 6), family=st.sampled_from(["gaussian", "binomial"]),
+       eps=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
+@settings(max_examples=80, deadline=None)
+def test_haar_select_equals_scoring_every_candidate_on_its_q(n, q, m_frac, b2, family, eps, seed):
+    """Replayed draws, QR-free scoring where it applies: the same winner and the same rng state."""
+    m = max(1, round(m_frac * q))  # m_frac = 1 gives m == q
+    x, y = _haar_problem(seed, n, q, family)
+    _assert_matches_reference(m, q, x, y, family, b2, eps, seed + 1)
+
+
+def test_haar_select_m_equal_q_scores_on_q():
+    """At m == q every candidate spans all columns; the winner is the one scored on Q."""
+    x, y = _haar_problem(31, 40, 6, "gaussian")
+    _assert_matches_reference(6, 6, x, y, "gaussian", 8, 0.0, 32)
+
+
+@pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
+def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatch):
+    """With every candidate failing, the first draw wins and rng still ends past the split."""
+    x, y = _haar_problem(33, 30, 9, family)
+
+    def always_singular(*args):
+        raise SingularError("forced singular candidate")
+
+    monkeypatch.setattr(projection_mod, "fit_penalized_glm", always_singular)
+    rng = np.random.default_rng(34)
+    chosen = gen_haar_select(4, 9, x, y, family, 5, 0.25, eps, rng)
+    ref_rng = np.random.default_rng(34)
+    first = gen_haar(4, 9, ref_rng)
+    for _ in range(4):
+        gen_haar(4, 9, ref_rng)
+    ref_rng.choice(30, size=8, replace=False)
+    assert np.array_equal(chosen.to_dense(), first.to_dense())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
+def test_haar_select_holds_one_candidate_at_a_time(family, eps):
+    """b2 = 50 candidates of 40 x 200 peak below 12 candidates' bytes, not 50."""
+    m, q, b2 = 40, 200, 50
+    x, y = _haar_problem(35, 60, q, family)
+    gen_haar_select(m, q, x, y, family, 2, 0.25, eps, np.random.default_rng(0))  # warm up
+    tracemalloc.start()
+    try:
+        gen_haar_select(m, q, x, y, family, b2, 0.25, eps, np.random.default_rng(36))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = m * q * 8
+    assert peak < 12 * one, f"peak {peak / one:.1f} x one candidate"
 
 
 def test_haar_select_refuses_tiny_holdout():
