@@ -208,8 +208,8 @@ def _write_fit(ens, args) -> None:
     """model.json, selection.csv, summary.txt (also to stdout) and, after CV, cv_folds.csv."""
     out = _outdir(args)
     save_model(ens, out / "model.json")
-    with open(out / "selection.csv", "w") as f:
-        ens.grid.write_csv(f)
+    _write_csv(out / "selection.csv", ("nu", "nummod", "mean", "se", "active"),
+               ((c.nu, c.nummod, c.value, c.se, c.active) for c in ens.grid.cells))
     text = _summary(ens)
     (out / "summary.txt").write_text(text)
     sys.stdout.write(text)
@@ -221,19 +221,16 @@ def _write_fit(ens, args) -> None:
 
 def cmd_fit(args) -> int:
     response, kwargs = _fit_options(args)
-    kwargs.pop("nfolds", None)
     ds = load_csv(args.data, response=response)
-    if args.val_data is not None:
-        vds = load_csv(args.val_data, response=response)
-        kwargs.update(xval=vds.x, yval=vds.y)
-    _write_fit(fit_spar(ds.x, ds.y, **kwargs), args)
-    return 0
-
-
-def cmd_cv(args) -> int:
-    response, kwargs = _fit_options(args)
-    ds = load_csv(args.data, response=response)
-    _write_fit(fit_spar_cv(ds.x, ds.y, **kwargs), args)
+    if args.command == "cv":
+        ens = fit_spar_cv(ds.x, ds.y, **kwargs)
+    else:
+        kwargs.pop("nfolds", None)  # from a config shared with spar cv; fit_spar takes none
+        if args.val_data is not None:
+            vds = load_csv(args.val_data, response=response)
+            kwargs.update(xval=vds.x, yval=vds.y)
+        ens = fit_spar(ds.x, ds.y, **kwargs)
+    _write_fit(ens, args)
     return 0
 
 
@@ -290,9 +287,7 @@ def cmd_simulate(args) -> int:
 
 
 def _fixed_grid_value(grid, attr, requested):
-    """The grid's attr value matching requested (to rtol 1e-9); the best cell's when none is."""
-    if requested is None:
-        return getattr(grid.best_cell(), attr)
+    """The grid's attr value matching requested to rtol 1e-9."""
     values = np.unique([getattr(c, attr) for c in grid.cells])
     hits = values[np.isclose(values, requested, rtol=1e-9, atol=0.0)]
     if hits.size == 0:
@@ -308,8 +303,9 @@ def cmd_report(args) -> int:
         if ens.grid is None:
             raise DataError("model file carries no selection grid")
         axis = args.plot_along or "nu"
-        other = "nummod" if axis == "nu" else "nu"  # held at --nu/--nummod or the best pair
-        fixed = _fixed_grid_value(ens.grid, other, getattr(args, other))
+        other = "nummod" if axis == "nu" else "nu"  # held where coef() would pick it
+        nu, nummod = ens._pick(args.nu, args.nummod, args.opt_par or "best")
+        fixed = _fixed_grid_value(ens.grid, other, nummod if axis == "nu" else nu)
         rows = sorted((c for c in ens.grid.cells if getattr(c, other) == fixed),
                       key=lambda c: getattr(c, axis))
         # CSV column -> GridCell attribute
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv = sub.add_parser("cv", help="fit and select by k-fold cross-validation")
     add_fit_flags(cv)
     _add_flag(cv, _NFOLDS)
-    cv.set_defaults(func=cmd_cv)
+    cv.set_defaults(func=cmd_fit)
 
     pr = sub.add_parser("predict", help="predict from a saved model or coefficient file")
     add_pick_flags(pr, model_required=False)
@@ -395,16 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     co.set_defaults(func=cmd_coef)
 
     sim = sub.add_parser("simulate", help="draw a synthetic data set with known truth")
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--p", type=int)
-    sim.add_argument("--n-active", dest="n_active", type=int)
-    sim.add_argument("--mu", type=float)
-    sim.add_argument("--sigma2", type=float)
-    sim.add_argument("--coef-pool", dest="coef_pool", type=_floats)
-    sim.add_argument("--positions", dest="active_positions", choices=["first", "random"])
-    sim.add_argument("--family", choices=list(FAMILIES))
-    sim.add_argument("--rho", type=float)
-    sim.add_argument("--n-test", dest="n_test", type=int)
+    parsers = {int: _INT, float: _FLOAT, str: _STR, tuple: _floats}
+    for f in dataclasses.fields(SyntheticSpec):  # SyntheticSpec.validated() checks the values
+        flag = "positions" if f.name == "active_positions" else f.name
+        sim.add_argument("--" + flag.replace("_", "-"), dest=f.name, type=parsers[type(f.default)])
     sim.add_argument("--seed", type=int)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)

@@ -11,6 +11,7 @@ the one place that does it, for coef(), predict_glm and the grids.
 from __future__ import annotations
 
 import logging
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,6 +25,7 @@ from .errors import (
     NumericError,
     SingularError,
     whole_at_least,
+    whole_number,
 )
 from .families import (
     SOLVER_ERRORS,
@@ -451,14 +453,18 @@ class SparEnsemble:
     cv: bool = False
 
     def _pick(self, nu, nummod, opt_par):
+        """(nu, nummod): each one given, else that of the opt_par pair ("best" or "1se")."""
         if opt_par not in ("best", "1se"):
             raise ConfigError("opt_par must be 'best' or '1se'")
+        if nu is not None and not (isinstance(nu, numbers.Real) and nu >= 0):
+            raise ConfigError(f"nu must be a number >= 0, got {nu!r}")
+        nummod = whole_number("nummod", nummod)
         chosen = self.one_se if opt_par == "1se" else self.best
         if (nu is None or nummod is None) and chosen is None:
             raise ConfigError(f"no {opt_par!r} pair available; pass nu and nummod explicitly")
         return (
             float(chosen[0]) if nu is None else float(nu),
-            int(chosen[1]) if nummod is None else int(nummod),
+            int(chosen[1]) if nummod is None else nummod,
         )
 
     def coef(self, nu=None, nummod=None, opt_par="best") -> AveragedCoef:

@@ -47,8 +47,8 @@ FAMILIES = {f.name: f for f in (GAUSSIAN, BINOMIAL, POISSON)}
 def get_family(family) -> Family:
     """Resolve a family name (or pass a Family through)."""
     if isinstance(family, Family):
-        if family.name not in FAMILIES:
-            raise ConfigError(f"unsupported family {family.name!r}")
+        if family not in FAMILIES.values():
+            raise ConfigError(f"unsupported family {family}; choose from {sorted(FAMILIES)}")
         return family
     try:
         return FAMILIES[family]

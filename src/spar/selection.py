@@ -72,12 +72,6 @@ class SelectionGrid:
         c = self.one_se_cell()
         return (c.nu, c.nummod)
 
-    def write_csv(self, f) -> None:
-        """Header nu,nummod,mean,se,active; one row per grid cell."""
-        f.write("nu,nummod,mean,se,active\n")
-        for c in self.cells:
-            f.write(f"{c.nu!r},{c.nummod},{c.value!r},{c.se!r},{c.active}\n")
-
 
 def _scored_cells(ens: SparEnsemble, models, stats, x, y, measure: str):
     """(cell, measure of its avg_type='link' predictions on x, y) along models' coef_path."""

@@ -47,7 +47,7 @@ import tempfile
 from pathlib import Path
 
 import spar
-from spar.cli import main as spar_main
+from spar.cli import _write_csv, main as spar_main
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 FAMILIES = ("gaussian", "binomial", "poisson")
@@ -91,8 +91,8 @@ def write_recipe(name: str, outdir: Path) -> None:
     ens, x_new, _ = fit_recipe(name)
     outdir.mkdir(parents=True, exist_ok=True)
     spar.save_model(ens, outdir / "model.json")
-    with open(outdir / "selection.csv", "w") as f:
-        ens.grid.write_csv(f)
+    _write_csv(outdir / "selection.csv", ("nu", "nummod", "mean", "se", "active"),
+               ((c.nu, c.nummod, c.value, c.se, c.active) for c in ens.grid.cells))
     combos = [(t, a) for t in ("response", "link") for a in ("link", "response")]
     columns = [ens.predict(x_new, type=t, avg_type=a) for t, a in combos]
     with open(outdir / "predictions.csv", "w") as f:

@@ -1,5 +1,8 @@
 """End-to-end command line tests; main() is exercised in process."""
 
+import argparse
+import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -9,9 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import register_rp_plugin, register_screen_plugin
-from spar.api import fit_spar
-from spar.cli import _write_csv, main
+from spar import (
+    ModelSpec,
+    RpSpec,
+    ScreenSpec,
+    SyntheticSpec,
+    register_rp_plugin,
+    register_screen_plugin,
+)
+from spar.api import fit_spar, fit_spar_cv
+from spar.cli import _OPTIONS, _write_csv, build_parser, main
 from spar.data import load_csv, load_model, save_csv, serialize_model
 from spar.ensemble import linkinv_eval
 from spar.errors import NumericError
@@ -375,6 +385,54 @@ def test_report_val_measure_and_numact(fit_dir, tmp_path, capsys):
     assert rc == 2
     assert (f"--nu={off} is not on the grid; grid has {sorted(c.nu for c in expect)}"
             in capsys.readouterr().err)
+
+
+def test_report_holds_the_opt_par_pair(sim_dir, tmp_path):
+    """The val plots hold the other axis where coef() picks it, --opt-par 1se included."""
+    assert main(["cv", "--data", str(sim_dir / "train.csv"), "--nnu", "8", "--nummods", "2,4",
+                 "--seed", "2", "--nfolds", "3", "--out", str(tmp_path / "cv")]) == 0
+    model = str(tmp_path / "cv" / "model.json")
+    ens = load_model(model)
+    (nu, nummod), (best_nu, best_nummod) = ens.one_se, ens.best
+    assert nu != best_nu and nummod != best_nummod
+    for along, held in (("nu", lambda c: c.nummod == nummod), ("nummod", lambda c: c.nu == nu)):
+        assert main(["report", "--model", model, "--plot-type", "val-measure", "--plot-along",
+                     along, "--opt-par", "1se", "--out", str(tmp_path / along)]) == 0
+        lines = (tmp_path / along / "val_measure.csv").read_text().splitlines()
+        expect = sorted(filter(held, ens.grid.cells), key=lambda c: getattr(c, along))
+        assert [float(l.split(",")[1]) for l in lines[1:]] == [c.value for c in expect]
+
+
+def test_coef_refuses_nu_nan(fit_dir, tmp_path, capsys):
+    rc = main(["coef", "--model", str(fit_dir / "model.json"), "--nu", "nan",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "nu must be a number >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "coef.json").exists()
+
+
+def test_simulate_flags_are_the_synthetic_spec_fields():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a.option_strings for a in sub.choices["simulate"]._actions}
+    fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
+    assert set(flags) - {"help"} == fields | {"seed", "out"}
+    assert flags["active_positions"] == ["--positions"]
+
+
+@pytest.mark.parametrize("flags", [["--family", "gamma"], ["--positions", "middle"]])
+def test_simulate_refuses_a_bad_family_or_position(flags, tmp_path, capsys):
+    assert main(["simulate", *flags, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fit_options_name_spec_fields_or_fit_parameters():
+    fields = {name: {f.name for f in dataclasses.fields(cls)}
+              for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec))}
+    params = set(inspect.signature(fit_spar).parameters)
+    params |= set(inspect.signature(fit_spar_cv).parameters)
+    for opt in _OPTIONS:
+        spec, _, name = opt.target.rpartition(".")
+        assert name in (fields[spec] if spec else params | {"response"}), opt
 
 
 def test_report_coefs_prange(fit_dir, tmp_path):

@@ -499,6 +499,24 @@ def test_ensemble_object_coef_and_predict():
     assert np.allclose(cm[ens.models[0].index_set, 0], ens.models[0].beta_vals)
 
 
+@pytest.mark.parametrize("pair", [
+    {"nu": float("nan")}, {"nu": -0.1}, {"nu": "0.1"},
+    {"nummod": 2.5}, {"nummod": "3"}, {"nummod": True},
+], ids=repr)
+def test_coef_and_predict_refuse_a_bad_pair(pair):
+    """nu must be a number >= 0 and nummod a whole number; neither is converted."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 12))
+    y = x[:, 0] + rng.standard_normal(40)
+    ens = spar.fit_spar(x, y, nnu=3, nummods=(3,), seed=1)
+    (name,) = pair
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        ens.coef(**pair)
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        ens.predict(x, **pair)
+    assert type(ens.coef(nummod=np.int64(3)).nummod) is int
+
+
 # each size option as fit_spar keywords, at a value v
 _SIZE_OPTIONS = {
     "nummods": lambda v: {"nummods": (v,)},

@@ -16,6 +16,7 @@ from spar.families import (
     BINOMIAL,
     GAUSSIAN,
     POISSON,
+    Family,
     _solve_wls,
     deviance_eval,
     fit_penalized_glm,
@@ -30,8 +31,12 @@ from spar.families import (
 def test_get_family_by_name_and_passthrough():
     assert get_family("gaussian") is GAUSSIAN
     assert get_family(BINOMIAL) is BINOMIAL
+    assert get_family(Family("binomial", "logit")) == BINOMIAL
     with pytest.raises(ConfigError):
         get_family("gamma")
+    for family in (Family("binomial", "probit"), Family("gamma", "log")):
+        with pytest.raises(ConfigError, match="unsupported family"):
+            get_family(family)
 
 
 def test_validate_response_domains():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spar import ModelSpec, RpSpec, ScreenSpec, fit_spar, fit_spar_cv
+from spar.cli import _write_csv
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.rng import fold_stream
@@ -70,13 +71,12 @@ def test_one_se_single_cell():
     assert g.one_se_pair() == (0.0, 1)
 
 
-def test_grid_csv_format():
-    import io
-
-    g = _grid([GridCell(0.5, 3, 1.25, 0.0, 7)])
-    buf = io.StringIO()
-    g.write_csv(buf)
-    assert buf.getvalue() == "nu,nummod,mean,se,active\n0.5,3,1.25,0.0,7\n"
+def test_grid_csv_format(tmp_path):
+    c = GridCell(0.5, 3, 1.25, 0.0, 7)
+    _write_csv(tmp_path / "selection.csv", ("nu", "nummod", "mean", "se", "active"),
+               [(c.nu, c.nummod, c.value, c.se, c.active)])
+    expected = "nu,nummod,mean,se,active\n0.5,3,1.25,0.0,7\n"
+    assert (tmp_path / "selection.csv").read_text() == expected
 
 
 def test_validation_grid_cell_order_and_recompute():
