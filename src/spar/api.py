@@ -130,10 +130,8 @@ def fit_spar(
     if xval is None:
         logger.warning("no validation data supplied; selecting on the training data")
         xval, yval = x, y
-    grid = evaluate_validation_grid(ens, np.asarray(xval, dtype=float),
-                                    np.asarray(yval, dtype=float), measure)
-    ens.grid = grid
-    ens.best = grid.best_pair()
+    ens.grid = evaluate_validation_grid(ens, xval, yval)
+    ens.grid.best_cell()  # NumericError here, not at first use, when no cell is finite
     return ens
 
 
@@ -168,9 +166,6 @@ def fit_spar_cv(
         x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
     )
     ens.config["nfolds"] = nfolds
-    grid = cross_validate(ens, x, y, screen, model, nfolds, measure, seed, threads)
-    ens.grid = grid
-    ens.best = grid.best_pair()
-    ens.one_se = grid.one_se_pair()
-    ens.cv = True
+    ens.grid = cross_validate(ens, x, y, screen, model, nfolds, threads)
+    ens.grid.best_cell()  # NumericError here, as in fit_spar
     return ens

@@ -149,8 +149,6 @@ def _fit_options(args):
         if value is not None:
             spec, _, name = opt.target.rpartition(".")
             (specs[spec] if spec else kwargs)[name] = value
-    if specs["rp"].get("kind") == "haar-select":
-        specs["rp"]["kind"] = "haar_select"
     for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec)):
         if specs[name]:
             kwargs[name] = cls(**specs[name]).validated()  # before any data is read
@@ -239,6 +237,12 @@ def _given(args, *names) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
+def _refuse_pick(args, path: str) -> None:
+    """ConfigError when a pair flag is given to a path that reads none."""
+    if _given(args, "nu", "nummod", "opt_par"):
+        raise ConfigError(f"{path} reads no --nu, --nummod or --opt-par")
+
+
 def _load_coef_file(path):
     """(intercept, beta, family name) of a `spar coef` file."""
     doc = read_json(path)
@@ -253,6 +257,7 @@ def cmd_predict(args) -> int:
         raise ConfigError("predict needs --model or --coef-file")
     ds = load_csv(args.data, response=args.response)
     if args.coef_file is not None:
+        _refuse_pick(args, "--coef-file")
         intercept, beta, family = _load_coef_file(args.coef_file)
         fam = get_family(family)
         if ds.x.shape[1] != len(beta):
@@ -326,6 +331,7 @@ def cmd_report(args) -> int:
         return 0
     # coefs: p x M matrix of standardized pre-threshold coefficients,
     # each predictor row sorted descending across models
+    _refuse_pick(args, "--plot-type coefs")
     mat = ens.coef_matrix()
     order = np.arange(ens.p)
     if args.coef_order is not None:

@@ -27,7 +27,7 @@ from .ensemble import (
     SparEnsemble,
     StandardizationStats,
 )
-from .errors import ConfigError, DataError, ParseError, VersionError, whole_at_least
+from .errors import ConfigError, DataError, NumericError, ParseError, VersionError, whole_at_least
 from .families import get_family, linkinv_eval
 from .projection import ProjectionMatrix
 from .selection import GridCell, SelectionGrid
@@ -303,10 +303,6 @@ def _pair_dict(pair):
     return None if pair is None else {"nu": float(pair[0]), "nummod": int(pair[1])}
 
 
-def _dict_pair(d):
-    return None if d is None else (d["nu"], d["nummod"])
-
-
 def serialize_model(ens: SparEnsemble) -> str:
     selection = None if ens.grid is None else {
         "kind": ens.grid.kind, "measure": ens.grid.measure, "cells": ens.grid.cells}
@@ -351,14 +347,17 @@ def model_from_dict(doc: dict) -> SparEnsemble:
         sel = doc["selection"]
         grid = None if sel is None else SelectionGrid(
             [GridCell(**c) for c in sel["cells"]], sel["measure"], sel["kind"])
-        return SparEnsemble(
+        ens = SparEnsemble(
             family=get_family(doc["family"]), stats=stats, models=models,
             nus=np.asarray(doc["nus"], dtype=float), nummods=tuple(doc["nummods"]),
             p=doc["p"], measure=doc["measure"], master_seed=doc["master_seed"],
-            config=doc["config"], grid=grid, best=_dict_pair(doc["best"]),
-            one_se=_dict_pair(doc["one_se"]), cv=doc["cv"],
+            config=doc["config"], grid=grid,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        if (doc["best"], doc["one_se"], doc["cv"]) != (
+                _pair_dict(ens.best), _pair_dict(ens.one_se), ens.cv):
+            raise ParseError("model document's best, one_se or cv disagrees with its selection")
+        return ens
+    except (KeyError, TypeError, ValueError, NumericError) as exc:
         raise ParseError(f"malformed model document: {exc}") from exc
 
 

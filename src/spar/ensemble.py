@@ -436,6 +436,8 @@ class SparEnsemble:
 
     The original data are not stored; predictions only need the
     standardization stats and the per-model (index_set, phi, gamma).
+    best and one_se (read-only) are the (nu, nummod) of grid.best_cell()
+    and, after CV (cv), of grid.one_se_cell(); None otherwise.
     """
 
     family: Family
@@ -448,9 +450,20 @@ class SparEnsemble:
     master_seed: int
     config: dict = field(default_factory=dict)
     grid: object = None  # SelectionGrid, attached by the selection step
-    best: tuple[float, int] | None = None  # (nu, nummod)
-    one_se: tuple[float, int] | None = None
-    cv: bool = False
+
+    @property
+    def cv(self) -> bool:
+        return self.grid is not None and self.grid.kind == "cv"
+
+    @property
+    def best(self) -> tuple[float, int] | None:
+        c = self.grid.best_cell() if self.grid is not None else None
+        return c and (c.nu, c.nummod)
+
+    @property
+    def one_se(self) -> tuple[float, int] | None:
+        c = self.grid.one_se_cell() if self.cv else None
+        return c and (c.nu, c.nummod)
 
     def _pick(self, nu, nummod, opt_par):
         """(nu, nummod): each one given, else that of the opt_par pair ("best" or "1se")."""

@@ -33,8 +33,8 @@ class RpSpec:
 
     mslow defaults to ceil(log p) and msup to floor(n/2), resolved when
     the data size is known.  data_driven only affects the cw kind.  kind
-    may name a registered plugin, which validated() turns into
-    kind="plugin", plugin=<name>.
+    may be spelled "haar-select", or name a registered plugin, which
+    validated() turns into kind="haar_select" or kind="plugin", plugin=<name>.
     """
 
     kind: str = "cw"
@@ -48,6 +48,8 @@ class RpSpec:
     controls: dict = field(default_factory=dict)
 
     def validated(self) -> "RpSpec":
+        if self.kind == "haar-select":
+            return replace(self, kind="haar_select").validated()
         if self.kind not in KINDS:
             return named_plugin(self, "kind", "projection", KINDS[:-1]).validated()
         if not 0.0 < self.psi <= 1.0:

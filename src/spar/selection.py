@@ -57,10 +57,6 @@ class SelectionGrid:
             raise NumericError("no finite measure values on the selection grid")
         return min(finite, key=lambda c: (c.value, -c.nu, c.nummod))
 
-    def best_pair(self):
-        c = self.best_cell()
-        return (c.nu, c.nummod)
-
     def one_se_cell(self) -> GridCell:
         """Fewest active coefficients among cells within one se of the best."""
         best = self.best_cell()
@@ -68,24 +64,20 @@ class SelectionGrid:
         eligible = [c for c in self.cells if np.isfinite(c.value) and c.value <= thr]
         return min(eligible, key=lambda c: (c.active, -c.nu, c.nummod))
 
-    def one_se_pair(self):
-        c = self.one_se_cell()
-        return (c.nu, c.nummod)
 
-
-def _scored_cells(ens: SparEnsemble, models, stats, x, y, measure: str):
-    """(cell, measure of its avg_type='link' predictions on x, y) along models' coef_path."""
+def _scored_cells(ens: SparEnsemble, models, stats, x, y):
+    """(cell, ens.measure of its avg_type='link' predictions on x, y) along models' coef_path."""
     fam = ens.family
     for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods):
-        yield c, eval_measure(measure, fam, y, linkinv_eval(fam, c.intercept + x @ c.beta))
+        yield c, eval_measure(ens.measure, fam, y, linkinv_eval(fam, c.intercept + x @ c.beta))
 
 
-def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val, measure: str) -> SelectionGrid:
-    """Score every (nu, nummod) pair on held-out data (avg_type='link')."""
+def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val) -> SelectionGrid:
+    """Score every (nu, nummod) pair on held-out data (avg_type='link') with ens.measure."""
     x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
     cells = [GridCell(c.nu, c.nummod, value, 0.0, c.active)
-             for c, value in _scored_cells(ens, ens.models, ens.stats, x_val, y_val, measure)]
-    return SelectionGrid(cells, measure, "validation")
+             for c, value in _scored_cells(ens, ens.models, ens.stats, x_val, y_val)]
+    return SelectionGrid(cells, ens.measure, "validation")
 
 
 def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
@@ -115,24 +107,29 @@ def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
     return [np.sort(np.concatenate(parts)) for parts in folds]
 
 
+def _fold_measures(ens: SparEnsemble, x, y, train, test, fold: int, screen_spec, model_spec,
+                   threads: int) -> np.ndarray:
+    """One usable fold's measure of every cell (see cross_validate); its copies die with it."""
+    x_std, y_std, stats = standardize(x[train], y[train], ens.family)
+    screen_rows, model_rows = split_for_screening(len(train), screen_spec.split_data_prop,
+                                                  split_stream(ens.master_seed, fold + 1))
+    models = fit_models(x_std, y_std, ens.family, screen_spec, None, model_spec, len(ens.models),
+                        ens.master_seed, screen_rows, model_rows,
+                        inds=[m.index_set for m in ens.models], rpms=[m.phi for m in ens.models],
+                        threads=threads)
+    return np.asarray([value for _, value in _scored_cells(ens, models, stats, x[test], y[test])])
+
+
 @one_blas_thread
-def cross_validate(
-    ens: SparEnsemble,
-    x,
-    y,
-    screen_spec: ScreenSpec,
-    model_spec: ModelSpec,
-    nfolds: int,
-    measure: str,
-    master_seed: int,
-    threads: int = 1,
-) -> SelectionGrid:
+def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec: ModelSpec,
+                   nfolds: int, threads: int = 1) -> SelectionGrid:
     """K-fold CV over the frozen (nu, nummod) grid of a fitted ensemble.
 
-    Per fold: restandardize the training part, split it for screening,
-    refit the marginal GLMs with the full fit's index sets and
-    projections through fit_models, and score the held-out part on the
-    cells of the fold's coef_path.  Cell means and standard errors
+    The folds come from ens.master_seed.  Per fold (_fold_measures):
+    restandardize the training part, split it for screening, refit the
+    marginal GLMs with the full fit's index sets and projections through
+    fit_models, and score the held-out part with ens.measure on the cells
+    of the fold's coef_path.  Cell means and standard errors
     (sd / sqrt(#folds)) aggregate over the usable folds; active counts
     come from the full-data ensemble's coef_path.
     """
@@ -140,30 +137,18 @@ def cross_validate(
     y = np.asarray(y, dtype=float)
     if len(y) != x.shape[0]:
         raise DataError(f"x has {x.shape[0]} rows but y has {len(y)} entries")
-    fam = ens.family
-    folds = make_folds(y, fam, nfolds, fold_stream(master_seed))
-    inds = [m.index_set for m in ens.models]
-    rpms = [m.phi for m in ens.models]
-
+    folds = make_folds(y, ens.family, nfolds, fold_stream(ens.master_seed))
     fold_measures = []  # one (n_cells,) array per usable fold
     n_all = np.arange(len(y))
     for i, test in enumerate(folds):
         train = np.setdiff1d(n_all, test)
-        if fam.name == "binomial" and np.unique(y[train]).size < 2:
+        if ens.family.name == "binomial" and np.unique(y[train]).size < 2:
             logger.warning("fold %d: training response is constant; fold skipped", i)
-            continue
-        if measure == "1-auc" and np.unique(y[test]).size < 2:
+        elif ens.measure == "1-auc" and np.unique(y[test]).size < 2:
             logger.warning("fold %d: held-out response is one-class; fold skipped", i)
-            continue
-        x_std, y_std, stats = standardize(x[train], y[train], fam)
-        screen_rows, model_rows = split_for_screening(
-            len(train), screen_spec.split_data_prop, split_stream(master_seed, i + 1)
-        )
-        models = fit_models(x_std, y_std, fam, screen_spec, None, model_spec, len(ens.models),
-                            master_seed, screen_rows, model_rows, inds=inds, rpms=rpms,
-                            threads=threads)
-        scored = _scored_cells(ens, models, stats, x[test], y[test], measure)
-        fold_measures.append(np.asarray([value for _, value in scored]))
+        else:
+            fold_measures.append(_fold_measures(ens, x, y, train, test, i, screen_spec,
+                                                model_spec, threads))
 
     if len(fold_measures) < 2:
         raise CvError(
@@ -178,4 +163,4 @@ def cross_validate(
                  stacked[:, pos].tolist())
         for pos, c in enumerate(coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods))
     ]
-    return SelectionGrid(cells, measure, "cv")
+    return SelectionGrid(cells, ens.measure, "cv")

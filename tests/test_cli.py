@@ -411,6 +411,24 @@ def test_coef_refuses_nu_nan(fit_dir, tmp_path, capsys):
     assert not (tmp_path / "coef.json").exists()
 
 
+@pytest.mark.parametrize("pick", [["--nu", "5"], ["--nummod", "99"], ["--opt-par", "1se"]])
+def test_pair_flags_refused_where_nothing_reads_them(pick, fit_dir, sim_dir, tmp_path, capsys):
+    """predict --coef-file and report --plot-type coefs use no pair: a pair flag there exits 2."""
+    cdir = tmp_path / "coef"
+    assert main(["coef", "--model", str(fit_dir / "model.json"), "--out", str(cdir)]) == 0
+    runs = {
+        "--coef-file": ["predict", "--coef-file", str(cdir / "coef.json"),
+                        "--data", str(sim_dir / "test.csv"), "--response", "y"],
+        "--plot-type coefs": ["report", "--model", str(fit_dir / "model.json"),
+                              "--plot-type", "coefs"],
+    }
+    for path, argv in runs.items():
+        out = tmp_path / path.split()[-1]
+        assert main([*argv, *pick, "--out", str(out)]) == 2
+        assert f"{path} reads no --nu, --nummod or --opt-par" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))  # nothing written
+
+
 def test_simulate_flags_are_the_synthetic_spec_fields():
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a.option_strings for a in sub.choices["simulate"]._actions}

@@ -283,7 +283,9 @@ def test_model_serialization_is_stable(family, kind, cv, seed):
     else:
         ens = fit_spar(ds.x, ds.y, **common)
     text = serialize_model(ens)
-    assert serialize_model(model_from_dict(json.loads(text))) == text
+    back = model_from_dict(json.loads(text))
+    assert serialize_model(back) == text
+    assert (back.best, back.one_se, back.cv) == (ens.best, ens.one_se, ens.cv)
 
 
 def test_model_roundtrip_cv_grid(tmp_path):
@@ -303,6 +305,22 @@ def test_model_version_gate():
         model_from_dict(doc)
     doc["version"] = "1.9"  # same major: accepted
     model_from_dict(doc)
+
+
+def test_model_refuses_a_pair_its_grid_does_not_pick(tmp_path):
+    """best, one_se and cv are read off the grid; stored values that disagree are refused."""
+    ens, _ = _small_fit(cv=True)
+    doc = json.loads(serialize_model(ens))
+    other = next(c for c in ens.grid.cells if (c.nu, c.nummod) != ens.best)
+    edits = ({"best": {"nu": other.nu, "nummod": other.nummod}},
+             {"one_se": None}, {"cv": False})
+    for edit in edits:
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps({**doc, **edit}))
+        with pytest.raises(ParseError, match="disagrees with its selection"):
+            load_model(path)
+    with pytest.raises(AttributeError):
+        ens.best = (other.nu, other.nummod)  # read-only: the grid decides
 
 
 def test_model_malformed_payloads(tmp_path):

@@ -392,6 +392,14 @@ def test_rp_spec_kind_may_name_a_registered_plugin():
         "and no projection plugin is registered under that name")
 
 
+def test_rp_spec_spells_haar_select_with_a_hyphen():
+    """The command line's "haar-select" validates to the builtin, so the config echo names it once."""
+    hyphen = RpSpec(kind="haar-select", b2=5).validated()
+    assert hyphen == RpSpec(kind="haar_select", b2=5).validated()
+    with pytest.raises(ConfigError, match="b2 must be"):
+        RpSpec(kind="haar-select", b2=0).validated()
+
+
 def test_make_projection_dispatch():
     rng = np.random.default_rng(22)
     idx = np.arange(7)

@@ -1,13 +1,22 @@
 """Grid selection, tie-breaking, the one-SE rule, folds and cross-validation."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spar import ModelSpec, RpSpec, ScreenSpec, fit_spar, fit_spar_cv
+from spar import (
+    ModelSpec,
+    RpSpec,
+    ScreenSpec,
+    SyntheticSpec,
+    fit_spar,
+    fit_spar_cv,
+    generate_synthetic,
+)
 from spar.cli import _write_csv
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
@@ -25,24 +34,28 @@ def _grid(cells):
     return SelectionGrid(list(cells), "mse", "cv")
 
 
+def _pair(cell):
+    return (cell.nu, cell.nummod)
+
+
 def test_best_cell_argmin_and_tie_breaks():
     cells = [
         GridCell(0.0, 5, 2.0, 0.0, 40),
         GridCell(0.1, 5, 1.0, 0.0, 30),
         GridCell(0.2, 5, 1.5, 0.0, 20),
     ]
-    assert _grid(cells).best_pair() == (0.1, 5)
+    assert _pair(_grid(cells).best_cell()) == (0.1, 5)
     # equal values: larger nu wins
     cells = [GridCell(0.0, 5, 1.0, 0.0, 40), GridCell(0.1, 5, 1.0, 0.0, 30)]
-    assert _grid(cells).best_pair() == (0.1, 5)
+    assert _pair(_grid(cells).best_cell()) == (0.1, 5)
     # still equal: smaller nummod wins
     cells = [GridCell(0.1, 10, 1.0, 0.0, 30), GridCell(0.1, 5, 1.0, 0.0, 30)]
-    assert _grid(cells).best_pair() == (0.1, 5)
+    assert _pair(_grid(cells).best_cell()) == (0.1, 5)
     with pytest.raises(NumericError):
         _grid([GridCell(0.0, 5, np.nan, 0.0, 1)]).best_cell()
     # non-finite cells are ignored, not fatal, when a finite one exists
     cells = [GridCell(0.0, 5, np.nan, 0.0, 1), GridCell(0.1, 5, 3.0, 0.0, 2)]
-    assert _grid(cells).best_pair() == (0.1, 5)
+    assert _pair(_grid(cells).best_cell()) == (0.1, 5)
 
 
 def test_one_se_rule_frozen_example():
@@ -53,8 +66,8 @@ def test_one_se_rule_frozen_example():
         GridCell(0.2, 10, 13.0, 1.0, 10),
     ]
     g = _grid(cells)
-    assert g.best_pair() == (0.0, 10)
-    assert g.one_se_pair() == (0.1, 10)
+    assert _pair(g.best_cell()) == (0.0, 10)
+    assert _pair(g.one_se_cell()) == (0.1, 10)
 
 
 def test_one_se_zero_se_returns_sparsest_tied():
@@ -63,12 +76,12 @@ def test_one_se_zero_se_returns_sparsest_tied():
         GridCell(0.3, 10, 5.0, 0.0, 7),
         GridCell(0.2, 10, 6.0, 0.0, 3),
     ]
-    assert _grid(cells).one_se_pair() == (0.3, 10)
+    assert _pair(_grid(cells).one_se_cell()) == (0.3, 10)
 
 
 def test_one_se_single_cell():
     g = _grid([GridCell(0.0, 1, 4.0, 1.0, 9)])
-    assert g.one_se_pair() == (0.0, 1)
+    assert _pair(g.one_se_cell()) == (0.0, 1)
 
 
 def test_grid_csv_format(tmp_path):
@@ -91,7 +104,7 @@ def test_validation_grid_cell_order_and_recompute():
     # nummods outer, nus inner
     assert [c.nummod for c in cells] == [2] * len(ens.nus) + [4] * len(ens.nus)
     assert [c.nu for c in cells[: len(ens.nus)]] == list(ens.nus)
-    g2 = evaluate_validation_grid(ens, xv, yv, "mse")
+    g2 = evaluate_validation_grid(ens, xv, yv)
     for a, b in zip(cells, g2.cells):
         assert a.value == pytest.approx(b.value, abs=1e-14)
         assert a.active == b.active
@@ -217,10 +230,10 @@ def test_validation_grid_refuses_bad_held_out_x():
     yv = xv[:, 0] + 0.3 * rng.standard_normal(20)
     ens = fit_spar(x, y, xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1)
     with pytest.raises(DataError, match="columns"):
-        evaluate_validation_grid(ens, xv[:, 1:], yv, "mse")
+        evaluate_validation_grid(ens, xv[:, 1:], yv)
     xv[4, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
-        evaluate_validation_grid(ens, xv, yv, "mse")
+        evaluate_validation_grid(ens, xv, yv)
 
 
 def test_cross_validate_refuses_y_of_another_length():
@@ -231,7 +244,25 @@ def test_cross_validate_refuses_y_of_another_length():
     ens = fit_spar_cv(x, y, nfolds=3, nnu=3, nummods=(2,), seed=1)
     for y_bad in (y[:50], np.r_[y, y[:10]]):
         with pytest.raises(DataError, match=f"x has 60 rows but y has {len(y_bad)}"):
-            cross_validate(ens, x, y_bad, ScreenSpec().resolved(60), ModelSpec(), 3, "deviance", 1)
+            cross_validate(ens, x, y_bad, ScreenSpec().resolved(60), ModelSpec(), 3)
+
+
+def test_cv_frees_each_fold_before_the_next():
+    """Binomial 10-fold CV peaks below 2.5 x x.nbytes: one fold's copies at a time, plus its screening.
+
+    Holding fold k-1's standardized copy while fold k standardizes put the
+    peak above 3 x x.nbytes at this size.
+    """
+    ds, _ = generate_synthetic(
+        SyntheticSpec(n=100, p=1000, n_active=10, family="binomial", rho=0.5), 1)
+    fit_spar_cv(ds.x[:, :50], ds.y, family="binomial", nfolds=3, nummods=(2,))  # warm up
+    tracemalloc.start()
+    try:
+        fit_spar_cv(ds.x, ds.y, family="binomial", nfolds=10, nummods=(5, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f} x x.nbytes"
 
 
 def test_fit_spar_needs_both_validation_arrays_or_neither(caplog):
