@@ -81,10 +81,8 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
         # the worker count is an execution knob, not part of the model:
         # serialized output must not depend on it
     }
-    ens = SparEnsemble(
-        family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
-        p=p, measure=measure, master_seed=seed, config=config,
-    )
+    ens = SparEnsemble(family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
+                       measure=measure, master_seed=seed, config=config)
     return ens, screen, model
 
 

@@ -302,7 +302,6 @@ def _fixed_grid_value(grid, attr, requested):
 
 def cmd_report(args) -> int:
     ens = load_model(args.model)
-    out = _outdir(args)
     plot = args.plot_type
     if plot in ("val-measure", "val-numact"):
         if ens.grid is None:
@@ -315,7 +314,7 @@ def cmd_report(args) -> int:
                       key=lambda c: getattr(c, axis))
         # CSV column -> GridCell attribute
         cols = {"measure": "value", "se": "se"} if plot == "val-measure" else {"active": "active"}
-        _write_csv(out / (plot.replace("-", "_") + ".csv"), (axis, *cols),
+        _write_csv(_outdir(args) / (plot.replace("-", "_") + ".csv"), (axis, *cols),
                    ([getattr(c, a) for a in (axis, *cols.values())] for c in rows))
         return 0
     if plot == "res-vs-fitted":
@@ -326,7 +325,7 @@ def cmd_report(args) -> int:
         fitted = ens.predict(xds.x, type="response", **_given(args, "nu", "nummod", "opt_par"))
         if len(yv) != len(fitted):
             raise DataError(f"--yfit has {len(yv)} rows, --xfit has {len(fitted)}")
-        _write_csv(out / "res_vs_fitted.csv", ("fitted", "residual"),
+        _write_csv(_outdir(args) / "res_vs_fitted.csv", ("fitted", "residual"),
                    zip(fitted.tolist(), (yv - fitted).tolist()))
         return 0
     # coefs: p x M matrix of standardized pre-threshold coefficients,
@@ -346,7 +345,7 @@ def cmd_report(args) -> int:
         raise ConfigError(f"--prange must be 'a,b' with 1 <= a <= b <= {ens.p}")
     picked = order[pr[0] - 1 : pr[1]]
     sorted_rows = -np.sort(-mat[picked], axis=1)  # descending within each row
-    _write_csv(out / "coefs.csv", ("predictor", *(f"m{k + 1}" for k in range(mat.shape[1]))),
+    _write_csv(_outdir(args) / "coefs.csv", ("predictor", *(f"m{k + 1}" for k in range(mat.shape[1]))),
                ([idx + 1, *row] for idx, row in zip(picked.tolist(), sorted_rows.tolist())))
     return 0
 

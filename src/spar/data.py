@@ -6,10 +6,10 @@ column.  load_csv first reads the body with np.loadtxt, which refuses
 every cell that float() would read differently; whenever that fast path
 fails, finds a non-finite value or an empty body, the file is parsed
 again row by row, and that strict parser alone decides the result and
-words every error.  Models persist as versioned JSON, written as
-json.dumps(indent=1) would write them but one array at a time (dumps);
-floats round-trip exactly through repr, so save -> load -> save is
-byte-identical.
+words every error.  Models persist as versioned JSON that only this module
+reads and writes: dumps writes what json.dumps(indent=1) would, one array at
+a time, and floats round-trip through repr, so save -> load -> save is
+byte-identical; model_from_dict refuses a document no fit can have written.
 """
 
 from __future__ import annotations
@@ -21,12 +21,9 @@ import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .ensemble import (
-    MarginalModel,
-    SparEnsemble,
-    StandardizationStats,
-)
+from .ensemble import MarginalModel, SparEnsemble, StandardizationStats
 from .errors import ConfigError, DataError, NumericError, ParseError, VersionError, whole_at_least
 from .families import get_family, linkinv_eval
 from .projection import ProjectionMatrix
@@ -303,22 +300,35 @@ def _pair_dict(pair):
     return None if pair is None else {"nu": float(pair[0]), "nummod": int(pair[1])}
 
 
+def _phi_dict(phi: ProjectionMatrix) -> dict:
+    """A projection's model-file form: shape, kind, storage and its triplets as arrays."""
+    rows, cols, vals = phi.triplets()
+    return {"m": phi.m, "q": phi.q, "kind": phi.kind,
+            "storage": "sparse" if phi.is_sparse else "dense",
+            "data_driven": bool(phi.data_driven), "rows": rows, "cols": cols, "vals": vals}
+
+
+def _phi_from_dict(d: dict) -> ProjectionMatrix:
+    coo = scipy.sparse.coo_array((np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
+                                 shape=(d["m"], d["q"]))
+    mat = coo.toarray() if d["storage"] == "dense" else coo.tocsc()
+    return ProjectionMatrix(d["kind"], mat, d["data_driven"])
+
+
 def serialize_model(ens: SparEnsemble) -> str:
     selection = None if ens.grid is None else {
-        "kind": ens.grid.kind, "measure": ens.grid.measure, "cells": ens.grid.cells}
+        "kind": ens.grid.kind, "measure": ens.measure, "cells": ens.grid.cells}
     models = [
         {"index_set": m.index_set, "gamma0": m.gamma0, "gamma": m.gamma,
-         "converged": m.converged, "failed": m.failed, "phi": m.phi.to_dict()}
+         "converged": m.converged, "failed": m.failed, "phi": _phi_dict(m.phi)}
         for m in ens.models
     ]
     return dumps({
         "version": MODEL_FORMAT_VERSION, "family": ens.family.name, "p": ens.p,
         "measure": ens.measure, "master_seed": ens.master_seed, "cv": ens.cv,
         "config": ens.config, "stats": ens.stats, "nus": ens.nus, "nummods": ens.nummods,
-        "models": models,
-        "selection": selection,
-        "best": _pair_dict(ens.best),
-        "one_se": _pair_dict(ens.one_se),
+        "models": models, "selection": selection,
+        "best": _pair_dict(ens.best), "one_se": _pair_dict(ens.one_se),
     })
 
 
@@ -328,31 +338,37 @@ def save_model(ens: SparEnsemble, path) -> None:
 
 
 def model_from_dict(doc: dict) -> SparEnsemble:
+    """The ensemble of a parsed model document; ParseError when no fit can have written it."""
     try:
         version = str(doc["version"])
         major = MODEL_FORMAT_VERSION.split(".")[0]
         if version.split(".")[0] != major:
             raise VersionError(f"model format {version} not readable by a {major}.x reader")
-        st = doc["stats"]
+        st, p = doc["stats"], doc["p"]
         stats = StandardizationStats(
             np.asarray(st["x_mean"], dtype=float), np.asarray(st["x_sd"], dtype=float),
             st["y_mean"], st["y_sd"], np.asarray(st["constant_cols"], dtype=int))
+        if not stats.x_mean.shape == stats.x_sd.shape == (p,):
+            raise ValueError(f"p is {p}, the stats arrays hold {stats.x_mean.size} and {stats.x_sd.size}")
         models = []
         for md in doc["models"]:
-            phi = ProjectionMatrix.from_dict(md["phi"])
+            idx, phi = np.asarray(md["index_set"], dtype=int), _phi_from_dict(md["phi"])
             gamma = np.asarray(md["gamma"], dtype=float)
-            models.append(MarginalModel(
-                np.asarray(md["index_set"], dtype=int), phi, md["gamma0"], gamma,
-                md["converged"], phi.backmap(gamma), md["failed"]))
+            if not (idx.size and 0 <= idx.min() and idx.max() < p):
+                raise ValueError(f"an index set is empty or leaves [0, {p})")
+            if idx.shape != (phi.q,) or gamma.shape != (phi.m,):
+                raise ValueError(f"a {phi.m} x {phi.q} projection has {idx.size} indices "
+                                 f"and {gamma.size} gammas")
+            models.append(MarginalModel(idx, phi, md["gamma0"], gamma, md["converged"], md["failed"]))
         sel = doc["selection"]
+        if sel is not None and sel["measure"] != doc["measure"]:
+            raise ValueError(f"selection measure {sel['measure']!r} is not {doc['measure']!r}")
         grid = None if sel is None else SelectionGrid(
-            [GridCell(**c) for c in sel["cells"]], sel["measure"], sel["kind"])
+            [GridCell(**c) for c in sel["cells"]], sel["kind"])
         ens = SparEnsemble(
             family=get_family(doc["family"]), stats=stats, models=models,
             nus=np.asarray(doc["nus"], dtype=float), nummods=tuple(doc["nummods"]),
-            p=doc["p"], measure=doc["measure"], master_seed=doc["master_seed"],
-            config=doc["config"], grid=grid,
-        )
+            measure=doc["measure"], master_seed=doc["master_seed"], config=doc["config"], grid=grid)
         if (doc["best"], doc["one_se"], doc["cv"]) != (
                 _pair_dict(ens.best), _pair_dict(ens.one_se), ens.cv):
             raise ParseError("model document's best, one_se or cv disagrees with its selection")

@@ -44,6 +44,7 @@ from .screening import ScreenSpec, compute_screening, select_screened
 logger = logging.getLogger(__name__)
 
 MEASURES = ("deviance", "mse", "mae", "class", "1-auc")
+RIDGE_PER_ROW = 1e-4  # epsilon = RIDGE_PER_ROW * n: the non-gaussian default and the singular retry
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class ModelSpec:
     def resolve_epsilon(self, fam: Family, n_rows: int) -> float:
         if self.epsilon is not None:
             return float(self.epsilon)
-        return 0.0 if fam.name == "gaussian" else 1e-4 * n_rows
+        return 0.0 if fam.name == "gaussian" else RIDGE_PER_ROW * n_rows
 
 
 @dataclass
@@ -135,8 +136,11 @@ class MarginalModel:
     gamma0: float
     gamma: np.ndarray
     converged: bool
-    beta_vals: np.ndarray  # phi.T @ gamma, aligned with index_set
     failed: bool = False  # an exception (not mere non-convergence) hit the fit
+    beta_vals: np.ndarray = field(init=False)  # phi.T @ gamma, aligned with index_set
+
+    def __post_init__(self):
+        self.beta_vals = self.phi.backmap(self.gamma)
 
     def beta_dense(self, p: int) -> np.ndarray:
         out = np.zeros(p)
@@ -217,12 +221,12 @@ def fit_models(
             except SingularError:
                 if eps > 0:
                     raise
-                retry_eps = 1e-4 * len(y_fit)
-                fit = fit_penalized_glm(z, y_fit, fam, retry_eps, model_spec.max_iter, model_spec.tol)
+                fit = fit_penalized_glm(z, y_fit, fam, RIDGE_PER_ROW * len(y_fit), model_spec.max_iter,
+                                        model_spec.tol)
         except SOLVER_ERRORS as exc:
             logger.warning("model %d failed (%s); recording zero coefficients", k, exc)
-            return MarginalModel(idx, phi, 0.0, np.zeros(phi.m), False, np.zeros(q), failed=True)
-        return MarginalModel(idx, phi, fit.gamma0, fit.gamma, fit.converged, phi.backmap(fit.gamma))
+            return MarginalModel(idx, phi, 0.0, np.zeros(phi.m), False, failed=True)
+        return MarginalModel(idx, phi, fit.gamma0, fit.gamma, fit.converged)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -398,7 +402,10 @@ def eval_measure(measure: str, fam: Family, y, mu) -> float:
 
 
 def one_minus_auc(y, mu) -> float:
-    """1 - AUC via the rank form of the Mann-Whitney statistic, ties 1/2."""
+    """1 - AUC: the share of (positive, negative) pairs the negative scores higher, ties 1/2.
+
+    Counted exactly, in halves, against the sorted negatives; NaN in mu gives NaN.
+    """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
     pos = y == 1
@@ -406,28 +413,11 @@ def one_minus_auc(y, mu) -> float:
     n0 = len(y) - n1
     if n1 == 0 or n0 == 0:
         raise DataError("AUC needs both classes present")
-    ranks = average_ranks(mu)
-    auc = (float(ranks[pos].sum()) - n1 * (n1 + 1) / 2.0) / (n1 * n0)
-    return 1.0 - auc
-
-
-def average_ranks(a) -> np.ndarray:
-    """1-based ranks of a 1-D array; tied values share the mean of their positions.
-
-    Sorting puts equal values into runs; the run covering sorted positions
-    start+1..end gets (start + 1 + end) / 2, a half-integer, so the ranks
-    are exact.  NaN anywhere makes every rank NaN.
-    """
-    a = np.asarray(a, dtype=float)
-    if np.isnan(a).any():
-        return np.full(a.size, np.nan)
-    order = np.argsort(a)
-    s = a[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], a.size)
-    ranks = np.empty(a.size)
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return ranks
+    if np.isnan(mu).any():
+        return float("nan")
+    neg = np.sort(mu[~pos])
+    twice = np.searchsorted(neg, mu[pos], "left") + np.searchsorted(neg, mu[pos], "right")
+    return 1.0 - float(twice.sum()) / 2.0 / (n1 * n0)
 
 
 @dataclass
@@ -436,8 +426,9 @@ class SparEnsemble:
 
     The original data are not stored; predictions only need the
     standardization stats and the per-model (index_set, phi, gamma).
-    best and one_se (read-only) are the (nu, nummod) of grid.best_cell()
-    and, after CV (cv), of grid.one_se_cell(); None otherwise.
+    Read-only: p, the length of stats.x_mean; best and one_se, the
+    (nu, nummod) of grid.best_cell() and, after CV (cv), of
+    grid.one_se_cell(), None otherwise.
     """
 
     family: Family
@@ -445,11 +436,14 @@ class SparEnsemble:
     models: list[MarginalModel]
     nus: np.ndarray
     nummods: tuple[int, ...]
-    p: int
     measure: str
     master_seed: int
     config: dict = field(default_factory=dict)
     grid: object = None  # SelectionGrid, attached by the selection step
+
+    @property
+    def p(self) -> int:
+        return self.stats.x_mean.size
 
     @property
     def cv(self) -> bool:

@@ -147,23 +147,6 @@ class ProjectionMatrix:
                                      shape=self.mat.shape)
         return ProjectionMatrix(self.kind, mat, self.data_driven)
 
-    def to_dict(self) -> dict:
-        """The model-file form: shape, kind, storage and the triplets as arrays."""
-        rows, cols, vals = self.triplets()
-        storage = "sparse" if self.is_sparse else "dense"
-        return {"m": self.m, "q": self.q, "kind": self.kind, "storage": storage,
-                "data_driven": bool(self.data_driven), "rows": rows, "cols": cols, "vals": vals}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProjectionMatrix":
-        """The matrix of a to_dict form read back from a model file."""
-        coo = scipy.sparse.coo_array(
-            (np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
-            shape=(d["m"], d["q"]),
-        )
-        mat = coo.toarray() if d["storage"] == "dense" else coo.tocsc()
-        return cls(d["kind"], mat, d["data_driven"])
-
 
 def jl_min_dim(n: int, eps: float, tau: float) -> int:
     """Smallest dimension preserving pairwise distances of n points.

@@ -48,8 +48,7 @@ class GridCell:
 @dataclass
 class SelectionGrid:
     cells: list[GridCell]
-    measure: str
-    kind: str  # "validation" or "cv"
+    kind: str  # "validation" or "cv"; the measure is the ensemble's
 
     def best_cell(self) -> GridCell:
         finite = [c for c in self.cells if np.isfinite(c.value)]
@@ -77,7 +76,7 @@ def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val) -> SelectionGrid:
     x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
     cells = [GridCell(c.nu, c.nummod, value, 0.0, c.active)
              for c, value in _scored_cells(ens, ens.models, ens.stats, x_val, y_val)]
-    return SelectionGrid(cells, ens.measure, "validation")
+    return SelectionGrid(cells, "validation")
 
 
 def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
@@ -163,4 +162,4 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
                  stacked[:, pos].tolist())
         for pos, c in enumerate(coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods))
     ]
-    return SelectionGrid(cells, ens.measure, "cv")
+    return SelectionGrid(cells, "cv")

@@ -85,6 +85,19 @@ def test_predict_matches_library(fit_dir, sim_dir, tmp_path):
     assert np.array_equal(got, ens.predict(x))
 
 
+def test_predict_refuses_a_model_with_an_index_past_p(fit_dir, sim_dir, tmp_path, capsys):
+    """An index set that leaves [0, p) is a malformed model file: exit 3, nothing written."""
+    doc = json.loads((fit_dir / "model.json").read_text())
+    doc["models"][0]["index_set"][0] = doc["p"]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    out = tmp_path / "pred"
+    rc = main(["predict", "--model", str(tmp_path / "model.json"),
+               "--data", str(sim_dir / "test.csv"), "--response", "y", "--out", str(out)])
+    assert rc == 3
+    assert "an index set is empty or leaves [0, 30)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coef_export_then_predict(fit_dir, sim_dir, tmp_path):
     cdir = tmp_path / "coef"
     rc = main(["coef", "--model", str(fit_dir / "model.json"),
@@ -426,7 +439,7 @@ def test_pair_flags_refused_where_nothing_reads_them(pick, fit_dir, sim_dir, tmp
         out = tmp_path / path.split()[-1]
         assert main([*argv, *pick, "--out", str(out)]) == 2
         assert f"{path} reads no --nu, --nummod or --opt-par" in capsys.readouterr().err
-        assert not list(out.glob("*.csv"))  # nothing written
+        assert not out.exists()  # nothing written, no directory made
 
 
 def test_simulate_flags_are_the_synthetic_spec_fields():

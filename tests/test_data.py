@@ -355,6 +355,42 @@ def test_saving_a_loaded_golden_model_writes_its_bytes(path):
     assert serialize_model(load_model(path)) == path.read_text()
 
 
+def _other_measure(doc, md, j):
+    doc["selection"]["measure"] = "mae" if doc["measure"] != "mae" else "mse"
+
+
+def _set_index(value):
+    """The corruption that sets one index of a model's index set to value(p)."""
+    def corrupt(doc, md, j):
+        md["index_set"][j % len(md["index_set"])] = value(doc["p"])
+    return corrupt
+
+
+_CORRUPTIONS = {
+    "selection measure": _other_measure,
+    "p": lambda doc, md, j: doc.update(p=doc["p"] + 1),
+    "empty index set": lambda doc, md, j: md.update(index_set=[]),
+    "index p": _set_index(lambda p: p),
+    "index -1": _set_index(lambda p: -1),
+    "projection q": lambda doc, md, j: md["phi"].update(q=md["phi"]["q"] + 1),
+    "short gamma": lambda doc, md, j: md.update(gamma=md["gamma"][:-1]),
+}
+
+
+@given(st.sampled_from(GOLDEN_MODELS), st.sampled_from(sorted(_CORRUPTIONS)),
+       st.integers(0, 2**16), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_load_refuses_a_golden_model_that_cannot_be_a_fit(path, corruption, k, j):
+    """One edit of a golden model.json that no fit writes: load_model raises ParseError."""
+    doc = json.loads(path.read_text())
+    _CORRUPTIONS[corruption](doc, doc["models"][k % len(doc["models"])], j)
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "model.json"
+        edited.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_model(edited)
+
+
 def _jsonable_reference(obj):
     """The encoder dumps replaced: its output went through json.dumps(..., indent=1)."""
     if is_dataclass(obj):

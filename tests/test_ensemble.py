@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -29,7 +29,6 @@ from spar.ensemble import (
     ModelSpec,
     SparEnsemble,
     StandardizationStats,
-    average_ranks,
     averaged_coef,
     build_nu_grid,
     coef_path,
@@ -247,8 +246,8 @@ def test_fit_models_partial_failure_records_zero_model(monkeypatch):
 
 def test_nu_grid_frozen_quantile_example():
     stats = StandardizationStats(np.zeros(4), np.ones(4), 0.0, 1.0, np.array([], dtype=int))
-    phi = ProjectionMatrix("plugin", np.ones((1, 4)))
-    mdl = MarginalModel(np.arange(4), phi, 0.0, np.ones(1), True, np.array([1.0, 2.0, 3.0, 4.0]))
+    phi = ProjectionMatrix("plugin", np.array([[1.0, 2.0, 3.0, 4.0]]))
+    mdl = MarginalModel(np.arange(4), phi, 0.0, np.ones(1), True)
     nus = build_nu_grid([mdl], 2)
     assert np.allclose(nus, [0.0, 2.5])
     assert np.allclose(build_nu_grid([mdl], 1), [0.0])
@@ -257,7 +256,7 @@ def test_nu_grid_frozen_quantile_example():
 
 def test_nu_grid_all_zero_coefficients():
     phi = ProjectionMatrix("plugin", np.ones((1, 2)))
-    mdl = MarginalModel(np.arange(2), phi, 0.0, np.zeros(1), True, np.zeros(2))
+    mdl = MarginalModel(np.arange(2), phi, 0.0, np.zeros(1), True)
     assert np.array_equal(build_nu_grid([mdl], 10), [0.0])
 
 
@@ -286,7 +285,7 @@ def _coef_model(beta, gamma0=0.0):
     beta = np.asarray(beta, dtype=float)
     p = beta.size
     phi = ProjectionMatrix("plugin", beta.reshape(1, p))
-    return MarginalModel(np.arange(p), phi, gamma0, np.ones(1), True, beta.copy())
+    return MarginalModel(np.arange(p), phi, gamma0, np.ones(1), True)
 
 
 def test_averaged_coef_simple_mean():
@@ -331,9 +330,9 @@ def _path_cases(draw):
     for _ in range(draw(st.integers(1, 5))):
         idx = np.sort(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True)))
         beta = np.asarray(draw(st.lists(entry, min_size=idx.size, max_size=idx.size)), dtype=float)
-        phi = ProjectionMatrix("plugin", np.zeros((1, idx.size)))
+        phi = ProjectionMatrix("plugin", beta.reshape(1, -1))  # beta_vals = phi.T @ [1] = beta
         models.append(MarginalModel(np.asarray(idx, dtype=int), phi, draw(st.floats(-2, 2)),
-                                    np.zeros(1), True, beta))
+                                    np.ones(1), True))
     def vector(lo, hi):
         return draw(st.lists(st.floats(lo, hi), min_size=p, max_size=p).map(np.asarray))
 
@@ -441,15 +440,24 @@ def test_one_minus_auc_tie_handling():
         one_minus_auc(np.zeros(4), np.linspace(0, 1, 4))  # needs both classes
 
 
-@given(st.lists(st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1e-300, 3.0, np.inf]), max_size=40)
-       | st.lists(st.floats(allow_nan=False), max_size=40)
-       | st.lists(st.sampled_from([0.5, 1.0, np.nan]), min_size=1, max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_average_ranks_equal_scipy_rankdata(values):
-    import scipy.stats
+_TIED_SCORES = st.sampled_from([-np.inf, -2.0, -0.0, 0.0, 1e-300, 0.5, 3.0, np.inf])
 
-    a = np.asarray(values, dtype=float)
-    np.testing.assert_array_equal(average_ranks(a), scipy.stats.rankdata(a))  # NaN == NaN here
+
+@given(st.lists(st.tuples(st.sampled_from([0.0, 1.0, 0.5]),
+                          _TIED_SCORES | st.floats(allow_nan=False)), min_size=2, max_size=40),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_minus_auc_equals_exhaustive_pair_counting(rows, with_nan):
+    """Tie-heavy draws: 1 - AUC is the share of (y == 1, y != 1) pairs won by the
+    second, ties 1/2, bit for bit; a NaN score gives NaN."""
+    y, mu = (np.array(col, dtype=float) for col in zip(*rows))
+    pos, neg = mu[y == 1], mu[y != 1]
+    assume(pos.size and neg.size)
+    pairs = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+    expected = 1.0 - pairs / (pos.size * neg.size)
+    if with_nan:
+        mu[-1], expected = np.nan, np.nan
+    np.testing.assert_equal(one_minus_auc(y, mu), expected)
 
 
 def test_import_spar_leaves_scipy_stats_unloaded():

@@ -31,7 +31,7 @@ from spar.selection import (
 
 
 def _grid(cells):
-    return SelectionGrid(list(cells), "mse", "cv")
+    return SelectionGrid(list(cells), "cv")
 
 
 def _pair(cell):
