@@ -350,6 +350,8 @@ def model_from_dict(doc: dict) -> SparEnsemble:
             st["y_mean"], st["y_sd"], np.asarray(st["constant_cols"], dtype=int))
         if not stats.x_mean.shape == stats.x_sd.shape == (p,):
             raise ValueError(f"p is {p}, the stats arrays hold {stats.x_mean.size} and {stats.x_sd.size}")
+        if not all(0 < sd < np.inf for sd in [*stats.x_sd.tolist(), stats.y_sd]):
+            raise ValueError("an x_sd or the y_sd is not finite and > 0")
         models = []
         for md in doc["models"]:
             idx, phi = np.asarray(md["index_set"], dtype=int), _phi_from_dict(md["phi"])
@@ -363,8 +365,10 @@ def model_from_dict(doc: dict) -> SparEnsemble:
         sel = doc["selection"]
         if sel is not None and sel["measure"] != doc["measure"]:
             raise ValueError(f"selection measure {sel['measure']!r} is not {doc['measure']!r}")
-        grid = None if sel is None else SelectionGrid(
-            [GridCell(**c) for c in sel["cells"]], sel["kind"])
+        cells = [] if sel is None else [GridCell(**c) for c in sel["cells"]]
+        if not all(1 <= k <= len(models) for k in [*doc["nummods"], *(c.nummod for c in cells)]):
+            raise ValueError(f"a nummod leaves [1, {len(models)}], the number of models")
+        grid = None if sel is None else SelectionGrid(cells, sel["kind"])
         ens = SparEnsemble(
             family=get_family(doc["family"]), stats=stats, models=models,
             nus=np.asarray(doc["nus"], dtype=float), nummods=tuple(doc["nummods"]),

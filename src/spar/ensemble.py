@@ -4,8 +4,8 @@ The fitting loop per model k: draw an index set of screened predictors,
 draw a goal dimension, draw a projection, fit a penalized GLM on the
 projected predictors, and map the reduced coefficients back.  Averaging
 over the first nummod models after hard thresholding at nu gives the
-final coefficient vector on the original predictor scale; coef_path is
-the one place that does it, for coef(), predict_glm and the grids.
+final coefficient vector on the original predictor scale; _coef_blocks is the
+one place that does it, a block per nummod, for coef_path (coef(), predict_glm) and the grids.
 """
 
 from __future__ import annotations
@@ -118,9 +118,7 @@ def standardize(x, y, family):
 
     if fam.name == "gaussian":
         y_mean = float(y.mean())
-        y_sd = float(y.std(ddof=1))
-        if y_sd == 0:
-            y_sd = 1.0
+        y_sd = float(y.std(ddof=1)) or 1.0
         y_std = (y - y_mean) / y_sd
     else:
         y_mean, y_sd = 0.0, 1.0
@@ -293,11 +291,11 @@ def _checked_nummod(nummod, n_models: int) -> int:
     return int(nummod)
 
 
-def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
-    """Yield the AveragedCoef of every (nu, nummod) pair, nummods x nus order.
+def _coef_blocks(models, stats: StandardizationStats, p: int, nus, nummods):
+    """Yield (nummod, betas, intercepts) per entry of nummods, betas one nus.size x p block.
 
     A running sum over the first max(nummods) models adds each model's
-    thresholded coefficients at every nu, in model order, so each cell
+    thresholded coefficients at every nu, in model order, so each row
     equals a fresh average over models[:nummod] bit for bit.
     beta_orig_j = beta_std_j * y_sd / x_sd_j and the intercept absorbs
     the centering:  y_mean + y_sd * mean(gamma0) - sum_j beta_orig_j * x_mean_j.
@@ -308,19 +306,27 @@ def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
     pending = [_checked_nummod(m, len(models)) for m in nummods]
     acc = np.zeros((nus.size, p))
     g0 = 0.0
-    ready = {}  # nummod -> its cells; one reached before its turn in nummods waits here
+    ready = {}  # nummod -> its block; one reached before its turn in nummods waits here
     for k, model in enumerate(models[: max(pending)], 1):
         acc[:, model.index_set] += threshold_beta(model.beta_vals, nus)
         g0 += model.gamma0
-        if k in pending:
-            ready[k] = []
-            for row, nu in zip(acc, nus):
-                beta = row / k * stats.y_sd / stats.x_sd
-                intercept = stats.y_mean + stats.y_sd * (g0 / k) - float(beta @ stats.x_mean)
-                ready[k].append(AveragedCoef(intercept, beta, float(nu), k, int(np.count_nonzero(beta))))
+        if k in pending:  # scaled in place and dropped here: one new block at a time
+            betas = acc / k
+            betas *= stats.y_sd
+            betas /= stats.x_sd
+            ready[k] = betas, [stats.y_mean + stats.y_sd * (g0 / k) - float(b @ stats.x_mean)
+                               for b in betas]
+            del betas
         while pending and pending[0] in ready:
             nummod = pending.pop(0)
-            yield from (ready[nummod] if nummod in pending else ready.pop(nummod))
+            yield nummod, *(ready[nummod] if nummod in pending else ready.pop(nummod))
+
+
+def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
+    """Yield the AveragedCoef of every (nu, nummod) pair, nummods x nus order: _coef_blocks' rows."""
+    for nummod, betas, intercepts in _coef_blocks(models, stats, p, nus, nummods):
+        for nu, beta, intercept in zip(nus, betas, intercepts):
+            yield AveragedCoef(intercept, beta, float(nu), nummod, int(np.count_nonzero(beta)))
 
 
 def averaged_coef(models, stats: StandardizationStats, p: int, nu: float, nummod: int) -> AveragedCoef:

@@ -53,9 +53,7 @@ def get_family(family) -> Family:
     try:
         return FAMILIES[family]
     except (KeyError, TypeError):
-        raise ConfigError(
-            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
-        ) from None
+        raise ConfigError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
 
 
 def validate_response(fam: Family, y) -> np.ndarray:
@@ -269,16 +267,13 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
     dev = _deviance(fam, y, mu, sat)
     obj = objective(dev, gamma)
     converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
+    for iterations in range(1, max_iter + 1):  # max_iter >= 1: iterations is always bound
         w = variance_eval(fam, mu)
         work = eta + (y - mu) / w
         prop0, prop = _solve_wls(z, work, w, epsilon)
         d0 = prop0 - gamma0
         dg = prop - gamma
         step = 1.0
-        accepted = False
         for _ in range(31):  # full step plus up to 30 halvings
             cand0 = gamma0 + step * d0
             cand = gamma + step * dg
@@ -287,10 +282,9 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
             dev_c = _deviance(fam, y, mu_c, sat)
             obj_c = objective(dev_c, cand)
             if obj_c <= obj + 1e-12 * (1.0 + abs(obj)):
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True  # no descent possible at machine precision
             break
         dev_prev = dev

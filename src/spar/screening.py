@@ -190,28 +190,30 @@ def select_screened(result: ScreeningResult, spec: ScreenSpec, rng) -> np.ndarra
     if spec.nscreen is None:
         raise ConfigError("nscreen unresolved; call ScreenSpec.resolved(n) first")
     absw = np.abs(np.asarray(result.omega, dtype=float))
-    mask = np.ones(absw.size, dtype=bool)
-    mask[np.asarray(result.excluded, dtype=int)] = False
-    idx = np.flatnonzero(mask)
+    idx = np.delete(np.arange(absw.size), np.asarray(result.excluded, dtype=int))
     if spec.nscreen >= idx.size:
         return idx
     w = absw[idx]
     if spec.selection_type == "fixed":
-        order = np.argsort(-w, kind="stable")
-        return np.sort(idx[order[: spec.nscreen]])
+        return np.sort(idx[_smallest(-w, spec.nscreen)])
     pos = w > 0
     npos = int(pos.sum())
-    if npos >= spec.nscreen:
-        # key_j = E_j / w_j, E_j ~ Exp(1); the nscreen smallest keys have
-        # exactly the sequential weighted-sampling law
-        keys = rng.exponential(size=npos) / w[pos]
-        order = np.argsort(keys, kind="stable")
-        chosen = idx[pos][order[: spec.nscreen]]
-    else:
-        zeros = idx[~pos]
-        fill = rng.choice(zeros, size=spec.nscreen - npos, replace=False)
-        chosen = np.concatenate([idx[pos], fill])
-    return np.sort(chosen)
+    if npos < spec.nscreen:
+        fill = rng.choice(idx[~pos], size=spec.nscreen - npos, replace=False)
+        return np.sort(np.concatenate([idx[pos], fill]))
+    # key_j = E_j / w_j, E_j ~ Exp(1); the nscreen smallest keys have
+    # exactly the sequential weighted-sampling law
+    keys = rng.exponential(size=npos) / w[pos]
+    return np.sort(idx[pos][_smallest(keys, spec.nscreen)])
+
+
+def _smallest(keys, k: int) -> np.ndarray:
+    """The indices np.argsort(keys, kind="stable")[:k] holds, found by a partition, not a sort."""
+    cut = np.partition(keys, k - 1)[k - 1]
+    if np.isnan(cut):  # fewer than k numbers: all of them, then the first NaNs
+        keys, cut = np.isnan(keys), True
+    below = np.flatnonzero(keys < cut)
+    return np.concatenate([below, np.flatnonzero(keys == cut)[: k - below.size]])
 
 
 def split_for_screening(n: int, prop: float | None, rng):

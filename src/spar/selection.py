@@ -2,18 +2,21 @@
 
 Both paths score every (nu, nummod) pair with the chosen measure and
 take the argmin, breaking ties toward the sparser model: larger nu
-first, then smaller nummod.  The cells come from ensemble.coef_path,
-which builds the whole grid in one pass over the models, in
-nummods x nus order.  Cross-validation refits the marginal models per
-fold through ensemble.fit_models, as the full-data fit does, with its
-index sets and projections frozen; only data-driven cw diagonals are
-refreshed, from the fold's screening coefficients.
+first, then smaller nummod.  ensemble._coef_blocks builds the grid in
+one pass over the models, one nus x p block per nummod, nummods x nus
+order, and one matrix product scores each block: a cell agrees with its
+own intercept + x @ beta to a few ulps, not bit for bit.
+Cross-validation refits the marginal models per fold through
+ensemble.fit_models, as the full-data fit does, with its index sets and
+projections frozen; only data-driven cw diagonals are refreshed, from
+the fold's screening coefficients.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from .blas import one_blas_thread
 from .ensemble import (
     ModelSpec,
     SparEnsemble,
+    _coef_blocks,
     check_x_new,
     coef_path,
     eval_measure,
@@ -64,19 +68,21 @@ class SelectionGrid:
         return min(eligible, key=lambda c: (c.active, -c.nu, c.nummod))
 
 
-def _scored_cells(ens: SparEnsemble, models, stats, x, y):
-    """(cell, ens.measure of its avg_type='link' predictions on x, y) along models' coef_path."""
-    fam = ens.family
-    for c in coef_path(models, stats, ens.p, ens.nus, ens.nummods):
-        yield c, eval_measure(ens.measure, fam, y, linkinv_eval(fam, c.intercept + x @ c.beta))
+def _scored_cells(ens: SparEnsemble, models, stats, x, y) -> list[GridCell]:
+    """Each grid cell, ens.measure on x, y (avg_type='link'); one product, one block held at a time."""
+    def cells(nummod, betas, intercepts):
+        mus = (linkinv_eval(ens.family, b0 + eta) for b0, eta in zip(intercepts, betas @ x.T))
+        return [GridCell(float(nu), nummod, eval_measure(ens.measure, ens.family, y, mu), 0.0,
+                         int(np.count_nonzero(beta))) for nu, beta, mu in zip(ens.nus, betas, mus)]
+
+    blocks = _coef_blocks(models, stats, ens.p, ens.nus, ens.nummods)
+    return list(chain.from_iterable(starmap(cells, blocks)))
 
 
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val) -> SelectionGrid:
     """Score every (nu, nummod) pair on held-out data (avg_type='link') with ens.measure."""
     x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
-    cells = [GridCell(c.nu, c.nummod, value, 0.0, c.active)
-             for c, value in _scored_cells(ens, ens.models, ens.stats, x_val, y_val)]
-    return SelectionGrid(cells, "validation")
+    return SelectionGrid(_scored_cells(ens, ens.models, ens.stats, x_val, y_val), "validation")
 
 
 def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
@@ -116,7 +122,7 @@ def _fold_measures(ens: SparEnsemble, x, y, train, test, fold: int, screen_spec,
                         ens.master_seed, screen_rows, model_rows,
                         inds=[m.index_set for m in ens.models], rpms=[m.phi for m in ens.models],
                         threads=threads)
-    return np.asarray([value for _, value in _scored_cells(ens, models, stats, x[test], y[test])])
+    return np.asarray([c.value for c in _scored_cells(ens, models, stats, x[test], y[test])])
 
 
 @one_blas_thread
@@ -150,16 +156,11 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
                                                 model_spec, threads))
 
     if len(fold_measures) < 2:
-        raise CvError(
-            f"only {len(fold_measures)} usable folds out of {len(folds)}; need at least 2"
-        )
+        raise CvError(f"only {len(fold_measures)} usable folds out of {len(folds)}; need at least 2")
     stacked = np.vstack(fold_measures)  # (usable folds, cells)
     means = stacked.mean(axis=0)
     ses = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
 
-    cells = [
-        GridCell(c.nu, c.nummod, float(means[pos]), float(ses[pos]), c.active,
-                 stacked[:, pos].tolist())
-        for pos, c in enumerate(coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods))
-    ]
-    return SelectionGrid(cells, "cv")
+    path = coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods)
+    return SelectionGrid([GridCell(c.nu, c.nummod, float(mean), float(se), c.active, fold.tolist())
+                          for c, mean, se, fold in zip(path, means, ses, stacked.T)], "cv")

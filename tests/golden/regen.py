@@ -33,14 +33,23 @@ best pair or fixed by --nu/--nummod, coefs with --prange and with
 
 tests/test_golden.py rebuilds every recipe in a temporary directory and
 compares the files byte for byte.  Regenerate only together with a
-change that declares a behaviour change in CHANGES.md.
+change that declares a behaviour change in CHANGES.md, and report that
+change first with
+
+    PYTHONPATH=src python tests/golden/regen.py --compare
+
+which writes nothing and prints, per recipe, the files that differ from
+the committed goldens, whether the stored best/one_se pairs moved, and
+the largest relative change of a number in the differing files.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import re
 import shutil
 import sys
 import tempfile
@@ -268,8 +277,51 @@ def write(name: str, outdir: Path) -> None:
 ALL_RECIPES = RECIPES + tuple(CLI_RECIPES) + tuple(LOAD_RECIPES) + tuple(REPORT_RECIPES)
 
 
-def main() -> int:
+# a number as the golden files print it: repr floats, ints, exponents
+_NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
+
+
+def largest_change(old: str, new: str) -> float | None:
+    """Largest relative change of a number between two texts; None unless only numbers differ."""
+    a, b = _NUMBER.split(old), _NUMBER.split(new)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    pairs = [(float(s), float(t)) for s, t in zip(a[1::2], b[1::2]) if s != t]
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+
+
+def compare(name: str) -> str:
+    """One line: the files of a rebuilt recipe that differ from its goldens, the pairs, the change."""
+    golden = GOLDEN_DIR / name
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write(name, tmp)
+        names = sorted({p.name for p in tmp.iterdir()} | {p.name for p in golden.iterdir()})
+        texts = {f: [(d / f).read_text() if (d / f).exists() else None for d in (golden, tmp)]
+                 for f in names}
+    differ = [f for f, (old, new) in texts.items() if old != new]
+    if not differ:
+        return f"{name}: identical"
+    changes = [None if None in texts[f] else largest_change(*texts[f]) for f in differ]
+    largest = ("not only numbers differ" if None in changes
+               else f"largest relative change {max(changes):.1e}")
+    pairs = ""
+    if "model.json" in texts and None not in texts["model.json"]:
+        old, new = (json.loads(t) for t in texts["model.json"])
+        moved = (old["best"], old["one_se"]) != (new["best"], new["one_se"])
+        pairs = "; best/one_se " + ("MOVED" if moved else "unchanged")
+    return f"{name}: {', '.join(differ)} differ{pairs}; {largest}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
+    parser.add_argument("--compare", action="store_true",
+                        help="write nothing; print per recipe what a regeneration would change")
+    args = parser.parse_args(argv)
     for name in ALL_RECIPES:
+        if args.compare:
+            print(compare(name))
+            continue
         outdir = GOLDEN_DIR / name
         shutil.rmtree(outdir, ignore_errors=True)
         write(name, outdir)

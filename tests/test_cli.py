@@ -6,6 +6,7 @@ import inspect
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +96,43 @@ def test_predict_refuses_a_model_with_an_index_past_p(fit_dir, sim_dir, tmp_path
                "--data", str(sim_dir / "test.csv"), "--response", "y", "--out", str(out)])
     assert rc == 3
     assert "an index set is empty or leaves [0, 30)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_GOLDEN_MODEL = Path(__file__).resolve().parent / "golden" / "gaussian-cw-validation" / "model.json"
+
+
+def _set(*keys, value):
+    """The edit of a model document that sets doc[keys[0]]...[keys[-1]] to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.filterwarnings("error")  # x_sd = 0 once reached prediction, with numpy warnings
+@pytest.mark.parametrize("edit,fault", [
+    (lambda doc: doc.update(models=doc["models"][:1]), "a nummod leaves [1, 1]"),
+    (_set("nummods", 1, value=0), "a nummod leaves [1, 4]"),
+    (_set("selection", "cells", 3, "nummod", value=5), "a nummod leaves [1, 4]"),
+    (_set("stats", "x_sd", 7, value=0.0), "an x_sd or the y_sd is not finite and > 0"),
+    (_set("stats", "x_sd", 0, value=float("nan")), "an x_sd or the y_sd is not finite and > 0"),
+    (_set("stats", "y_sd", value=-2.0), "an x_sd or the y_sd is not finite and > 0"),
+    (_set("stats", "y_sd", value=float("inf")), "an x_sd or the y_sd is not finite and > 0"),
+], ids=["one model, nummods 4 and 2", "nummods 0", "grid nummod 5", "x_sd 0", "x_sd nan",
+        "y_sd -2", "y_sd inf"])
+def test_predict_refuses_a_model_no_fit_writes(edit, fault, tmp_path, capsys):
+    """An edit of a golden model.json that no fit writes is a malformed model file: exit 3."""
+    doc = json.loads(_GOLDEN_MODEL.read_text())
+    edit(doc)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    save_csv(tmp_path / "new.csv", np.random.default_rng(0).standard_normal((5, doc["p"])))
+    out = tmp_path / "pred"
+    rc = main(["predict", "--model", str(tmp_path / "model.json"), "--data",
+               str(tmp_path / "new.csv"), "--out", str(out)])
+    assert rc == 3
+    assert fault in capsys.readouterr().err
     assert not out.exists()
 
 

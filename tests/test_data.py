@@ -374,6 +374,15 @@ _CORRUPTIONS = {
     "index -1": _set_index(lambda p: -1),
     "projection q": lambda doc, md, j: md["phi"].update(q=md["phi"]["q"] + 1),
     "short gamma": lambda doc, md, j: md.update(gamma=md["gamma"][:-1]),
+    "nummods past the models": lambda doc, md, j: doc["nummods"].__setitem__(
+        j % len(doc["nummods"]), len(doc["models"]) + 1),
+    "nummods 0": lambda doc, md, j: doc["nummods"].__setitem__(j % len(doc["nummods"]), 0),
+    "grid nummod past the models": lambda doc, md, j: doc["selection"]["cells"][
+        j % len(doc["selection"]["cells"])].update(nummod=len(doc["models"]) + 1),
+    "x_sd 0": lambda doc, md, j: doc["stats"]["x_sd"].__setitem__(j % doc["p"], 0.0),
+    "x_sd inf": lambda doc, md, j: doc["stats"]["x_sd"].__setitem__(j % doc["p"], float("inf")),
+    "y_sd not finite and > 0": lambda doc, md, j: doc["stats"].update(
+        y_sd=(0.0, -1.0, float("nan"), float("inf"))[j % 4]),
 }
 
 

@@ -10,6 +10,7 @@ tests/golden/regen.py rewrites the committed files.
 """
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,27 @@ def test_golden_outputs_byte_identical(name, tmp_path):
         assert (tmp_path / fname).read_bytes() == (expected_dir / fname).read_bytes(), (
             f"{name}/{fname} differs from the golden file"
         )
+
+
+def test_compare_reports_files_pairs_and_largest_change(tmp_path, monkeypatch, capsys):
+    """regen.py --compare writes nothing and prints what a regeneration would change."""
+    assert regen.largest_change("x1,0.5\n", "x1,0.5\n") == 0.0
+    assert regen.largest_change("a,-2.0e-05,3", "a,-2.0000000000000003e-05,3") == (
+        pytest.approx(1.7e-16, rel=0.05))
+    assert regen.largest_change("nu,1.0", "mu,1.0") is None
+    name = "binomial-gaussian-validation"
+    monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
+    shutil.copytree(Path(_REGEN_PATH).parent / name, tmp_path / name)
+    assert regen.compare(name) == f"{name}: identical"
+    model, grid = tmp_path / name / "model.json", tmp_path / name / "selection.csv"
+    model.write_text(model.read_text().replace('"nummod": 4\n },\n "one_se"',
+                                               '"nummod": 2\n },\n "one_se"'))
+    grid.write_text(grid.read_text().replace("25.78384417649826", "25.78384417649827"))
+    before = {p: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert regen.compare(name) == (f"{name}: model.json, selection.csv differ; "
+                                   "best/one_se MOVED; largest relative change 5.0e-01")
+    assert {p: p.read_bytes() for p in (tmp_path / name).iterdir()} == before
+    monkeypatch.setattr(regen, "ALL_RECIPES", (name,))
+    assert regen.main(["--compare"]) == 0
+    assert capsys.readouterr().out.startswith(f"{name}: model.json, selection.csv differ;")
+    assert {p: p.read_bytes() for p in (tmp_path / name).iterdir()} == before

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from spar.errors import ConfigError, DataError
 from spar.families import BINOMIAL, GAUSSIAN, deviance_eval, linkinv_eval
 from spar.plugins import resolve
 from spar.screening import (
+    ScreeningResult,
     ScreenSpec,
+    _smallest,
     compute_screening,
     register_screen_plugin,
     screen_cor,
@@ -249,6 +253,61 @@ def test_select_prob_invariant_to_weight_rescaling():
     a = select_screened(res1, spec, np.random.default_rng(17))
     b = select_screened(res2, spec, np.random.default_rng(17))
     assert np.array_equal(a, b)
+
+
+def _select_by_stable_sort(result, spec, rng):
+    """select_screened as it kept its nscreen before the partition: a full stable argsort."""
+    absw = np.abs(np.asarray(result.omega, dtype=float))
+    mask = np.ones(absw.size, dtype=bool)
+    mask[np.asarray(result.excluded, dtype=int)] = False
+    idx = np.flatnonzero(mask)
+    if spec.nscreen >= idx.size:
+        return idx
+    w = absw[idx]
+    if spec.selection_type == "fixed":
+        order = np.argsort(-w, kind="stable")
+        return np.sort(idx[order[: spec.nscreen]])
+    pos = w > 0
+    npos = int(pos.sum())
+    if npos >= spec.nscreen:
+        keys = rng.exponential(size=npos) / w[pos]
+        order = np.argsort(keys, kind="stable")
+        chosen = idx[pos][order[: spec.nscreen]]
+    else:
+        zeros = idx[~pos]
+        fill = rng.choice(zeros, size=spec.nscreen - npos, replace=False)
+        chosen = np.concatenate([idx[pos], fill])
+    return np.sort(chosen)
+
+
+# small integers tie at the cut; NaN scores rank last in "fixed" and never enter "prob" keys
+_screen_scores = st.lists(st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, np.nan]),
+                          min_size=1, max_size=40)
+
+
+@given(data=st.data(), omega=_screen_scores, selection_type=st.sampled_from(["prob", "fixed"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_select_screened_keeps_the_set_of_a_stable_sort(data, omega, selection_type, seed):
+    """The partition keeps what a full stable sort kept, draw for draw: ties at the cut,
+    excluded columns, no screening (nscreen covers every column) and the zero-weight fill."""
+    p = len(omega)
+    excluded = data.draw(st.lists(st.integers(0, p - 1), unique=True, max_size=p))
+    result = ScreeningResult(np.asarray(omega), np.asarray(excluded, dtype=int))
+    spec = ScreenSpec(nscreen=data.draw(st.integers(1, p + 2)), selection_type=selection_type)
+    got = select_screened(result, spec, np.random.default_rng(seed))
+    want = _select_by_stable_sort(result, spec, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+@given(keys=st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf, np.nan]),
+                     min_size=1, max_size=30), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_smallest_is_the_head_of_a_stable_argsort(keys, data):
+    """Ties (-0.0 == 0.0 too) go to the smaller index; NaN ranks after inf, as np.sort puts it."""
+    keys = np.asarray(keys)
+    k = data.draw(st.integers(1, keys.size))
+    assert np.array_equal(np.sort(_smallest(keys, k)), np.sort(np.argsort(keys, kind="stable")[:k]))
 
 
 def test_split_for_screening():

@@ -17,7 +17,9 @@ from spar import (
     fit_spar_cv,
     generate_synthetic,
 )
+from spar import selection
 from spar.cli import _write_csv
+from spar.ensemble import averaged_coef
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.rng import fold_stream
@@ -263,6 +265,118 @@ def test_cv_frees_each_fold_before_the_next():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f} x x.nbytes"
+
+
+def _plain_mu(family, eta):
+    if family == "gaussian":
+        return eta
+    if family == "binomial":
+        return np.clip(1.0 / (1.0 + np.exp(-eta)), 1e-10, 1.0 - 1e-10)
+    return np.maximum(np.exp(np.minimum(eta, 700.0)), 1e-10)
+
+
+def _plain_measure(measure, family, y, mu):
+    """The selection measures written out in numpy, 0 * log 0 = 0 in the deviances."""
+    if measure == "mse":
+        return np.mean((y - mu) ** 2)
+    if measure == "mae":
+        return np.mean(np.abs(y - mu))
+    if measure == "class":
+        return np.mean((mu > 0.5) != (y > 0.5))
+    if measure == "1-auc":
+        pos, neg = mu[y == 1][:, None], mu[y == 0][None, :]
+        return 1.0 - np.mean((pos > neg) + 0.5 * (pos == neg))
+    if family == "gaussian":
+        return np.sum((y - mu) ** 2)
+    ylogy = y * np.log(np.where(y > 0, y, 1.0) / mu)
+    if family == "binomial":
+        return 2.0 * np.sum(ylogy + (1 - y) * np.log(np.where(y < 1, 1 - y, 1.0) / (1 - mu)))
+    return 2.0 * np.sum(ylogy - (y - mu))
+
+
+_ORACLE_RTOL = 1e-12
+_POOLS = {"gaussian": (-2.0, -1.0, 1.0, 2.0), "binomial": (-1.5, 1.5), "poisson": (-0.4, 0.4)}
+_FAMILY_MEASURES = [(fam, m) for fam in ("gaussian", "poisson") for m in ("deviance", "mse", "mae")]
+_FAMILY_MEASURES += [("binomial", m) for m in ("deviance", "mse", "mae", "class", "1-auc")]
+
+
+def _same_pair_unless_tied(got, want, values):
+    """got and want pick the same cell, or their recomputed values tie within _ORACLE_RTOL."""
+    if (got.nu, got.nummod) != (want.nu, want.nummod):
+        a, b = values[(got.nu, got.nummod)], values[(want.nu, want.nummod)]
+        assert np.isclose(a, b, rtol=_ORACLE_RTOL, atol=0), (got, want)
+
+
+@pytest.mark.parametrize("mode", ["validation", "cv"])
+@pytest.mark.parametrize("family,measure", _FAMILY_MEASURES)
+def test_grid_cells_equal_a_per_cell_recompute(family, measure, mode, monkeypatch):
+    """Every scored cell equals intercept + x @ beta of its averaged_coef, pushed through the
+    inverse link and the measure in plain numpy, to 1e-12 relative; so do the selected pairs.
+
+    The grid scores one matrix product per nummod block, so it matches the per-cell recompute
+    to a few ulps, not bit for bit.  Every scoring call (the validation set, each CV fold) is
+    recorded with the models, stats and rows it scored.
+    """
+    calls = []
+    scored_cells = selection._scored_cells
+
+    def recording(ens, models, stats, x, y):
+        cells = scored_cells(ens, models, stats, x, y)
+        calls.append((models, stats, x, y, cells))
+        return cells
+
+    monkeypatch.setattr(selection, "_scored_cells", recording)
+    ds, _ = generate_synthetic(SyntheticSpec(n=40, p=60, n_active=6, sigma2=1.0, family=family,
+                                             coef_pool=_POOLS[family], n_test=20), 4)
+    common = dict(family=family, measure=measure, nnu=5, nummods=(2, 4), seed=3)
+    if mode == "validation":
+        ens = fit_spar(ds.x, ds.y, xval=ds.x_test, yval=ds.y_test, **common)
+    else:
+        ens = fit_spar_cv(ds.x, ds.y, nfolds=4, **common)
+
+    recomputed = []  # per scoring call, one value per cell
+    for models, stats, x, y, cells in calls:
+        row = []
+        for cell in cells:
+            c = averaged_coef(models, stats, ens.p, cell.nu, cell.nummod)
+            want = _plain_measure(measure, family, y, _plain_mu(family, c.intercept + x @ c.beta))
+            assert np.isclose(cell.value, want, rtol=_ORACLE_RTOL, atol=0), (cell, want)
+            row.append(want)
+        recomputed.append(row)
+    assert len(calls) == (1 if mode == "validation" else len(ens.grid.cells[0].fold_values))
+
+    stacked = np.asarray(recomputed)
+    if mode == "cv":
+        for pos, cell in enumerate(ens.grid.cells):
+            assert cell.fold_values == [cells[pos].value for *_, cells in calls]
+        ses = stacked.std(axis=0, ddof=1) / np.sqrt(len(calls))
+    else:
+        assert ens.grid.cells == calls[0][4]
+        ses = np.zeros(stacked.shape[1])
+    oracle = SelectionGrid([GridCell(c.nu, c.nummod, float(v), float(se), c.active)
+                            for c, v, se in zip(ens.grid.cells, stacked.mean(axis=0), ses)], "cv")
+    values = {(c.nu, c.nummod): c.value for c in oracle.cells}
+    _same_pair_unless_tied(ens.grid.best_cell(), oracle.best_cell(), values)
+    if mode == "cv":
+        _same_pair_unless_tied(ens.grid.one_se_cell(), oracle.one_se_cell(), values)
+
+
+def test_validation_grid_holds_one_block_at_a_time():
+    """At wide p the validation grid peaks near two nus x p blocks: the running sum and the block
+    being scored (about 2.04 measured).  Five nummods held at once would be six."""
+    ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_active=10, n_test=20), 1)
+    ens = fit_spar(ds.x, ds.y, xval=ds.x_test, yval=ds.y_test, nnu=20, nummods=(2, 4, 6, 8, 10),
+                   seed=1)
+    evaluate_validation_grid(ens, ds.x_test, ds.y_test)  # warm up
+    block = ens.nus.size * ens.p * 8
+    tracemalloc.start()
+    try:
+        evaluate_validation_grid(ens, ds.x_test, ds.y_test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.nus.size == 20
+    assert peak < 2.5 * block, f"peak {peak / block:.2f} nus x p blocks"
 
 
 def test_fit_spar_needs_both_validation_arrays_or_neither(caplog):
