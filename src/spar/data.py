@@ -350,7 +350,7 @@ def model_from_dict(doc: dict) -> SparEnsemble:
             st["y_mean"], st["y_sd"], np.asarray(st["constant_cols"], dtype=int))
         if not stats.x_mean.shape == stats.x_sd.shape == (p,):
             raise ValueError(f"p is {p}, the stats arrays hold {stats.x_mean.size} and {stats.x_sd.size}")
-        if not all(0 < sd < np.inf for sd in [*stats.x_sd.tolist(), stats.y_sd]):
+        if not (np.all(stats.x_sd > 0) and np.all(stats.x_sd < np.inf) and 0 < stats.y_sd < np.inf):
             raise ValueError("an x_sd or the y_sd is not finite and > 0")
         models = []
         for md in doc["models"]:

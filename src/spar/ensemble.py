@@ -4,8 +4,8 @@ The fitting loop per model k: draw an index set of screened predictors,
 draw a goal dimension, draw a projection, fit a penalized GLM on the
 projected predictors, and map the reduced coefficients back.  Averaging
 over the first nummod models after hard thresholding at nu gives the
-final coefficient vector on the original predictor scale; _coef_blocks is the
-one place that does it, a block per nummod, for coef_path (coef(), predict_glm) and the grids.
+final coefficient vector on the original predictor scale; _coef_blocks,
+one block per nummod, is the one place that does it, for coef_path and the grids.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def _coef_blocks(models, stats: StandardizationStats, p: int, nus, nummods):
 
 
 def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
-    """Yield the AveragedCoef of every (nu, nummod) pair, nummods x nus order: _coef_blocks' rows."""
+    """Yield each (nu, nummod) pair's AveragedCoef, nummods x nus (grids score a block at once)."""
     for nummod, betas, intercepts in _coef_blocks(models, stats, p, nus, nummods):
         for nu, beta, intercept in zip(nus, betas, intercepts):
             yield AveragedCoef(intercept, beta, float(nu), nummod, int(np.count_nonzero(beta)))

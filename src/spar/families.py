@@ -53,7 +53,9 @@ def get_family(family) -> Family:
     try:
         return FAMILIES[family]
     except (KeyError, TypeError):
-        raise ConfigError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}") from None
+        raise ConfigError(
+            f"unknown family {family!r}; choose from {sorted(FAMILIES)}"
+        ) from None
 
 
 def validate_response(fam: Family, y) -> np.ndarray:

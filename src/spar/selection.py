@@ -2,14 +2,13 @@
 
 Both paths score every (nu, nummod) pair with the chosen measure and
 take the argmin, breaking ties toward the sparser model: larger nu
-first, then smaller nummod.  ensemble._coef_blocks builds the grid in
-one pass over the models, one nus x p block per nummod, nummods x nus
-order, and one matrix product scores each block: a cell agrees with its
-own intercept + x @ beta to a few ulps, not bit for bit.
-Cross-validation refits the marginal models per fold through
-ensemble.fit_models, as the full-data fit does, with its index sets and
-projections frozen; only data-driven cw diagonals are refreshed, from
-the fold's screening coefficients.
+first, then smaller nummod.  ensemble._coef_blocks builds the grid in one
+pass over the models, a nus x p block per nummod in nummods x nus order;
+one matrix product scores a block, so a cell agrees with its own
+intercept + x @ beta to a few ulps.  Cross-validation refits the
+marginal models per fold through ensemble.fit_models, as the full-data
+fit does, with its index sets and projections frozen; only data-driven
+cw diagonals are refreshed, from the fold's screening coefficients.
 """
 
 from __future__ import annotations
@@ -69,14 +68,14 @@ class SelectionGrid:
 
 
 def _scored_cells(ens: SparEnsemble, models, stats, x, y) -> list[GridCell]:
-    """Each grid cell, ens.measure on x, y (avg_type='link'); one product, one block held at a time."""
+    """The grid's cells, ens.measure on x, y (avg_type='link'): one product, one block at a time."""
     def cells(nummod, betas, intercepts):
         mus = (linkinv_eval(ens.family, b0 + eta) for b0, eta in zip(intercepts, betas @ x.T))
         return [GridCell(float(nu), nummod, eval_measure(ens.measure, ens.family, y, mu), 0.0,
                          int(np.count_nonzero(beta))) for nu, beta, mu in zip(ens.nus, betas, mus)]
 
     blocks = _coef_blocks(models, stats, ens.p, ens.nus, ens.nummods)
-    return list(chain.from_iterable(starmap(cells, blocks)))
+    return list(chain.from_iterable(starmap(cells, blocks)))  # a loop variable would keep a block
 
 
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val) -> SelectionGrid:
@@ -156,7 +155,9 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
                                                 model_spec, threads))
 
     if len(fold_measures) < 2:
-        raise CvError(f"only {len(fold_measures)} usable folds out of {len(folds)}; need at least 2")
+        raise CvError(
+            f"only {len(fold_measures)} usable folds out of {len(folds)}; need at least 2"
+        )
     stacked = np.vstack(fold_measures)  # (usable folds, cells)
     means = stacked.mean(axis=0)
     ses = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
