@@ -287,7 +287,7 @@ def largest_change(old: str, new: str) -> float | None:
     if len(a) != len(b) or a[::2] != b[::2]:
         return None
     pairs = [(float(s), float(t)) for s, t in zip(a[1::2], b[1::2]) if s != t]
-    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
 
 
 def compare(name: str) -> str:

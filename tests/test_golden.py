@@ -39,6 +39,7 @@ def test_compare_reports_files_pairs_and_largest_change(tmp_path, monkeypatch, c
     assert regen.largest_change("a,-2.0e-05,3", "a,-2.0000000000000003e-05,3") == (
         pytest.approx(1.7e-16, rel=0.05))
     assert regen.largest_change("nu,1.0", "mu,1.0") is None
+    assert regen.largest_change("b1,0.0", "b1,-0.0") == 0.0
     name = "binomial-gaussian-validation"
     monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
     shutil.copytree(Path(_REGEN_PATH).parent / name, tmp_path / name)
