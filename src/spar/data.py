@@ -7,9 +7,9 @@ every cell that float() would read differently; whenever that fast path
 fails, finds a non-finite value or an empty body, the file is parsed
 again row by row, and that strict parser alone decides the result and
 words every error.  Models persist as versioned JSON that only this module
-reads and writes: dumps writes what json.dumps(indent=1) would, one array at
-a time, and floats round-trip through repr, so save -> load -> save is
-byte-identical; model_from_dict refuses a document no fit can have written.
+reads and writes: dumps writes one line from json's C encoder, numbers by repr,
+so save -> load -> save is byte-identical; format 1.0 files written indented
+still load.  model_from_dict refuses a document no fit can have written.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 import scipy.sparse
 
 from .ensemble import MarginalModel, SparEnsemble, StandardizationStats
-from .errors import ConfigError, DataError, NumericError, ParseError, VersionError, whole_at_least
+from .errors import ConfigError, NumericError, ParseError, VersionError, whole_at_least
 from .families import get_family, linkinv_eval
 from .projection import ProjectionMatrix
 from .selection import GridCell, SelectionGrid
@@ -248,52 +248,22 @@ def save_csv(path, x, y=None, colnames=None) -> None:
 # ---- model persistence ----
 
 
-def dumps(obj, depth=0) -> str:
-    """json.dumps(obj, indent=1), dataclasses as dicts of their fields, numpy values as tolist().
+def dumps(obj) -> str:
+    """obj as one line of JSON from json's C encoder: numbers by repr, json's separators.
 
-    The one encoder of model.json, coef.json and truth.json.  It writes one array at a
-    time: the numbers of a 1-D float or integer array in one join, where json's indenting
-    encoder takes a generator step per number.  depth is the nesting level of obj.
+    The one encoder of model.json, coef.json and truth.json; the format version stays 1.0,
+    and files written before in the indent=1 layout still load.
     """
+    return json.dumps(obj, default=_plain)
+
+
+def _plain(obj):
+    """A dataclass as the dict of its fields, a numpy value by tolist(); TypeError otherwise."""
     if is_dataclass(obj):
-        obj = {f.name: getattr(obj, f.name) for f in fields(obj)}
-    pair = "[]"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind in "fiu":
-        fmt = int.__repr__ if obj.dtype.kind != "f" else (
-            float.__repr__ if np.isfinite(obj).all() else _float)
-        items = map(fmt, obj.tolist())
-    elif isinstance(obj, (np.ndarray, np.generic)):
-        return dumps(obj.tolist(), depth)
-    elif isinstance(obj, dict):
-        pair = "{}"
-        items = (f"{_atom(k, key=True)}: {dumps(v, depth + 1)}" for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = (dumps(v, depth + 1) for v in obj)
-    else:
-        return _atom(obj)
-    inner = "\n" + " " * (depth + 1)
-    body = ("," + inner).join(items)
-    return pair[0] + inner + body + inner[:-1] + pair[1] if body else pair
-
-
-def _float(v) -> str:
-    text = float.__repr__(v)
-    return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(text, text)
-
-
-def _atom(v, key=False) -> str:
-    """json's text for a str, None, bool, int or float value, or for a dict key."""
-    if isinstance(v, str):
-        return json.encoder.encode_basestring_ascii(v)
-    if v is None or isinstance(v, bool):
-        text = "null" if v is None else "true" if v else "false"
-    elif isinstance(v, (int, float)):
-        text = int.__repr__(v) if isinstance(v, int) else _float(v)
-    else:
-        name = v.__class__.__name__
-        raise TypeError(f"keys must be str, int, float, bool or None, not {name}" if key
-                        else f"Object of type {name} is not JSON serializable")
-    return f'"{text}"' if key else text
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _pair_dict(pair):

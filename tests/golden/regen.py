@@ -40,7 +40,8 @@ change first with
 
 which writes nothing and prints, per recipe, the files that differ from
 the committed goldens, whether the stored best/one_se pairs moved, and
-the largest relative change of a number in the differing files.
+the largest relative change of a number in the differing files.  JSON
+files are compared by value: a change of layout alone is a 0 change.
 """
 
 from __future__ import annotations
@@ -290,6 +291,11 @@ def largest_change(old: str, new: str) -> float | None:
     return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
 
 
+def _by_value(fname: str, text: str) -> str:
+    """A .json text re-encoded by json.dumps, so a change of layout alone changes no number."""
+    return json.dumps(json.loads(text)) if fname.endswith(".json") else text
+
+
 def compare(name: str) -> str:
     """One line: the files of a rebuilt recipe that differ from its goldens, the pairs, the change."""
     golden = GOLDEN_DIR / name
@@ -302,7 +308,8 @@ def compare(name: str) -> str:
     differ = [f for f, (old, new) in texts.items() if old != new]
     if not differ:
         return f"{name}: identical"
-    changes = [None if None in texts[f] else largest_change(*texts[f]) for f in differ]
+    changes = [None if None in texts[f] else largest_change(*(_by_value(f, t) for t in texts[f]))
+               for f in differ]
     largest = ("not only numbers differ" if None in changes
                else f"largest relative change {max(changes):.1e}")
     pairs = ""

@@ -10,6 +10,7 @@ tests/golden/regen.py rewrites the committed files.
 """
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -45,8 +46,11 @@ def test_compare_reports_files_pairs_and_largest_change(tmp_path, monkeypatch, c
     shutil.copytree(Path(_REGEN_PATH).parent / name, tmp_path / name)
     assert regen.compare(name) == f"{name}: identical"
     model, grid = tmp_path / name / "model.json", tmp_path / name / "selection.csv"
-    model.write_text(model.read_text().replace('"nummod": 4\n },\n "one_se"',
-                                               '"nummod": 2\n },\n "one_se"'))
+    text = model.read_text()
+    model.write_text(json.dumps(json.loads(text), indent=1))  # another layout, the same values
+    assert regen.compare(name) == (f"{name}: model.json differ; "
+                                   "best/one_se unchanged; largest relative change 0.0e+00")
+    model.write_text(text.replace('"nummod": 4}, "one_se"', '"nummod": 2}, "one_se"'))
     grid.write_text(grid.read_text().replace("25.78384417649826", "25.78384417649827"))
     before = {p: p.read_bytes() for p in (tmp_path / name).iterdir()}
     assert regen.compare(name) == (f"{name}: model.json, selection.csv differ; "
