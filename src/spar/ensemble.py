@@ -259,8 +259,6 @@ def build_nu_grid(models, nnu: int, explicit=None) -> np.ndarray:
     if vals.size == 0:
         logger.warning("all marginal coefficients are zero; nu grid degenerates to {0}")
         return np.zeros(1)
-    if nnu == 1:
-        return np.zeros(1)
     qs = np.quantile(vals, np.arange(1, nnu) / nnu)
     return np.unique(np.concatenate([[0.0], qs]))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import chain, product, starmap
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .ensemble import (
     SparEnsemble,
     _coef_blocks,
     check_x_new,
-    coef_path,
     eval_measure,
     fit_models,
     standardize,
@@ -133,9 +132,9 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     restandardize the training part, split it for screening, refit the
     marginal GLMs with the full fit's index sets and projections through
     fit_models, and score the held-out part with ens.measure on the cells
-    of the fold's coef_path.  Cell means and standard errors
+    of the fold's coefficient blocks.  Cell means and standard errors
     (sd / sqrt(#folds)) aggregate over the usable folds; active counts
-    come from the full-data ensemble's coef_path.
+    come from the full-data ensemble's coefficient blocks.
     """
     x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)
@@ -162,6 +161,9 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     means = stacked.mean(axis=0)
     ses = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
 
-    path = coef_path(ens.models, ens.stats, ens.p, ens.nus, ens.nummods)
-    return SelectionGrid([GridCell(c.nu, c.nummod, float(mean), float(se), c.active, fold.tolist())
-                          for c, mean, se, fold in zip(path, means, ses, stacked.T)], "cv")
+    blocks = _coef_blocks(ens.models, ens.stats, ens.p, ens.nus, ens.nummods)
+    counts = starmap(lambda nummod, betas, intercepts: np.count_nonzero(betas, axis=1), blocks)
+    cells = [GridCell(float(nu), int(nummod), float(mean), float(se), int(active), fold.tolist())
+             for (nummod, nu), active, mean, se, fold in zip(
+                 product(ens.nummods, ens.nus), chain.from_iterable(counts), means, ses, stacked.T)]
+    return SelectionGrid(cells, "cv")  # counts hold one block at a time, as _scored_cells does

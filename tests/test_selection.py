@@ -379,6 +379,25 @@ def test_validation_grid_holds_one_block_at_a_time():
     assert peak < 2.5 * block, f"peak {peak / block:.2f} nus x p blocks"
 
 
+def test_cross_validation_holds_one_block_at_a_time():
+    """At wide p with many nus the CV grid's tail dominates its peak: the active counts are taken
+    one block at a time, as the fold scores are (about 2.5 nus x p blocks measured).  Counts read
+    off coef_path kept a third block alive while the next one was built (about 3.1)."""
+    ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_active=10), 1)
+    ens = fit_spar_cv(ds.x, ds.y, nfolds=3, nnu=100, nummods=tuple(range(2, 11)), seed=1)
+    args = (ens, ds.x, ds.y, ScreenSpec(), ModelSpec(), 3)
+    assert cross_validate(*args).cells == ens.grid.cells  # warm up, and the fit's own grid
+    block = ens.nus.size * ens.p * 8
+    tracemalloc.start()
+    try:
+        cross_validate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ens.nus.size == 100
+    assert peak < 2.75 * block, f"peak {peak / block:.2f} nus x p blocks"
+
+
 def test_fit_spar_needs_both_validation_arrays_or_neither(caplog):
     rng = np.random.default_rng(11)
     x = rng.standard_normal((40, 15))
