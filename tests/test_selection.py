@@ -382,7 +382,7 @@ def test_validation_grid_holds_one_block_at_a_time():
 def test_cross_validation_holds_one_block_at_a_time():
     """At wide p with many nus the CV grid's tail dominates its peak: the active counts are taken
     one block at a time, as the fold scores are (about 2.5 nus x p blocks measured).  Counts read
-    off coef_path kept a third block alive while the next one was built (about 3.1)."""
+    off coef_path's cells would keep a third block alive while the next is built (about 3.1)."""
     ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_active=10), 1)
     ens = fit_spar_cv(ds.x, ds.y, nfolds=3, nnu=100, nummods=tuple(range(2, 11)), seed=1)
     args = (ens, ds.x, ds.y, ScreenSpec(), ModelSpec(), 3)
