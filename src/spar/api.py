@@ -153,7 +153,8 @@ def fit_spar_cv(
 
     The full-data fit freezes the index sets, projections and nu grid;
     folds only refit the marginal GLMs (and refresh data-driven cw
-    diagonals).  Returns a SparEnsemble with best and the one-standard-
+    diagonals), starting from the stored full-data fit, so CV values move
+    only within the IRLS tolerance (see cross_validate).  Returns a SparEnsemble with best and the one-standard-
     error pair one_se.  threads works as in fit_spar, for the folds too.
     nfolds (whole, from 2 to the rows of x) is checked with the rest.
     """

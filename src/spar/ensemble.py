@@ -161,6 +161,8 @@ def fit_models(
     inds=None,
     rpms=None,
     threads: int = 1,
+    starts=None,
+    screen_start=None,
 ) -> list[MarginalModel]:
     """Screen on screen_rows and fit the marginal models on model_rows (algorithm step 4).
 
@@ -169,8 +171,11 @@ def fit_models(
     carries this fit's screening coefficients of its columns; screening
     runs only when something reads it.  What is not supplied, each model
     draws from streams keyed by (seed, model index, purpose), so results
-    do not depend on the thread count.  A model whose solve fails is
-    recorded with zero coefficients; only all models failing raises.
+    do not depend on the thread count; a "fixed" kept set is the same for
+    every model and is selected once.  starts (one (gamma0, gamma) or None
+    per model) and screen_start are the solver's warm starts (see
+    fit_penalized_glm).  A model whose solve fails is recorded with zero
+    coefficients; only all models failing raises.
     """
     p = x_std.shape[1]
     if inds is not None and len(inds) < n_models:
@@ -185,8 +190,10 @@ def fit_models(
     supplied = [] if rpms is None else [r for r in rpms[:n_models] if r is not None]
     drawn_cw = len(supplied) < n_models and rp_spec.kind == "cw" and rp_spec.data_driven
     refresh = any(r.kind == "cw" and r.data_driven for r in supplied)
-    screen_result = (compute_screening(*rows_of(screen_rows), fam, screen_spec)
+    screen_result = (compute_screening(*rows_of(screen_rows), fam, screen_spec, screen_start)
                      if inds is None or drawn_cw or refresh else None)
+    fixed = (select_screened(screen_result, screen_spec, None)
+             if inds is None and screen_spec.selection_type == "fixed" else None)
     x_fit, y_fit = rows_of(model_rows)
     eps = model_spec.resolve_epsilon(fam, len(y_fit))
 
@@ -195,6 +202,8 @@ def fit_models(
             idx = np.asarray(inds[k], dtype=int)
             if idx.size == 0 or idx.min() < 0 or idx.max() >= p:
                 raise ConfigError(f"model {k}: supplied index set out of range")
+        elif fixed is not None:
+            idx = fixed
         else:
             idx = select_screened(screen_result, screen_spec, model_stream(master_seed, k, SCREEN_DRAW))
         q = idx.size
@@ -213,14 +222,15 @@ def fit_models(
                 omega=omega, x=x_fit, y=y_fit, family=fam, model_epsilon=eps,
             )
         z = phi.matmul(x_fit[:, idx])
+        start = None if starts is None else starts[k]
         try:
             try:
-                fit = fit_penalized_glm(z, y_fit, fam, eps, model_spec.max_iter, model_spec.tol)
+                fit = fit_penalized_glm(z, y_fit, fam, eps, model_spec.max_iter, model_spec.tol, start)
             except SingularError:
                 if eps > 0:
                     raise
                 fit = fit_penalized_glm(z, y_fit, fam, RIDGE_PER_ROW * len(y_fit), model_spec.max_iter,
-                                        model_spec.tol)
+                                        model_spec.tol, start)
         except SOLVER_ERRORS as exc:
             logger.warning("model %d failed (%s); recording zero coefficients", k, exc)
             return MarginalModel(idx, phi, 0.0, np.zeros(phi.m), False, failed=True)

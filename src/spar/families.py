@@ -205,7 +205,7 @@ def _solve_wls(z, target, w, epsilon):
         return tbar - float(zbar @ gamma), gamma
 
 
-def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmFit:
+def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=None) -> GlmFit:
     """Fit a GLM of y on z with an L2 penalty on the slopes.
 
     Parameters
@@ -219,6 +219,10 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
     epsilon : float
         Penalty weight; 0 means unpenalized.
     max_iter, tol : IRLS budget and relative deviance-change tolerance.
+    start : (gamma0, gamma) or None
+        Warm start for binomial and poisson, used only when its penalized
+        objective is below the intercept-only start's (gamma0 None: that
+        start's intercept); results move within tol.  Gaussian ignores it.
 
     Returns
     -------
@@ -251,23 +255,31 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
         mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
         return GlmFit(float(gamma0), gamma, True, 1, _deviance(fam, y, mu))
 
-    # IRLS from the intercept-only start, with step halving on the
-    # penalized objective (deviance/2 + penalty, dispersion 1).
+    # IRLS from the intercept-only start or a lower warm start, with step
+    # halving on the penalized objective (deviance/2 + penalty, dispersion 1).
     if fam.name == "binomial":
         mu0 = float(np.clip(y.mean(), BINOMIAL_MU_EPS, 1.0 - BINOMIAL_MU_EPS))
         gamma0 = float(np.log(mu0 / (1.0 - mu0)))
     else:
         gamma0 = float(np.log(max(y.mean(), POISSON_MU_FLOOR)))
-    gamma = np.zeros(m)
     sat = _saturated(fam, y)
 
-    def objective(dev, g):
-        return 0.5 * dev + 0.5 * epsilon * float(g @ g)
+    def state(g0, g):  # an iterate: (gamma0, gamma, eta, mu, deviance, penalized objective)
+        eta = g0 + z @ g
+        mu = linkinv_eval(fam, eta)
+        dev = _deviance(fam, y, mu, sat)
+        return g0, g, eta, mu, dev, 0.5 * dev + 0.5 * epsilon * float(g @ g)
 
-    eta = gamma0 + z @ gamma
-    mu = linkinv_eval(fam, eta)
-    dev = _deviance(fam, y, mu, sat)
-    obj = objective(dev, gamma)
+    gamma0, gamma, eta, mu, dev, obj = state(gamma0, np.zeros(m))
+    if start is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                warm = state(gamma0 if start[0] is None else float(start[0]),
+                             np.array(start[1], dtype=float))
+            except DomainError:  # a non-finite linear predictor starts cold
+                warm = None
+        if warm is not None and warm[-1] < obj:  # so does a tie or a NaN objective
+            gamma0, gamma, eta, mu, dev, obj = warm
     converged = False
     for iterations in range(1, max_iter + 1):  # max_iter >= 1: iterations is always bound
         w = variance_eval(fam, mu)
@@ -277,20 +289,15 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8) -> GlmF
         dg = prop - gamma
         step = 1.0
         for _ in range(31):  # full step plus up to 30 halvings
-            cand0 = gamma0 + step * d0
-            cand = gamma + step * dg
-            eta_c = cand0 + z @ cand
-            mu_c = linkinv_eval(fam, eta_c)
-            dev_c = _deviance(fam, y, mu_c, sat)
-            obj_c = objective(dev_c, cand)
-            if obj_c <= obj + 1e-12 * (1.0 + abs(obj)):
+            cand = state(gamma0 + step * d0, gamma + step * dg)
+            if cand[-1] <= obj + 1e-12 * (1.0 + abs(obj)):
                 break
             step *= 0.5
         else:
             converged = True  # no descent possible at machine precision
             break
         dev_prev = dev
-        gamma0, gamma, eta, mu, dev, obj = cand0, cand, eta_c, mu_c, dev_c, obj_c
+        gamma0, gamma, eta, mu, dev, obj = cand
         if abs(dev - dev_prev) / (0.1 + abs(dev)) < tol:
             converged = True
             break

@@ -136,32 +136,33 @@ def screen_marglik(x, y, family, epsilon=0.0) -> ScreeningResult:
     return ScreeningResult(omega, np.asarray(sorted(const), dtype=int), failed)
 
 
-def screen_ridge(x, y, family, epsilon=None) -> ScreeningResult:
+def screen_ridge(x, y, family, epsilon=None, start=None) -> ScreeningResult:
     """Coefficients of one multivariate ridge GLM on all columns.
 
     epsilon defaults to 1e-2 * n.  When p > n the solve runs in dual
-    form (an n x n system), so the cost is O(n^2 p).
+    form (an n x n system), so the cost is O(n^2 p).  start is the
+    solver's warm start (see fit_penalized_glm).
     """
     x, y = _check_input(x, y)
     if epsilon is None:
         epsilon = 1e-2 * x.shape[0]
     const = _constant_columns(x)
-    fit = fit_penalized_glm(x, y, family, epsilon)
+    fit = fit_penalized_glm(x, y, family, epsilon, start=start)
     omega = np.asarray(fit.gamma, dtype=float)
     omega[const] = 0.0
     return ScreeningResult(omega, const)
 
 
 @one_blas_thread
-def compute_screening(x, y, fam: Family, spec: ScreenSpec) -> ScreeningResult:
-    """Dispatch on spec.method; plugin output is validated and cleaned."""
+def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> ScreeningResult:
+    """Dispatch on spec.method; plugin output is validated and cleaned.  Only ridge reads start."""
     if spec.method == "cor":
         return screen_cor(x, y)
     if spec.method == "marglik":
         eps = 0.0 if spec.epsilon is None else spec.epsilon
         return screen_marglik(x, y, fam, eps)
     if spec.method == "ridge":
-        return screen_ridge(x, y, fam, spec.epsilon)
+        return screen_ridge(x, y, fam, spec.epsilon, start)
     fn = resolve("screening", spec.plugin)
     x, y = _check_input(x, y)
     omega = np.asarray(fn(x, y, dict(spec.controls)), dtype=float)

@@ -7,8 +7,9 @@ pass over the models, a nus x p block per nummod in nummods x nus order;
 one matrix product scores a block, so a cell agrees with its own
 intercept + x @ beta to a few ulps.  Cross-validation refits the
 marginal models per fold through ensemble.fit_models, as the full-data
-fit does, with its index sets and projections frozen; only data-driven
-cw diagonals are refreshed, from the fold's screening coefficients.
+fit does, with its index sets and projections frozen and its fits as
+warm starts; only data-driven cw diagonals are refreshed, from the fold's
+screening coefficients.
 """
 
 from __future__ import annotations
@@ -116,10 +117,15 @@ def _fold_measures(ens: SparEnsemble, x, y, train, test, fold: int, screen_spec,
     x_std, y_std, stats = standardize(x[train], y[train], ens.family)
     screen_rows, model_rows = split_for_screening(len(train), screen_spec.split_data_prop,
                                                   split_stream(ens.master_seed, fold + 1))
+    omega = np.zeros(ens.p)  # the screening start: the full-data screening values cw columns carry
+    for m in ens.models:
+        if m.phi.kind == "cw" and m.phi.data_driven:
+            omega[m.index_set] = m.phi.mat.data  # one stored value per column, as with_column_values
     models = fit_models(x_std, y_std, ens.family, screen_spec, None, model_spec, len(ens.models),
                         ens.master_seed, screen_rows, model_rows,
                         inds=[m.index_set for m in ens.models], rpms=[m.phi for m in ens.models],
-                        threads=threads)
+                        threads=threads, screen_start=(None, omega),
+                        starts=[None if m.failed else (m.gamma0, m.gamma) for m in ens.models])
     return np.asarray([c.value for c in _scored_cells(ens, models, stats, x[test], y[test])])
 
 
@@ -132,9 +138,12 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     restandardize the training part, split it for screening, refit the
     marginal GLMs with the full fit's index sets and projections through
     fit_models, and score the held-out part with ens.measure on the cells
-    of the fold's coefficient blocks.  Cell means and standard errors
-    (sd / sqrt(#folds)) aggregate over the usable folds; active counts
-    come from the full-data ensemble's coefficient blocks.
+    of the fold's coefficient blocks.  Binomial and poisson fits start from
+    what ens stores (a loaded model gives the same grid): each model from
+    its full-data fit, the screening from the data-driven cw column values;
+    fold values lie within the IRLS tolerance of cold fits.  Cell means and
+    standard errors (sd / sqrt(#folds)) aggregate over the usable folds;
+    active counts come from the full-data ensemble's coefficient blocks.
     """
     x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)

@@ -42,6 +42,7 @@ which writes nothing and prints, per recipe, the files that differ from
 the committed goldens, whether the stored best/one_se pairs moved, and
 the largest relative change of a number in the differing files.  JSON
 files are compared by value: a change of layout alone is a 0 change.
+It exits 1 when any recipe's best or one_se pair would move, else 0.
 """
 
 from __future__ import annotations
@@ -323,17 +324,21 @@ def compare(name: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden outputs.")
     parser.add_argument("--compare", action="store_true",
-                        help="write nothing; print per recipe what a regeneration would change")
+                        help="write nothing; print per recipe what a regeneration would change; "
+                             "exit 1 if any recipe's best or one_se would move")
     args = parser.parse_args(argv)
+    moved = False
     for name in ALL_RECIPES:
         if args.compare:
-            print(compare(name))
+            line = compare(name)
+            moved |= "best/one_se MOVED" in line
+            print(line)
             continue
         outdir = GOLDEN_DIR / name
         shutil.rmtree(outdir, ignore_errors=True)
         write(name, outdir)
         print(f"wrote {outdir}")
-    return 0
+    return int(moved)
 
 
 if __name__ == "__main__":

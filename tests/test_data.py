@@ -271,7 +271,8 @@ def test_model_roundtrip_preserves_predictions(tmp_path):
        cv=st.booleans(), seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_model_serialization_is_stable(family, kind, cv, seed):
-    """save -> load -> save is byte-identical on random small ensembles."""
+    """save -> load -> save is byte-identical on random small ensembles, and the loaded models
+    map back to the fitted coefficients bit for bit."""
     ds, _ = generate_synthetic(
         SyntheticSpec(n=30, p=12, n_active=3, sigma2=1.0, coef_pool=(-0.5, 0.5), family=family),
         seed,
@@ -286,6 +287,7 @@ def test_model_serialization_is_stable(family, kind, cv, seed):
     back = model_from_dict(json.loads(text))
     assert serialize_model(back) == text
     assert (back.best, back.one_se, back.cv) == (ens.best, ens.one_se, ens.cv)
+    assert all(np.array_equal(a.beta_vals, b.beta_vals) for a, b in zip(ens.models, back.models))
 
 
 def test_model_roundtrip_cv_grid(tmp_path):

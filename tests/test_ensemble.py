@@ -127,6 +127,23 @@ def test_fit_models_identity_projection_matches_direct_glm():
     assert np.max(np.abs(models[0].beta_vals - direct.gamma)) < 1e-10
 
 
+def test_fit_models_selects_a_fixed_kept_set_once(monkeypatch):
+    """A "fixed" kept set does not depend on the model: one selection serves every model."""
+    real, calls = ensemble_mod.select_screened, []
+    monkeypatch.setattr(ensemble_mod, "select_screened",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((30, 100))
+    y = x[:, :3].sum(axis=1) + rng.standard_normal(30)
+    xs, ys, _ = standardize(x, y, "gaussian")
+    screen, rows = ScreenSpec(nscreen=20, selection_type="fixed"), np.arange(30)
+    models = fit_models(xs, ys, GAUSSIAN, screen, RpSpec().resolved(30, 100), ModelSpec(), 5, 0,
+                        rows, rows)
+    kept = real(compute_screening(xs, ys, GAUSSIAN, screen), screen, None)
+    assert len(calls) == 1 and kept.size == 20
+    assert all(np.array_equal(m.index_set, kept) for m in models)
+
+
 def test_fit_models_honors_supplied_inds_verbatim():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((40, 30))

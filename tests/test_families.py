@@ -364,3 +364,44 @@ def test_irls_path_frozen():
     fit = fit_penalized_glm(z, y, "poisson", 0.5)
     assert (fit.iterations, fit.converged, fit.deviance) == (8, True, 0.6559810999385709)
     assert fit.gamma0 == -0.3429145911302304
+
+
+def _same_fit(a, b):
+    return (a.gamma0, a.converged, a.iterations, a.deviance) == (
+        b.gamma0, b.converged, b.iterations, b.deviance) and np.array_equal(a.gamma, b.gamma)
+
+
+@given(
+    family=st.sampled_from(["binomial", "poisson"]),
+    shape=st.sampled_from(["primal", "dual"]),
+    n=st.integers(8, 40),
+    bad=st.sampled_from([np.inf, -np.inf, np.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_warm_start_reaches_the_cold_objective(family, shape, n, bad, seed):
+    """A warm start changes the path, not the optimum: converged fits agree on the penalized
+    objective, the cold solution restarts in at most two iterations, and a non-finite start
+    (or none) is the intercept-only fit bit for bit.  Gaussian ignores start."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n // 2)) if shape == "primal" else int(rng.integers(n + 1, 2 * n))
+    eps = float(rng.uniform(0.1, 3.0))
+    z = rng.standard_normal((n, m))
+    eta = 0.3 + z @ rng.normal(0.0, 1.0 / np.sqrt(m), m)
+    y = ((rng.uniform(size=n) < expit(eta)).astype(float) if family == "binomial"
+         else rng.poisson(np.exp(eta)).astype(float))
+    cold = fit_penalized_glm(z, y, family, eps)
+    warm = fit_penalized_glm(z, y, family, eps,
+                             start=(float(rng.normal()), rng.normal(0.0, 1.0 / np.sqrt(m), m)))
+    objective = _penalized_negloglik(get_family(family), z, y, eps)
+    if cold.converged and warm.converged:
+        assert objective(np.r_[warm.gamma0, warm.gamma]) == pytest.approx(
+            objective(np.r_[cold.gamma0, cold.gamma]), rel=1e-8)
+    if cold.converged:
+        assert fit_penalized_glm(z, y, family, eps, start=(cold.gamma0, cold.gamma)).iterations <= 2
+    spoilt = cold.gamma.copy()
+    spoilt[int(rng.integers(m))] = bad
+    for start in (None, (cold.gamma0, spoilt), (bad, cold.gamma), (None, np.full(m, bad))):
+        assert _same_fit(fit_penalized_glm(z, y, family, eps, start=start), cold)
+    gauss = fit_penalized_glm(z, eta, "gaussian", eps)
+    assert _same_fit(fit_penalized_glm(z, eta, "gaussian", eps, start=(1.0, cold.gamma)), gauss)

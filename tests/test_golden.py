@@ -35,7 +35,8 @@ def test_golden_outputs_byte_identical(name, tmp_path):
 
 
 def test_compare_reports_files_pairs_and_largest_change(tmp_path, monkeypatch, capsys):
-    """regen.py --compare writes nothing and prints what a regeneration would change."""
+    """regen.py --compare writes nothing, prints what a regeneration would change and exits 1
+    when a best or one_se pair would move."""
     assert regen.largest_change("x1,0.5\n", "x1,0.5\n") == 0.0
     assert regen.largest_change("a,-2.0e-05,3", "a,-2.0000000000000003e-05,3") == (
         pytest.approx(1.7e-16, rel=0.05))
@@ -50,13 +51,16 @@ def test_compare_reports_files_pairs_and_largest_change(tmp_path, monkeypatch, c
     model.write_text(json.dumps(json.loads(text), indent=1))  # another layout, the same values
     assert regen.compare(name) == (f"{name}: model.json differ; "
                                    "best/one_se unchanged; largest relative change 0.0e+00")
+    monkeypatch.setattr(regen, "ALL_RECIPES", (name,))
+    assert regen.main(["--compare"]) == 0  # files differ, but no pair moved
+    assert capsys.readouterr().out == (f"{name}: model.json differ; "
+                                       "best/one_se unchanged; largest relative change 0.0e+00\n")
     model.write_text(text.replace('"nummod": 4}, "one_se"', '"nummod": 2}, "one_se"'))
     grid.write_text(grid.read_text().replace("25.78384417649826", "25.78384417649827"))
     before = {p: p.read_bytes() for p in (tmp_path / name).iterdir()}
     assert regen.compare(name) == (f"{name}: model.json, selection.csv differ; "
                                    "best/one_se MOVED; largest relative change 5.0e-01")
     assert {p: p.read_bytes() for p in (tmp_path / name).iterdir()} == before
-    monkeypatch.setattr(regen, "ALL_RECIPES", (name,))
-    assert regen.main(["--compare"]) == 0
+    assert regen.main(["--compare"]) == 1  # a moved pair fails the run
     assert capsys.readouterr().out.startswith(f"{name}: model.json, selection.csv differ;")
     assert {p: p.read_bytes() for p in (tmp_path / name).iterdir()} == before
