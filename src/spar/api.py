@@ -152,11 +152,12 @@ def fit_spar_cv(
     """Fit on the full data, then select (nu, nummod) by k-fold CV.
 
     The full-data fit freezes the index sets, projections and nu grid;
-    folds only refit the marginal GLMs (and refresh data-driven cw
-    diagonals), starting from the stored full-data fit, so CV values move
-    only within the IRLS tolerance (see cross_validate).  Returns a SparEnsemble with best and the one-standard-
-    error pair one_se.  threads works as in fit_spar, for the folds too.
-    nfolds (whole, from 2 to the rows of x) is checked with the rest.
+    folds only refit the marginal GLMs from the stored full-data fit (and
+    refresh data-driven cw diagonals), so CV values move only within the
+    IRLS tolerance (see cross_validate).  Returns a SparEnsemble with
+    best and the one-standard-error pair one_se.  threads works as in
+    fit_spar, for the folds too.  nfolds (whole, from 2 to the rows of x)
+    is checked with the rest.
     """
     nfolds = whole_at_least("nfolds", nfolds, 2)
     if nfolds > len(x):

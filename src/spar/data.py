@@ -281,7 +281,7 @@ def _phi_dict(phi: ProjectionMatrix) -> dict:
 def _phi_from_dict(d: dict) -> ProjectionMatrix:
     coo = scipy.sparse.coo_array((np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
                                  shape=(d["m"], d["q"]))
-    # a fitted haar matrix is a transposed QR factor, in Fortran order: products read the layout
+    # the fit's layout, since products read it: a fitted haar matrix is a transposed QR factor
     mat = coo.tocsc() if d["storage"] == "sparse" else coo.toarray("F" if d["kind"] == "haar" else "C")
     return ProjectionMatrix(d["kind"], mat, d["data_driven"])
 

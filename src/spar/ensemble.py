@@ -171,11 +171,10 @@ def fit_models(
     carries this fit's screening coefficients of its columns; screening
     runs only when something reads it.  What is not supplied, each model
     draws from streams keyed by (seed, model index, purpose), so results
-    do not depend on the thread count; a "fixed" kept set is the same for
-    every model and is selected once.  starts (one (gamma0, gamma) or None
-    per model) and screen_start are the solver's warm starts (see
-    fit_penalized_glm).  A model whose solve fails is recorded with zero
-    coefficients; only all models failing raises.
+    do not depend on the thread count; a "fixed" kept set is selected once
+    for all models.  starts (a (gamma0, gamma) or None per model) and
+    screen_start are warm starts (see fit_penalized_glm).  A model whose
+    solve fails is recorded with zero coefficients; only all failing raises.
     """
     p = x_std.shape[1]
     if inds is not None and len(inds) < n_models:

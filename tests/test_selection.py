@@ -18,8 +18,7 @@ from spar import (
     fit_spar_cv,
     generate_synthetic,
 )
-from spar import selection
-from spar import ensemble, screening
+from spar import ensemble, screening, selection
 from spar.cli import _write_csv
 from spar.data import model_from_dict, serialize_model
 from spar.ensemble import averaged_coef
@@ -451,22 +450,22 @@ def test_fold_warm_starts_save_iterations_and_keep_the_fits(monkeypatch):
     (the screening and each model) reaches the cold deviance within 1e-8."""
     ds, _ = generate_synthetic(SyntheticSpec(n=100, p=400, n_active=10, family="binomial"), 2)
     ens = fit_spar_cv(ds.x, ds.y, "binomial", nfolds=5, nummods=(20,), seed=1)
-    calls, fits = [], []
+    real_glm, calls, fits = ensemble.fit_penalized_glm, [], []
 
-    def record(fn):
-        return lambda *args, **kwargs: calls.append((args, kwargs)) or fn(*args, **kwargs)
+    def capture(*args, **kwargs):
+        calls.append((args, kwargs))
+        return ensemble.fit_models(*args, **kwargs)
 
     def glm(*args, **kwargs):
         fits.append(real_glm(*args, **kwargs))
         return fits[-1]
 
-    monkeypatch.setattr(selection, "fit_models", record(selection.fit_models))
+    monkeypatch.setattr(selection, "fit_models", capture)
     test = make_folds(ds.y, BINOMIAL, 5, fold_stream(1))[0]
     train = np.setdiff1d(np.arange(100), test)
     selection._fold_measures(ens, ds.x, ds.y, train, test, 0, ScreenSpec().resolved(100),
                              ModelSpec(), 1)
-    (args, kwargs), = calls
-    real_glm = ensemble.fit_penalized_glm
+    (args, kwargs), = calls  # the fold's one fit_models call, starts included
     monkeypatch.setattr(ensemble, "fit_penalized_glm", glm)
     monkeypatch.setattr(screening, "fit_penalized_glm", glm)
     ensemble.fit_models(*args, **kwargs)
