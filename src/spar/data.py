@@ -279,10 +279,16 @@ def _phi_dict(phi: ProjectionMatrix) -> dict:
 
 
 def _phi_from_dict(d: dict) -> ProjectionMatrix:
-    coo = scipy.sparse.coo_array((np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
-                                 shape=(d["m"], d["q"]))
-    # the fit's layout, since products read it: a fitted haar matrix is a transposed QR factor
-    mat = coo.tocsc() if d["storage"] == "sparse" else coo.toarray("F" if d["kind"] == "haar" else "C")
+    m, q, vals = d["m"], d["q"], np.asarray(d["vals"], dtype=float)
+    rows, cols = np.asarray(d["rows"], dtype=int), np.asarray(d["cols"], dtype=int)
+    if d["storage"] == "sparse":  # triplets() wrote the CSC entries column-major, rows ascending
+        if not (rows.shape == cols.shape == vals.shape and np.all(np.diff(cols * m + rows) > 0)
+                and np.all((0 <= rows) & (rows < m) & (0 <= cols) & (cols < q))):
+            raise ValueError(f"sparse triplets are not strictly increasing (col, row) in {m} x {q}")
+        mat = scipy.sparse.csc_array((vals, rows, np.searchsorted(cols, np.arange(q + 1))), shape=(m, q))
+    else:  # the fit's layout, since products read it: a fitted haar matrix is a transposed QR factor
+        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(m, q))
+        mat = coo.toarray("F" if d["kind"] == "haar" else "C")
     return ProjectionMatrix(d["kind"], mat, d["data_driven"])
 
 

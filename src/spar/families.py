@@ -169,14 +169,26 @@ def _solve_pd(a, b):
     return dpotrs(c, b, lower=0)[0]
 
 
-def _solve_wls(z, target, w, epsilon):
+def _centred_gram(z):
+    """(mean, (z - mean)(z - mean)^T), mean the column means: O(n^2 m), no n x m copy of z."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _solve_pd refuses an overflow
+        mean, g = z.mean(axis=0), np.zeros((len(z), len(z)))
+        for j in range(0, z.shape[1], 256):  # one n x 256 block alive at a time
+            a = z[:, j:j + 256] - mean[j:j + 256]
+            g += a @ a.T
+            del a  # before the next block is built
+    return mean, g
+
+
+def _solve_wls(z, target, w, epsilon, gram=None):
     """Minimize 1/2 sum w_i (t_i - g0 - z_i.g)^2 + eps/2 ||g||^2.
 
     Weighted centering eliminates the unpenalized intercept; the slope
     system is then solved in primal (m x m) or dual (n x n) form,
     whichever is smaller, by one LAPACK Cholesky (a 1 x 1 system is b / a,
-    as in scipy.linalg.solve).  fit_penalized_glm has checked the inputs
-    once per fit.  Raises SingularError when the system cannot be
+    as in scipy.linalg.solve); the dual form adjusts gram = _centred_gram(z)
+    (built when None) in O(nm + n^3).  fit_penalized_glm has checked the
+    inputs once per fit.  Raises SingularError when the system cannot be
     factorized, which with epsilon = 0 signals rank deficiency.
     """
     n, m = z.shape
@@ -186,11 +198,11 @@ def _solve_wls(z, target, w, epsilon):
     with np.errstate(over="ignore", invalid="ignore"):  # _solve_pd refuses an overflow
         zbar = (w @ z) / sw
         tbar = float(w @ target) / sw
-        zc = z - zbar
         tc = target - tbar
         if m == 0:
             return tbar, np.zeros(0)
         if m <= n:
+            zc = z - zbar
             g = zc.T @ (w[:, None] * zc)  # not exactly symmetric: dpotrf reads the upper triangle
             g[np.diag_indices(m)] += epsilon
             gamma = _solve_pd(g, zc.T @ (w * tc))
@@ -198,10 +210,16 @@ def _solve_wls(z, target, w, epsilon):
             if epsilon == 0:
                 raise SingularError("least-squares system with more columns than rows is "
                                     "singular; retry with epsilon > 0")
-            zc *= np.sqrt(w)[:, None]  # weighted in place: one n x m copy of z, not two
-            k = zc @ zc.T  # one syrk: exactly symmetric, k.T (Fortran order) is factorized in place
+            mean, g = _centred_gram(z) if gram is None else gram
+            # (z - zbar)(z - zbar)^T = G - u1^T - 1u^T + (d.d)11^T, d = zbar - mean, u = (z - mean)d
+            d = zbar - mean
+            u = z @ d - mean @ d
+            s = np.sqrt(w)
+            k = g - u[:, None] - u + d @ d
+            k *= np.outer(s, s)
             k[np.diag_indices(n)] += epsilon
-            gamma = zc.T @ _solve_pd(k.T, np.sqrt(w) * tc)
+            sv = s * _solve_pd(k.T, s * tc)  # k.T (Fortran order) is factorized in place
+            gamma = z.T @ sv - zbar * sv.sum()
         return tbar - float(zbar @ gamma), gamma
 
 
@@ -212,7 +230,8 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
     ----------
     z : array of shape (n, m)
         Design matrix without an intercept column; m = 0 fits the
-        intercept alone.
+        intercept alone.  m > n solves in dual form from one centred n x n
+        Gram matrix: O(n^2 m) once, O(nm + n^3) per IRLS step, no copy of z.
     y : array of shape (n,)
         Response in the family domain.
     family : Family or str
@@ -251,9 +270,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
 
     if fam.name == "gaussian":
         gamma0, gamma = _solve_wls(z, y, None, epsilon)
-        mu = gamma0 + (z @ gamma if m else 0.0)
-        mu = np.broadcast_to(np.asarray(mu, dtype=float), y.shape)
-        return GlmFit(float(gamma0), gamma, True, 1, _deviance(fam, y, mu))
+        return GlmFit(float(gamma0), gamma, True, 1, _deviance(fam, y, gamma0 + z @ gamma))
 
     # IRLS from the intercept-only start or a lower warm start, with step
     # halving on the penalized objective (deviance/2 + penalty, dispersion 1).
@@ -263,6 +280,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
     else:
         gamma0 = float(np.log(max(y.mean(), POISSON_MU_FLOOR)))
     sat = _saturated(fam, y)
+    gram = _centred_gram(z) if m > n and epsilon > 0 else None  # every dual step shares it
 
     def state(g0, g):  # an iterate: (gamma0, gamma, eta, mu, deviance, penalized objective)
         eta = g0 + z @ g
@@ -284,7 +302,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
     for iterations in range(1, max_iter + 1):  # max_iter >= 1: iterations is always bound
         w = variance_eval(fam, mu)
         work = eta + (y - mu) / w
-        prop0, prop = _solve_wls(z, work, w, epsilon)
+        prop0, prop = _solve_wls(z, work, w, epsilon, gram)
         d0 = prop0 - gamma0
         dg = prop - gamma
         step = 1.0

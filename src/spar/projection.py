@@ -123,7 +123,8 @@ class ProjectionMatrix:
                 f"projection expects {self.q} columns, got "
                 f"{x_sub.shape[1] if x_sub.ndim == 2 else x_sub.shape}"
             )
-        return x_sub @ self.mat.T
+        # for a CSC mat, x_sub @ mat.T builds two transposed sparse arrays to reach the same product
+        return (self.mat @ x_sub.T).T if self.is_sparse else x_sub @ self.mat.T
 
     def backmap(self, gamma) -> np.ndarray:
         """phi.T @ gamma, mapping reduced coefficients back to the q predictors."""

@@ -139,9 +139,9 @@ def screen_marglik(x, y, family, epsilon=0.0) -> ScreeningResult:
 def screen_ridge(x, y, family, epsilon=None, start=None) -> ScreeningResult:
     """Coefficients of one multivariate ridge GLM on all columns.
 
-    epsilon defaults to 1e-2 * n.  When p > n the solve runs in dual
-    form (an n x n system), so the cost is O(n^2 p).  start is the
-    solver's warm start (see fit_penalized_glm).
+    epsilon defaults to 1e-2 * n.  p > n solves in dual form from one
+    n x n Gram matrix, no n x p copy of x: O(n^2 p) once, O(np + n^3) per
+    IRLS step.  start is the solver's warm start (see fit_penalized_glm).
     """
     x, y = _check_input(x, y)
     if epsilon is None:

@@ -40,9 +40,15 @@ change first with
 
 which writes nothing and prints, per recipe, the files that differ from
 the committed goldens, whether the stored best/one_se pairs moved, and
-the largest relative change of a number in the differing files.  JSON
-files are compared by value: a change of layout alone is a 0 change.
-It exits 1 when any recipe's best or one_se pair would move, else 0.
+the largest relative change of a number in the differing files.  For
+each moved pair it says whether its nummod and the index of its nu in
+the grid are unchanged, and how much its nu changed relative to itself.
+For each differing file it prints the largest absolute change of a
+number over the file's largest |number|, so a last-bit change of a
+number near 0 does not read as a large one.  JSON files are compared by
+value: a change of layout alone is a 0 change.  It exits 1 when any
+recipe's best or one_se pair would move, even in the last bits of its
+nu, else 0.
 """
 
 from __future__ import annotations
@@ -283,13 +289,47 @@ ALL_RECIPES = RECIPES + tuple(CLI_RECIPES) + tuple(LOAD_RECIPES) + tuple(REPORT_
 _NUMBER = re.compile(r"(-?\d+(?:\.\d+)?(?:e[-+]?\d+)?)")
 
 
-def largest_change(old: str, new: str) -> float | None:
-    """Largest relative change of a number between two texts; None unless only numbers differ."""
+def _numbers(old: str, new: str) -> list | None:
+    """The (old, new) pairs of numbers of two texts; None unless only numbers differ."""
     a, b = _NUMBER.split(old), _NUMBER.split(new)
     if len(a) != len(b) or a[::2] != b[::2]:
         return None
-    pairs = [(float(s), float(t)) for s, t in zip(a[1::2], b[1::2]) if s != t]
+    return [(float(s), float(t)) for s, t in zip(a[1::2], b[1::2])]
+
+
+def largest_change(old: str, new: str) -> float | None:
+    """Largest relative change of a number between two texts; None unless only numbers differ."""
+    pairs = _numbers(old, new)
+    if pairs is None:
+        return None
     return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def largest_scaled_change(old: str, new: str) -> float | None:
+    """Largest absolute change of a number over the largest |number| of the two texts.
+
+    A last-bit change of a number near 0 reads large relative to itself and
+    small here.  None unless only numbers differ.
+    """
+    pairs = _numbers(old, new)
+    if pairs is None:
+        return None
+    top = max((max(abs(x), abs(y)) for x, y in pairs), default=0.0)
+    return max((abs(x - y) for x, y in pairs), default=0.0) / top if top else 0.0
+
+
+def _pair_move(key: str, old: dict, new: dict) -> str:
+    """How a stored pair moved: its nummod, its nu's index in the grid and nu's relative change."""
+    a, b = old[key], new[key]
+    if a is None or b is None:
+        return f"{key} {a} -> {b}"
+    index = [min(range(len(d["nus"])), key=lambda i: abs(d["nus"][i] - pair["nu"]))
+             for d, pair in ((old, a), (new, b))]
+    nu = abs(a["nu"] - b["nu"]) / max(abs(a["nu"]), abs(b["nu"])) if a["nu"] != b["nu"] else 0.0
+    if (a["nummod"], index[0]) == (b["nummod"], index[1]):
+        return f"{key}: nummod and nu index unchanged, nu {nu:.1e} relative"
+    return (f"{key}: nummod {a['nummod']} -> {b['nummod']}, nu index {index[0]} -> {index[1]}, "
+            f"nu {nu:.1e} relative")
 
 
 def _by_value(fname: str, text: str) -> str:
@@ -309,15 +349,19 @@ def compare(name: str) -> str:
     differ = [f for f, (old, new) in texts.items() if old != new]
     if not differ:
         return f"{name}: identical"
-    changes = [None if None in texts[f] else largest_change(*(_by_value(f, t) for t in texts[f]))
-               for f in differ]
+    both = {f: [_by_value(f, t) for t in texts[f]] for f in differ if None not in texts[f]}
+    changes = [largest_change(*both[f]) if f in both else None for f in differ]
     largest = ("not only numbers differ" if None in changes
                else f"largest relative change {max(changes):.1e}")
+    scaled = {f: largest_scaled_change(*both[f]) for f in both}
+    largest += "; largest change / largest number: " + ", ".join(
+        f"{f} {'-' if c is None else f'{c:.1e}'}" for f, c in scaled.items())
     pairs = ""
     if "model.json" in texts and None not in texts["model.json"]:
         old, new = (json.loads(t) for t in texts["model.json"])
-        moved = (old["best"], old["one_se"]) != (new["best"], new["one_se"])
-        pairs = "; best/one_se " + ("MOVED" if moved else "unchanged")
+        moved = [k for k in ("best", "one_se") if old[k] != new[k]]
+        pairs = "; best/one_se " + (
+            f"MOVED ({'; '.join(_pair_move(k, old, new) for k in moved)})" if moved else "unchanged")
     return f"{name}: {', '.join(differ)} differ{pairs}; {largest}"
 
 

@@ -11,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -360,6 +361,54 @@ def test_saving_a_loaded_golden_model_writes_its_bytes(path, tmp_path):
     indented.write_text(json.dumps(json.loads(text), indent=1))
     for source in (path, indented):
         assert serialize_model(load_model(source)) == text, source.name
+
+
+def _coo_round_trip(d):
+    """The CSC a sparse projection was once loaded as: its triplets through a COO array."""
+    coo = scipy.sparse.coo_array((np.asarray(d["vals"], dtype=float), (d["rows"], d["cols"])),
+                                 shape=(d["m"], d["q"]))
+    return coo.tocsc()
+
+
+def _swap_first_two(d):
+    for key in ("rows", "cols", "vals"):
+        d[key][:2] = d[key][1::-1]
+
+
+def _repeat_first(d):
+    for key in ("rows", "cols", "vals"):
+        d[key].insert(0, d[key][0])
+
+
+_TRIPLET_EDITS = {
+    "first two swapped": _swap_first_two,
+    "first repeated": _repeat_first,
+    "col q": lambda d: d["cols"].__setitem__(-1, d["q"]),
+    "col -1": lambda d: d["cols"].__setitem__(0, -1),
+    "row m": lambda d: d["rows"].__setitem__(0, d["m"]),
+    "row -1": lambda d: d["rows"].__setitem__(-1, -1),
+    "short vals": lambda d: d["vals"].pop(),
+}
+
+
+@pytest.mark.parametrize("path", [p for p in GOLDEN_MODELS if '"storage": "sparse"' in p.read_text()],
+                         ids=lambda p: p.parent.name)
+def test_sparse_projections_load_from_their_triplets(path):
+    """A sparse projection loads as the COO round trip did (data, indices, indptr and their
+    dtypes), and triplets that are not strictly increasing (col, row) pairs inside the shape,
+    which no fit writes, are a ParseError."""
+    doc = json.loads(path.read_text())
+    sparse = [md for md in doc["models"] if md["phi"]["storage"] == "sparse"]
+    for md, model in zip(sparse, [m for m in model_from_dict(doc).models if m.phi.is_sparse]):
+        ref = _coo_round_trip(md["phi"])
+        for field in ("data", "indices", "indptr"):
+            got, want = getattr(model.phi.mat, field), getattr(ref, field)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, field
+    for name, edit in _TRIPLET_EDITS.items():
+        edited = json.loads(path.read_text())
+        edit(next(md for md in edited["models"] if md["phi"]["storage"] == "sparse")["phi"])
+        with pytest.raises(ParseError, match="strictly increasing"):
+            model_from_dict(edited)
 
 
 def _other_measure(doc, md, j):

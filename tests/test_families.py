@@ -266,14 +266,16 @@ def test_overflowing_system_raises_numeric_error():
         with pytest.raises(NumericError, match="non-finite"):
             fit_penalized_glm(z * 1e200, y, "binomial", 0.1)
         wide = rng.standard_normal((30, 40)) * 1e200  # the n x n dual system
-        with pytest.raises(NumericError, match="non-finite"):
-            fit_penalized_glm(wide, y, "gaussian", 0.1)
+        for family in ("gaussian", "binomial"):  # binomial builds the Gram matrix before IRLS
+            with pytest.raises(NumericError, match="non-finite"):
+                fit_penalized_glm(wide, y, family, 0.1)
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.mark.parametrize("family", ["gaussian", "binomial"])
 def test_dual_solve_keeps_one_weighted_copy_of_the_design(family):
-    """A p > n solve holds the centred, weighted design once: peak below 1.5 x z.nbytes."""
+    """A p > n fit makes no n x p copy of the design, only column blocks for the Gram matrix
+    and an n x p boolean finiteness check: peak below 0.5 x z.nbytes."""
     rng = np.random.default_rng(72)
     z = rng.standard_normal((50, 4000))
     y = (z[:, 0] > 0).astype(float)
@@ -284,7 +286,7 @@ def test_dual_solve_keeps_one_weighted_copy_of_the_design(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * z.nbytes, f"peak {peak / z.nbytes:.2f} x z.nbytes"
+    assert peak < 0.5 * z.nbytes, f"peak {peak / z.nbytes:.2f} x z.nbytes"
 
 
 def _solve_wls_scipy(z, target, w, epsilon):
@@ -312,6 +314,17 @@ def _solve_wls_scipy(z, target, w, epsilon):
     return tbar - float(zbar @ gamma), gamma
 
 
+def _relative_errors(z, target, w, eps):
+    """(slopes, intercept) errors of _solve_wls against the oracle: the slopes' largest error over
+    their largest entry, the intercept's over |tbar| + |zbar|.|gamma|, its formula's scale."""
+    g0, g = _solve_wls(z, target, w, eps)
+    r0, r = _solve_wls_scipy(z, target, w, eps)
+    assert g.shape == r.shape
+    w = np.ones(len(target)) if w is None else w
+    scale = abs(w @ target) / w.sum() + np.abs(w @ z / w.sum()) @ np.abs(r)
+    return np.max(np.abs(g - r)) / np.max(np.abs(r)), abs(g0 - r0) / scale
+
+
 @given(
     shape=st.sampled_from(["m=1", "primal", "dual"]),
     n=st.integers(3, 40),
@@ -320,7 +333,10 @@ def _solve_wls_scipy(z, target, w, epsilon):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_solve_wls_equals_scipy_solve_bit_for_bit(shape, n, weighted, penalized, seed):
+def test_solve_wls_matches_scipy_solve(shape, n, weighted, penalized, seed):
+    """Primal and 1 x 1 solves equal the oracle bit for bit.  The dual form works from the
+    centred Gram matrix, not the oracle's centred copy: within 1e-12 (10,000 random systems of
+    this law measured 1.6e-14 for the slopes, 6.4e-15 for the intercept)."""
     rng = np.random.default_rng(seed)
     m = {"m=1": 1, "primal": int(rng.integers(2, n - 1)) if n > 3 else 2,
          "dual": int(rng.integers(n + 1, 2 * n + 2))}[shape]
@@ -328,10 +344,31 @@ def test_solve_wls_equals_scipy_solve_bit_for_bit(shape, n, weighted, penalized,
     z = rng.standard_normal((n, m))
     target = rng.standard_normal(n)
     w = rng.uniform(0.05, 0.25, n) if weighted else None
+    if shape == "dual":
+        assert max(_relative_errors(z, target, w, eps)) <= 1e-12
+        return
     g0, g = _solve_wls(z, target, w, eps)
     r0, r = _solve_wls_scipy(z, target, w, eps)
     assert g0 == r0
     assert g.shape == r.shape and np.array_equal(g, r)
+
+
+@given(
+    n=st.integers(3, 40),
+    mean=st.floats(1.0, 1e5),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_dual_solve_with_large_column_means_matches_scipy_solve(n, mean, weighted, seed):
+    """Columns whose means reach 1e5 lose no more than 1e-9 to the Gram form (10,000 random
+    systems with means up to 1e5 measured 1.4e-10 for the slopes, 1.9e-10 for the intercept)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(n + 1, 2 * n + 2))
+    z = rng.standard_normal((n, m)) + rng.uniform(-mean, mean, m)
+    w = rng.uniform(0.05, 0.25, n) if weighted else None
+    errors = _relative_errors(z, rng.standard_normal(n), w, float(rng.uniform(0.01, 3.0)))
+    assert max(errors) <= 1e-9
 
 
 def test_solve_wls_duplicated_column_singular_without_penalty():
@@ -348,8 +385,9 @@ def test_solve_wls_duplicated_column_singular_without_penalty():
 
 
 def test_irls_path_frozen():
-    """Iterations, convergence and deviance of two fixed IRLS fits, recorded on the
-    scipy.linalg.solve implementation (binomial primal, poisson dual branch)."""
+    """Iterations, convergence and deviance of two fixed IRLS fits: binomial primal, recorded on
+    the scipy.linalg.solve implementation, and poisson dual, recorded on the Gram form (which
+    moved its gamma0 by 1.3e-15 relative, not its deviance or iterations)."""
     rng = np.random.default_rng(2024)
     z = rng.standard_normal((80, 6))
     eta = 0.3 + z @ np.array([1.0, -0.5, 0.8, 0.0, 0.0, 0.2])
@@ -363,7 +401,7 @@ def test_irls_path_frozen():
     y = rng.poisson(np.exp(0.5 + 0.3 * z[:, 0] - 0.2 * z[:, 1])).astype(float)
     fit = fit_penalized_glm(z, y, "poisson", 0.5)
     assert (fit.iterations, fit.converged, fit.deviance) == (8, True, 0.6559810999385709)
-    assert fit.gamma0 == -0.3429145911302304
+    assert fit.gamma0 == -0.3429145911302308
 
 
 def _same_fit(a, b):

@@ -313,7 +313,8 @@ def _triplet_backmap(rows, cols, vals, q, gamma):
        data_driven=st.booleans(), fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_cw_products_equal_triplet_reference(m, q, n, data_driven, fortran, seed):
-    """matmul and backmap of a cw matrix give the bits of the triplet code, on C and F x."""
+    """matmul and backmap of a cw matrix give the bits of the triplet code, on C and F x; matmul
+    also gives the bits and the memory layout of x @ phi.mat.T, which later products read."""
     rng = np.random.default_rng(seed)
     diag = np.where(rng.random(q) < 0.2, 0.0, rng.standard_normal(q)) if data_driven else None
     x = rng.standard_normal((n, q))
@@ -324,7 +325,9 @@ def test_cw_products_equal_triplet_reference(m, q, n, data_driven, fortran, seed
     rows = draws.integers(0, m, size=q)
     vals = diag if data_driven else draws.integers(0, 2, size=q) * 2.0 - 1.0
     cols = np.arange(q)
-    assert np.array_equal(phi.matmul(x), _triplet_matmul(rows, cols, vals, m, q, x))
+    z, direct = phi.matmul(x), x @ phi.mat.T
+    assert np.array_equal(z, _triplet_matmul(rows, cols, vals, m, q, x))
+    assert np.array_equal(z, direct) and z.strides == direct.strides
     assert np.array_equal(phi.backmap(gamma), _triplet_backmap(rows, cols, vals, q, gamma))
 
 
