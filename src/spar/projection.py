@@ -123,8 +123,8 @@ class ProjectionMatrix:
                 f"projection expects {self.q} columns, got "
                 f"{x_sub.shape[1] if x_sub.ndim == 2 else x_sub.shape}"
             )
-        # for a CSC mat, x_sub @ mat.T builds two transposed sparse arrays to reach the same product
-        return (self.mat @ x_sub.T).T if self.is_sparse else x_sub @ self.mat.T
+        # x_sub @ csc.T transposes twice to get here; unlike is_sparse, isinstance caches nothing
+        return x_sub @ self.mat.T if isinstance(self.mat, np.ndarray) else (self.mat @ x_sub.T).T
 
     def backmap(self, gamma) -> np.ndarray:
         """phi.T @ gamma, mapping reduced coefficients back to the q predictors."""
