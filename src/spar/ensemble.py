@@ -30,6 +30,7 @@ from .errors import (
 from .families import (
     SOLVER_ERRORS,
     Family,
+    _all_finite,
     deviance_eval,
     fit_penalized_glm,
     get_family,
@@ -82,36 +83,42 @@ class StandardizationStats:
     constant_cols: np.ndarray
 
 
-def standardize(x, y, family):
-    """Column-standardize x and, for gaussian, y.
+def standardize(x, y, family, rows=None):
+    """Column-standardize x and, for gaussian, y; with rows, x[rows] and y[rows].
 
     Returns (x_std, y_std, stats).  Constant columns become exact zero
-    columns and are flagged in stats.constant_cols.
+    columns and are flagged in stats.constant_cols.  x_std is the one n x p
+    array made: rows (an index array or mask) are gathered into a fresh copy
+    standardized in place, bit for bit standardize(x[rows], y[rows], family).
     """
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2:
         raise DataError("x must be a 2-D array")
+    if rows is not None:  # an array, never a slice: x[slice] would be a view of the caller's x
+        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
     n, p = x.shape
     if len(y) != n:
         raise DataError(f"x has {n} rows but y has {len(y)} entries")
     if n < 3:
         raise InsufficientDataError("need at least 3 observations")
-    if not np.all(np.isfinite(x)):
+    if not _all_finite(x):
         bad = np.argwhere(~np.isfinite(x))[0]
         raise DataError(f"non-finite predictor at row {bad[0]}, column {bad[1]}")
     validate_response(fam, y)
 
     x_mean = x.mean(axis=0)
-    x_sd = x.std(axis=0, ddof=1)
+    x_sd = np.empty(p)
+    edges = [*range(0, max(p - 1, 1), 256), p]  # no lone last column: numpy would sum it pairwise
+    for lo, hi in zip(edges, edges[1:]):  # np.std's sums, one n x 256 temporary at a time
+        x[:, lo:hi].std(axis=0, ddof=1, out=x_sd[lo:hi])
     const = np.flatnonzero(np.ptp(x, axis=0) == 0)
     sd_safe = np.where(x_sd > 0, x_sd, 1.0)
     sd_safe[const] = 1.0
-    # The one full-size copy, divided in place.  C order whatever x's layout
-    # (load_csv's x is F-ordered): the solves downstream then see the same
-    # layout, and give the same bits, as on a row-indexed copy.
-    x_std = np.subtract(x, x_mean, order="C")
+    # C order whatever x's layout (load_csv's x is F-ordered; x[rows] is C): the solves then give
+    # a row-indexed copy's bits.  Only a gathered copy is written; the caller's x never is.
+    x_std = np.subtract(x, x_mean, out=x if rows is not None else np.empty((n, p)))
     x_std /= sd_safe
     if const.size:
         x_std[:, const] = 0.0
@@ -348,7 +355,7 @@ def check_x_new(x_new, p: int) -> np.ndarray:
         raise DataError("x_new must be a 2-D array")
     if x_new.shape[1] != p:
         raise DataError(f"x_new has {x_new.shape[1]} columns, model expects {p}")
-    if not np.all(np.isfinite(x_new)):
+    if not _all_finite(x_new):
         raise DataError("non-finite entries in x_new")
     return x_new
 

@@ -153,6 +153,11 @@ class GlmFit:
     deviance: float
 
 
+def _all_finite(a):
+    """np.isfinite(a).all() for a 2-D a over 256-column blocks: no full-size boolean temporary."""
+    return all(np.isfinite(a[:, j:j + 256]).all() for j in range(0, a.shape[1], 256))
+
+
 def _solve_pd(a, b):
     """a^-1 b from the upper triangle of a, bit for bit scipy.linalg.solve(a, b, assume_a="pos").
 
@@ -260,7 +265,7 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
         raise DataError(f"z has {n} rows but y has {len(y)} entries")
     if n < 1:
         raise DataError("empty design")
-    if not np.all(np.isfinite(z)):
+    if not _all_finite(z):
         raise DataError("non-finite entries in the design matrix")
     if not 0 <= epsilon < np.inf:
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon!r}")

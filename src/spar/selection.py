@@ -113,8 +113,9 @@ def make_folds(y, fam, nfolds: int, rng) -> list[np.ndarray]:
 
 def _fold_measures(ens: SparEnsemble, x, y, train, test, fold: int, screen_spec, model_spec,
                    threads: int) -> np.ndarray:
-    """One usable fold's measure of every cell (see cross_validate); its copies die with it."""
-    x_std, y_std, stats = standardize(x[train], y[train], ens.family)
+    """One usable fold's measure of every cell (see cross_validate).  The fold holds one
+    standardized copy of its training rows and frees it before scoring the held-out rows."""
+    x_std, y_std, stats = standardize(x, y, ens.family, rows=train)
     screen_rows, model_rows = split_for_screening(len(train), screen_spec.split_data_prop,
                                                   split_stream(ens.master_seed, fold + 1))
     omega = np.zeros(ens.p)  # the screening start: the full-data screening values cw columns carry
@@ -126,6 +127,7 @@ def _fold_measures(ens: SparEnsemble, x, y, train, test, fold: int, screen_spec,
                         inds=[m.index_set for m in ens.models], rpms=[m.phi for m in ens.models],
                         threads=threads, screen_start=(None, omega),
                         starts=[None if m.failed else (m.gamma0, m.gamma) for m in ens.models])
+    del x_std, y_std
     return np.asarray([c.value for c in _scored_cells(ens, models, stats, x[test], y[test])])
 
 
@@ -135,15 +137,16 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     """K-fold CV over the frozen (nu, nummod) grid of a fitted ensemble.
 
     The folds come from ens.master_seed.  Per fold (_fold_measures):
-    restandardize the training part, split it for screening, refit the
-    marginal GLMs with the full fit's index sets and projections through
-    fit_models, and score the held-out part with ens.measure on the cells
-    of the fold's coefficient blocks.  Binomial and poisson fits start from
-    what ens stores (a loaded model gives the same grid): each model from
-    its full-data fit, the screening from the data-driven cw column values;
-    fold values lie within the IRLS tolerance of cold fits.  Cell means and
-    standard errors (sd / sqrt(#folds)) aggregate over the usable folds;
-    active counts come from the full-data ensemble's coefficient blocks.
+    standardize the training rows into one copy, split it for screening,
+    refit the marginal GLMs with the full fit's index sets and projections
+    through fit_models, free the copy and score the held-out part with
+    ens.measure on the cells of the fold's coefficient blocks.  Binomial
+    and poisson fits start from what ens stores (a loaded model gives the
+    same grid): each model from its full-data fit, the screening from the
+    data-driven cw column values; fold values lie within the IRLS tolerance
+    of cold fits.  Cell means and standard errors (sd / sqrt(#folds))
+    aggregate over the usable folds; active counts come from the full-data
+    ensemble's coefficient blocks.
     """
     x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
     y = np.asarray(y, dtype=float)

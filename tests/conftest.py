@@ -1,4 +1,6 @@
-"""Shared test plumbing: a one-line-per-criterion acceptance report."""
+"""Shared test plumbing: a one-line-per-criterion acceptance report and a traced peak."""
+
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,26 @@ def criterion():
         return ok
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(run, warm_up=None): the tracemalloc peak, in bytes, of one run().
+
+    warm_up() (run itself when None) runs first, untraced, so that numpy's and
+    LAPACK's one-time allocations stay out of the trace.
+    """
+
+    def peak(run, warm_up=None):
+        (warm_up or run)()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

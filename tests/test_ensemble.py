@@ -66,6 +66,68 @@ def test_standardize_copy_is_c_ordered_and_leaves_x_alone():
     assert np.array_equal(x_std, (x0 - stats.x_mean) / stats.x_sd)
 
 
+def _rows_problem(seed, n, p, family, fortran):
+    """x with column offsets up to 1e4, some constant columns, and a y in family's domain."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-1e4, 1e4, p) * rng.integers(0, 2)
+    x = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-3, 4) + offsets
+    const = rng.random(p) < 0.1
+    x[:, const] = offsets[const]
+    y = {"gaussian": rng.standard_normal(n), "binomial": rng.integers(0, 2, n).astype(float),
+         "poisson": rng.poisson(2.0, n).astype(float)}[family]
+    return (np.asfortranarray(x) if fortran else x), y, rng
+
+
+def _plain_standardized_x(x):
+    """x_std and x_sd as np.std and one full-size subtraction give them."""
+    sd = x.std(axis=0, ddof=1)
+    sd = np.where((sd > 0) & (np.ptp(x, axis=0) > 0), sd, 1.0)
+    x_std = (x - x.mean(axis=0)) / sd
+    x_std[:, np.ptp(x, axis=0) == 0] = 0.0
+    return x_std, sd
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60), st.sampled_from([1, 2, 255, 256, 257, 258,
+       511, 512, 513]), st.sampled_from(["gaussian", "binomial", "poisson"]), st.booleans(),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_standardize_rows_equals_standardize_of_the_gathered_rows(seed, n, p, family, fortran,
+                                                                  mask):
+    """rows=r standardizes x[r] byte for byte, signed zeros included, as a separate x[r] copy
+    does, and both give np.std's bits: the in-place fold copy and the 256-column-block sds change
+    no bit on either side of a block edge, in either layout.  The caller's x is not written."""
+    x, y, rng = _rows_problem(seed, n, p, family, fortran)
+    rows = np.sort(rng.choice(n, size=rng.integers(3, n + 1), replace=False))
+    x0 = x.copy(order="A")
+    got = standardize(x, y, family, rows=np.isin(np.arange(n), rows) if mask else rows)
+    want = standardize(x[rows], y[rows], family)
+    assert x.tobytes(order="A") == x0.tobytes(order="A")
+    assert got[0].flags.c_contiguous
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    for name, value in vars(want[2]).items():
+        assert np.asarray(getattr(got[2], name)).tobytes() == np.asarray(value).tobytes(), name
+    for a, (x_std, _, stats) in ((x[rows], got), (x, standardize(x, y, family))):
+        plain_std, plain_sd = _plain_standardized_x(a)
+        assert x_std.tobytes() == plain_std.tobytes()
+        assert stats.x_sd.tobytes() == plain_sd.tobytes()
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_standardize_rows_names_the_first_non_finite_entry_of_the_rows(bad, fortran):
+    """A non-finite entry raises the DataError of a separate x[rows] copy: its (row, column) in
+    that copy.  An entry outside the rows is not seen."""
+    x, y, _ = _rows_problem(5, 12, 600, "gaussian", fortran)
+    x[0, 5] = x[7, 300] = x[9, 2] = bad
+    rows = np.array([1, 3, 7, 9, 11])
+    with pytest.raises(DataError, match="non-finite predictor at row 2, column 300"):
+        standardize(x[rows], y[rows], "gaussian")
+    with pytest.raises(DataError, match="non-finite predictor at row 2, column 300"):
+        standardize(x, y, "gaussian", rows=rows)
+    with pytest.raises(DataError, match="non-finite predictor at row 0, column 5"):
+        standardize(x, y, "gaussian")
+
+
 def test_standardize_formula_matches_two_point_example():
     # the (1,3) column example: mean 2, sd sqrt(2), entries -+1/sqrt(2)
     col = np.array([1.0, 3.0])

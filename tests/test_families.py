@@ -1,6 +1,5 @@
 """Family functions and the penalized GLM solver against closed-form oracles."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -273,19 +272,13 @@ def test_overflowing_system_raises_numeric_error():
 
 
 @pytest.mark.parametrize("family", ["gaussian", "binomial"])
-def test_dual_solve_keeps_one_weighted_copy_of_the_design(family):
+def test_dual_solve_keeps_one_weighted_copy_of_the_design(family, traced_peak):
     """A p > n fit makes no n x p copy of the design, only column blocks for the Gram matrix
-    and an n x p boolean finiteness check: peak below 0.5 x z.nbytes."""
+    and for the finiteness check: peak below 0.5 x z.nbytes."""
     rng = np.random.default_rng(72)
     z = rng.standard_normal((50, 4000))
     y = (z[:, 0] > 0).astype(float)
-    fit_penalized_glm(z, y, family, 1.0)  # warm up numpy and LAPACK outside the trace
-    tracemalloc.start()
-    try:
-        fit_penalized_glm(z, y, family, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fit_penalized_glm(z, y, family, 1.0))
     assert peak < 0.5 * z.nbytes, f"peak {peak / z.nbytes:.2f} x z.nbytes"
 
 

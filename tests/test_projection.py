@@ -1,7 +1,5 @@
 """Projection generators, the JL bound, and the triplet representation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse
@@ -238,17 +236,13 @@ def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatc
 
 
 @pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
-def test_haar_select_holds_one_candidate_at_a_time(family, eps):
+def test_haar_select_holds_one_candidate_at_a_time(family, eps, traced_peak):
     """b2 = 50 candidates of 40 x 200 peak below 12 candidates' bytes, not 50."""
     m, q, b2 = 40, 200, 50
     x, y = _haar_problem(35, 60, q, family)
-    gen_haar_select(m, q, x, y, family, 2, 0.25, eps, np.random.default_rng(0))  # warm up
-    tracemalloc.start()
-    try:
-        gen_haar_select(m, q, x, y, family, b2, 0.25, eps, np.random.default_rng(36))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: gen_haar_select(m, q, x, y, family, b2, 0.25, eps, np.random.default_rng(36)),
+        lambda: gen_haar_select(m, q, x, y, family, 2, 0.25, eps, np.random.default_rng(0)))
     one = m * q * 8
     assert peak < 12 * one, f"peak {peak / one:.1f} x one candidate"
 

@@ -2,7 +2,6 @@
 
 import json
 import logging
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,7 +250,7 @@ def test_cross_validate_refuses_y_of_another_length():
             cross_validate(ens, x, y_bad, ScreenSpec().resolved(60), ModelSpec(), 3)
 
 
-def test_cv_frees_each_fold_before_the_next():
+def test_cv_frees_each_fold_before_the_next(traced_peak):
     """Binomial 10-fold CV peaks below 2.5 x x.nbytes: one fold's copies at a time, plus its screening.
 
     Holding fold k-1's standardized copy while fold k standardizes put the
@@ -259,32 +258,36 @@ def test_cv_frees_each_fold_before_the_next():
     """
     ds, _ = generate_synthetic(
         SyntheticSpec(n=100, p=1000, n_active=10, family="binomial", rho=0.5), 1)
-    fit_spar_cv(ds.x[:, :50], ds.y, family="binomial", nfolds=3, nummods=(2,))  # warm up
-    tracemalloc.start()
-    try:
-        fit_spar_cv(ds.x, ds.y, family="binomial", nfolds=10, nummods=(5, 10))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: fit_spar_cv(ds.x, ds.y, family="binomial", nfolds=10, nummods=(5, 10)),
+        lambda: fit_spar_cv(ds.x[:, :50], ds.y, family="binomial", nfolds=3, nummods=(2,)))
     assert peak < 2.5 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f} x x.nbytes"
 
 
-def test_wide_fit_holds_one_standardized_copy_of_x():
+def test_wide_fit_holds_one_standardized_copy_of_x(traced_peak):
     """A p >> n cw fit peaks below 1.4 x x.nbytes: the standardized copy and no n x p screening copy.
 
     Measured 1.31 (n=40, p=4000, five data seeds).  A dual ridge screening that
     centred and weighted a copy of x read 2.13.
     """
     ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_test=20), 0)
-    fit = lambda: fit_spar(ds.x, ds.y, xval=ds.x_test, yval=ds.y_test, nummods=(20,))
-    fit()  # warm up numpy and LAPACK outside the trace
-    tracemalloc.start()
-    try:
-        fit()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: fit_spar(ds.x, ds.y, xval=ds.x_test, yval=ds.y_test, nummods=(20,)))
     assert peak < 1.4 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f} x x.nbytes"
+
+
+def test_cv_fold_holds_one_standardized_copy_of_its_rows(traced_peak):
+    """Binomial 5-fold CV at p >> n peaks below 1.8 x x.nbytes: per fold, one standardized copy of
+    the training rows and no full-size temporary beside it.
+
+    Measured 1.66 (n=60, p=1000, five data seeds).  A fold that standardized
+    a separate x[train] copy, with np.std's full-size temporary, read 2.14.
+    """
+    ds, _ = generate_synthetic(
+        SyntheticSpec(n=60, p=1000, n_active=10, family="binomial", rho=0.5), 0)
+    peak = traced_peak(
+        lambda: fit_spar_cv(ds.x, ds.y, family="binomial", nfolds=5, nummods=(10,)),
+        lambda: fit_spar_cv(ds.x[:, :50], ds.y, family="binomial", nfolds=3, nummods=(2,)))
+    assert peak < 1.8 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f} x x.nbytes"
 
 
 def _plain_mu(family, eta):
@@ -381,39 +384,31 @@ def test_grid_cells_equal_a_per_cell_recompute(family, measure, mode, monkeypatc
         _same_pair_unless_tied(ens.grid.one_se_cell(), oracle.one_se_cell(), values)
 
 
-def test_validation_grid_holds_one_block_at_a_time():
+def test_validation_grid_holds_one_block_at_a_time(traced_peak):
     """At wide p the validation grid peaks near two nus x p blocks: the running sum and the block
     being scored (about 2.04 measured).  Five nummods held at once would be six."""
     ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_active=10, n_test=20), 1)
     ens = fit_spar(ds.x, ds.y, xval=ds.x_test, yval=ds.y_test, nnu=20, nummods=(2, 4, 6, 8, 10),
                    seed=1)
-    evaluate_validation_grid(ens, ds.x_test, ds.y_test)  # warm up
     block = ens.nus.size * ens.p * 8
-    tracemalloc.start()
-    try:
-        evaluate_validation_grid(ens, ds.x_test, ds.y_test)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: evaluate_validation_grid(ens, ds.x_test, ds.y_test))
     assert ens.nus.size == 20
     assert peak < 2.5 * block, f"peak {peak / block:.2f} nus x p blocks"
 
 
-def test_cross_validation_holds_one_block_at_a_time():
+def test_cross_validation_holds_one_block_at_a_time(traced_peak):
     """At wide p with many nus the CV grid's tail dominates its peak: the active counts are taken
     one block at a time, as the fold scores are (about 2.5 nus x p blocks measured).  Counts read
     off coef_path's cells would keep a third block alive while the next is built (about 3.1)."""
     ds, _ = generate_synthetic(SyntheticSpec(n=40, p=4000, n_active=10), 1)
     ens = fit_spar_cv(ds.x, ds.y, nfolds=3, nnu=100, nummods=tuple(range(2, 11)), seed=1)
     args = (ens, ds.x, ds.y, ScreenSpec(), ModelSpec(), 3)
-    assert cross_validate(*args).cells == ens.grid.cells  # warm up, and the fit's own grid
+
+    def warm_up():  # and the fit's own grid
+        assert cross_validate(*args).cells == ens.grid.cells
+
     block = ens.nus.size * ens.p * 8
-    tracemalloc.start()
-    try:
-        cross_validate(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: cross_validate(*args), warm_up)
     assert ens.nus.size == 100
     assert peak < 2.75 * block, f"peak {peak / block:.2f} nus x p blocks"
 
