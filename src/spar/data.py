@@ -154,8 +154,8 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
         col = int(response)
         if not 0 <= col < width:
             raise ParseError(f"{path}: response column {col} out of range")
-    # row-major predictors, as fit_spar callers pass them: column sums of an
-    # F-ordered copy differ in the last bits.  A view for an edge column.
+    # row-major x (a view when y is an edge column), as fit_spar callers pass it: standardize's
+    # column sums follow x's layout (F-ordered sums differ in the last bits), not its copy's.
     x = data[:, 1:] if col == 0 else data[:, :-1] if col == width - 1 else np.delete(data, col, 1)
     xnames = [names[j] for j in range(width) if j != col] if names else None
     return Dataset(x=x, y=data[:, col], colnames=xnames)

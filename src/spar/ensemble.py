@@ -88,8 +88,11 @@ def standardize(x, y, family, rows=None):
 
     Returns (x_std, y_std, stats).  Constant columns become exact zero
     columns and are flagged in stats.constant_cols.  x_std is the one n x p
-    array made: rows (an index array or mask) are gathered into a fresh copy
-    standardized in place, bit for bit standardize(x[rows], y[rows], family).
+    array made, in Fortran (column-major) order, so that every model's
+    x_std[:, index_set] copies contiguous columns.  It is filled one block
+    of 256 columns at a time, read from x or, with rows (an index array or
+    mask), gathered as x[rows, block]: bit for bit standardize(x[rows],
+    y[rows], family), with no full-size temporary beside x_std.
     """
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
@@ -97,31 +100,31 @@ def standardize(x, y, family, rows=None):
     if x.ndim != 2:
         raise DataError("x must be a 2-D array")
     if rows is not None:  # an array, never a slice: x[slice] would be a view of the caller's x
-        x, y = x[np.asarray(rows)], y[np.asarray(rows)]
-    n, p = x.shape
+        rows = np.asarray(rows)
+        y = y[rows]
+    block = (lambda lo, hi: x[:, lo:hi]) if rows is None else (lambda lo, hi: x[rows, lo:hi])
+    n, p = len(block(0, 0)), x.shape[1]
     if len(y) != n:
         raise DataError(f"x has {n} rows but y has {len(y)} entries")
     if n < 3:
         raise InsufficientDataError("need at least 3 observations")
-    if not _all_finite(x):
-        bad = np.argwhere(~np.isfinite(x))[0]
-        raise DataError(f"non-finite predictor at row {bad[0]}, column {bad[1]}")
-    validate_response(fam, y)
 
-    x_mean = x.mean(axis=0)
-    x_sd = np.empty(p)
+    x_std = np.empty((n, p), order="F")
+    x_mean, x_sd, is_const = np.empty(p), np.empty(p), np.empty(p, dtype=bool)
     edges = [*range(0, max(p - 1, 1), 256), p]  # no lone last column: numpy would sum it pairwise
-    for lo, hi in zip(edges, edges[1:]):  # np.std's sums, one n x 256 temporary at a time
-        x[:, lo:hi].std(axis=0, ddof=1, out=x_sd[lo:hi])
-    const = np.flatnonzero(np.ptp(x, axis=0) == 0)
-    sd_safe = np.where(x_sd > 0, x_sd, 1.0)
-    sd_safe[const] = 1.0
-    # C order whatever x's layout (load_csv's x is F-ordered; x[rows] is C): the solves then give
-    # a row-indexed copy's bits.  Only a gathered copy is written; the caller's x never is.
-    x_std = np.subtract(x, x_mean, out=x if rows is not None else np.empty((n, p)))
-    x_std /= sd_safe
-    if const.size:
-        x_std[:, const] = 0.0
+    for lo, hi in zip(edges, edges[1:]):  # stats in x's (or x[rows]'s) own layout: np.std's bits
+        b = block(lo, hi)
+        if not np.isfinite(b).all():
+            bad = np.argwhere(~np.isfinite(block(0, p)))[0]
+            raise DataError(f"non-finite predictor at row {bad[0]}, column {bad[1]}")
+        mean, sd = b.mean(axis=0, out=x_mean[lo:hi]), b.std(axis=0, ddof=1, out=x_sd[lo:hi])
+        const = np.equal(np.ptp(b, axis=0), 0, out=is_const[lo:hi])
+        sd[const | ~(sd > 0)] = 1.0
+        out = np.subtract(b, mean, out=x_std[:, lo:hi])
+        out /= sd
+        out[:, const] = 0.0
+        del b  # before the next block is gathered
+    validate_response(fam, y)
 
     if fam.name == "gaussian":
         y_mean = float(y.mean())
@@ -130,7 +133,7 @@ def standardize(x, y, family, rows=None):
     else:
         y_mean, y_sd = 0.0, 1.0
         y_std = y.copy()
-    stats = StandardizationStats(x_mean, sd_safe, y_mean, y_sd, const)
+    stats = StandardizationStats(x_mean, x_sd, y_mean, y_sd, np.flatnonzero(is_const))
     return x_std, y_std, stats
 
 

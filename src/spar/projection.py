@@ -123,7 +123,8 @@ class ProjectionMatrix:
                 f"projection expects {self.q} columns, got "
                 f"{x_sub.shape[1] if x_sub.ndim == 2 else x_sub.shape}"
             )
-        # x_sub @ csc.T transposes twice to get here; unlike is_sparse, isinstance caches nothing
+        # x_sub @ csc.T transposes twice to get here.  fit_models's x_sub, a column gather, is
+        # F-ordered, so scipy reads x_sub.T in place; unlike is_sparse, isinstance caches nothing
         return x_sub @ self.mat.T if isinstance(self.mat, np.ndarray) else (self.mat @ x_sub.T).T
 
     def backmap(self, gamma) -> np.ndarray:
@@ -131,7 +132,13 @@ class ProjectionMatrix:
         gamma = np.asarray(gamma, dtype=float)
         if gamma.shape != (self.m,):
             raise DataError(f"gamma must have shape ({self.m},), got {gamma.shape}")
-        return self.mat.T @ gamma
+        if isinstance(self.mat, np.ndarray):
+            return self.mat.T @ gamma
+        # mat.T @ gamma's bits without building mat.T: each column's stored entries summed into
+        # 0.0 in stored order, as scipy's csr_matvec sums the rows of mat.T
+        mat = self.mat
+        cols = np.repeat(np.arange(self.q), np.diff(mat.indptr))
+        return np.bincount(cols, weights=mat.data * gamma[mat.indices], minlength=self.q)
 
     def with_column_values(self, values) -> "ProjectionMatrix":
         """Copy with fresh per-column values; keeps the sparse structure.

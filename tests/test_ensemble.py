@@ -39,7 +39,7 @@ from spar.ensemble import (
     standardize,
     threshold_beta,
 )
-from spar.projection import ProjectionMatrix, RpSpec, gen_cw
+from spar.projection import ProjectionMatrix, RpSpec, gen_cw, gen_gaussian, gen_haar, gen_sparse
 from spar.screening import ScreenSpec, compute_screening
 
 
@@ -56,12 +56,12 @@ def test_standardize_columns():
     assert stats.y_sd == pytest.approx(1.0)
 
 
-def test_standardize_copy_is_c_ordered_and_leaves_x_alone():
-    """load_csv's x is F-ordered; solves on a C-ordered x_std give the bits a row copy gives."""
+def test_standardize_copy_is_f_ordered_and_leaves_x_alone():
+    """x_std is column-major whatever x's layout, so every model's column gather is contiguous."""
     x = np.asfortranarray(np.random.default_rng(2).standard_normal((30, 8)))
     x0 = x.copy()
     x_std, _, stats = standardize(x, x[:, 0], "gaussian")
-    assert x_std.flags.c_contiguous
+    assert x_std.flags.f_contiguous
     assert np.array_equal(x, x0)
     assert np.array_equal(x_std, (x0 - stats.x_mean) / stats.x_sd)
 
@@ -94,15 +94,16 @@ def _plain_standardized_x(x):
 def test_standardize_rows_equals_standardize_of_the_gathered_rows(seed, n, p, family, fortran,
                                                                   mask):
     """rows=r standardizes x[r] byte for byte, signed zeros included, as a separate x[r] copy
-    does, and both give np.std's bits: the in-place fold copy and the 256-column-block sds change
-    no bit on either side of a block edge, in either layout.  The caller's x is not written."""
+    does, and both give np.std's bits: gathering and standardizing 256 columns at a time into the
+    column-major copy changes no bit on either side of a block edge, in either layout.  The
+    caller's x is not written."""
     x, y, rng = _rows_problem(seed, n, p, family, fortran)
     rows = np.sort(rng.choice(n, size=rng.integers(3, n + 1), replace=False))
     x0 = x.copy(order="A")
     got = standardize(x, y, family, rows=np.isin(np.arange(n), rows) if mask else rows)
     want = standardize(x[rows], y[rows], family)
     assert x.tobytes(order="A") == x0.tobytes(order="A")
-    assert got[0].flags.c_contiguous
+    assert got[0].flags.f_contiguous
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
     for name, value in vars(want[2]).items():
         assert np.asarray(getattr(got[2], name)).tobytes() == np.asarray(value).tobytes(), name
@@ -221,6 +222,31 @@ def test_fit_models_honors_supplied_inds_verbatim():
     assert np.array_equal(models[1].index_set, inds[1])
     for mdl in models:
         assert np.all(mdl.beta_dense(30)[np.setdiff1d(np.arange(30), mdl.index_set)] == 0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(10, 40), st.integers(5, 300),
+       st.sampled_from(["gaussian", "binomial", "poisson"]),
+       st.sampled_from(["cw", "gaussian", "sparse", "haar"]))
+@settings(max_examples=40, deadline=None)
+def test_fit_models_gives_the_same_models_from_c_and_f_ordered_x_std(seed, n, p, family, kind):
+    """With inds and data-agnostic rpms supplied nothing reads the screening, and the models of a
+    C- and an F-ordered x_std are byte-identical: only the screening sees x_std's layout."""
+    x, y, rng = _rows_problem(seed, n, p, family, False)
+    xs, ys, _ = standardize(x, y, family)
+    draw = {"cw": lambda m, q: gen_cw(m, q, False, None, rng),
+            "gaussian": lambda m, q: gen_gaussian(m, q, rng),
+            "sparse": lambda m, q: gen_sparse(m, q, 0.5, rng),
+            "haar": lambda m, q: gen_haar(m, q, rng)}[kind]
+    inds = [np.sort(rng.choice(p, rng.integers(1, min(p, 60) + 1), replace=False)) for _ in range(3)]
+    rpms = [draw(int(rng.integers(1, idx.size + 1)), idx.size) for idx in inds]
+    rows = np.arange(n)
+    c_models, f_models = (fit_models(a, ys, get_family(family), ScreenSpec().resolved(n), None,
+                                     ModelSpec(), 3, 0, rows, rows, inds=inds, rpms=rpms)
+                          for a in (np.ascontiguousarray(xs), np.asfortranarray(xs)))
+    for c, f in zip(c_models, f_models, strict=True):
+        assert (c.gamma0, c.converged, c.failed) == (f.gamma0, f.converged, f.failed)
+        assert c.gamma.tobytes() == f.gamma.tobytes()
+        assert c.beta_vals.tobytes() == f.beta_vals.tobytes()
 
 
 def test_fit_spar_draws_the_projections_left_none():

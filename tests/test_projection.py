@@ -276,6 +276,32 @@ def test_backmap_matches_dense_transpose(m, q, data_driven, seed, data):
     assert np.array_equal(phi.backmap(gamma), phi.to_dense().T @ gamma)
 
 
+@given(m=st.integers(1, 6), q=st.integers(1, 12), summed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_sparse_backmap_equals_the_transposed_product(m, q, summed, seed):
+    """backmap gives mat.T @ gamma byte for byte, signed zeros included, on CSC matrices with
+    explicit zeros and empty columns: stored as given (rows unsorted and repeated within a
+    column) or summed from plugin triplets."""
+    rng = np.random.default_rng(seed)
+
+    def values(size):  # a third of them +0.0 or -0.0
+        return np.where(rng.random(size) < 0.3, rng.choice([0.0, -0.0], size),
+                        rng.standard_normal(size))
+
+    counts = rng.integers(0, 4, q)  # 0 leaves a column empty
+    rows, vals = rng.integers(0, m, counts.sum()), values(counts.sum())
+    if summed:  # a repeated (row, column) cell is summed into one entry
+        cols = np.repeat(np.arange(q), counts)
+        spec = RpSpec(kind="plugin", plugin=lambda m_, idx, data, controls: (rows, cols, vals))
+        phi = make_projection(spec, m, np.arange(q), rng)
+    else:
+        mat = scipy.sparse.csc_array((vals, rows, np.r_[0, np.cumsum(counts)]), shape=(m, q))
+        phi = ProjectionMatrix("plugin", mat)
+    gamma = values(m)
+    assert phi.backmap(gamma).tobytes() == (phi.mat.T @ gamma).tobytes()
+
+
 def test_with_column_values_shares_structure():
     phi = gen_cw(4, 10, True, np.ones(10), np.random.default_rng(19))
     values = np.arange(10.0) - 4.0  # one explicit zero, kept as an entry
