@@ -88,11 +88,10 @@ def standardize(x, y, family, rows=None):
 
     Returns (x_std, y_std, stats).  Constant columns become exact zero
     columns and are flagged in stats.constant_cols.  x_std is the one n x p
-    array made, in Fortran (column-major) order, so that every model's
-    x_std[:, index_set] copies contiguous columns.  It is filled one block
-    of 256 columns at a time, read from x or, with rows (an index array or
-    mask), gathered as x[rows, block]: bit for bit standardize(x[rows],
-    y[rows], family), with no full-size temporary beside x_std.
+    array made, column-major, so every model's x_std[:, index_set] copies
+    contiguous columns.  It is filled 256 columns at a time from x or, with
+    rows (an index array or mask), from x[rows, block]: bit for bit
+    standardize(x[rows], y[rows], family), no full-size temporary beside it.
     """
     fam = get_family(family)
     x = np.asarray(x, dtype=float)
@@ -120,9 +119,10 @@ def standardize(x, y, family, rows=None):
         mean, sd = b.mean(axis=0, out=x_mean[lo:hi]), b.std(axis=0, ddof=1, out=x_sd[lo:hi])
         const = np.equal(np.ptp(b, axis=0), 0, out=is_const[lo:hi])
         sd[const | ~(sd > 0)] = 1.0
-        out = np.subtract(b, mean, out=x_std[:, lo:hi])
-        out /= sd
-        out[:, const] = 0.0
+        b = np.subtract(b, mean)  # in b's own layout: strided arithmetic into x_std is slower
+        b /= sd
+        b[:, const] = 0.0
+        x_std[:, lo:hi] = b
         del b  # before the next block is gathered
     validate_response(fam, y)
 
