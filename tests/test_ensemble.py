@@ -237,7 +237,8 @@ def test_fit_models_gives_the_same_models_from_c_and_f_ordered_x_std(seed, n, p,
             "gaussian": lambda m, q: gen_gaussian(m, q, rng),
             "sparse": lambda m, q: gen_sparse(m, q, 0.5, rng),
             "haar": lambda m, q: gen_haar(m, q, rng)}[kind]
-    inds = [np.sort(rng.choice(p, rng.integers(1, min(p, 60) + 1), replace=False)) for _ in range(3)]
+    inds = [np.sort(rng.choice(p, rng.integers(1, min(p, 60) + 1), replace=False))
+            for _ in range(3)]
     rpms = [draw(int(rng.integers(1, idx.size + 1)), idx.size) for idx in inds]
     rows = np.arange(n)
     c_models, f_models = (fit_models(a, ys, get_family(family), ScreenSpec().resolved(n), None,

@@ -285,7 +285,7 @@ def test_sparse_backmap_equals_the_transposed_product(m, q, summed, seed):
     column) or summed from plugin triplets."""
     rng = np.random.default_rng(seed)
 
-    def values(size):  # a third of them +0.0 or -0.0
+    def values(size):  # about 30 % of them +0.0 or -0.0
         return np.where(rng.random(size) < 0.3, rng.choice([0.0, -0.0], size),
                         rng.standard_normal(size))
 
