@@ -8,7 +8,6 @@ selection.  All generators leave scaling to the caller.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -236,14 +235,16 @@ def gen_haar_select(
 ) -> ProjectionMatrix:
     """Best of b2 Haar candidates by holdout error.
 
-    rng moves as in b2 gen_haar calls and then the holdout split (b2 = 1
-    is gen_haar); a copy replays the draws, one candidate at a time, each
-    scored by a penalized GLM refit on the projected training rows:
+    The holdout split comes from rng.spawn(1)[0], a child stream that takes
+    no draws from rng; the candidates come from rng, so rng moves as in b2
+    gen_haar calls (b2 = 1 is gen_haar).  Each candidate is drawn once and
+    scored at once by a penalized GLM refit on the projected training rows:
     misclassification (binomial) or MSE (otherwise) on the holdout.  Ties
-    keep the earliest candidate; if all fail, the first.  An unpenalized
-    gaussian fit with m < q and m + 1 < training rows scores the raw draw G
-    (X G spans what X Q spans) and only the winner gets its QR; every other
-    case, m == q included (all candidates tie up to rounding), scores Q.
+    keep the earliest candidate; a candidate whose fit fails drops out, and
+    if all fail, the first wins.  An unpenalized gaussian fit with m < q and
+    m + 1 < training rows scores the raw draw G (X G spans what X Q spans)
+    and only the winner gets its QR; every other case, m == q included (all
+    candidates tie up to rounding), scores Q.
     """
     fam = get_family(family)
     x_sub = np.asarray(x_sub, dtype=float)
@@ -256,22 +257,19 @@ def gen_haar_select(
     _check_dims(m, q, haar=True)
     if b2 == 1:
         return gen_haar(m, q, rng)
-    replay, draw = copy.deepcopy(rng), np.empty((q, m))
-    for _ in range(b2):
-        rng.standard_normal(out=draw)
     n_test = int(round(holdout_frac * n))
     if n_test < 2 or n - n_test < 3:
         raise ConfigError(
             f"holdout_frac={holdout_frac} leaves {n_test} holdout and "
             f"{n - n_test} training rows; need at least 2 and 3"
         )
-    test = np.sort(rng.choice(n, size=n_test, replace=False))
+    test = np.sort(rng.spawn(1)[0].choice(n, size=n_test, replace=False))
     train = np.setdiff1d(np.arange(n), test)
     x_tr, x_te, y_tr, y_te = x_sub[train], x_sub[test], y[train], y[test]
     span_only = fam.name == "gaussian" and epsilon == 0 and m < q and m + 1 < len(train)
     best_err, best = np.inf, None
     for _ in range(b2):
-        g = replay.standard_normal((q, m))
+        g = rng.standard_normal((q, m))
         best = g if best is None else best
         basis = g if span_only else _haar_from(g).mat.T
         try:

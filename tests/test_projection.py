@@ -122,12 +122,13 @@ def test_haar_select_b2_one_matches_gen_haar():
 
 
 def _haar_select_reference(m, q, x, y, family, b2, frac, eps, rng):
-    """Best of b2 the direct way: every candidate's QR held, then the split, then scoring on Q."""
+    """Best of b2 the direct way: every candidate's QR held from rng, the split from rng's
+    spawned child, then scoring on Q."""
     candidates = [gen_haar(m, q, rng) for _ in range(b2)]
     if b2 == 1:
         return candidates[0]
     n = len(y)
-    test = np.sort(rng.choice(n, size=int(round(frac * n)), replace=False))
+    test = np.sort(rng.spawn(1)[0].choice(n, size=int(round(frac * n)), replace=False))
     train = np.setdiff1d(np.arange(n), test)
     best_err, best = np.inf, candidates[0]
     for cand in candidates:
@@ -161,7 +162,7 @@ def _assert_matches_reference(m, q, x, y, family, b2, eps, seed):
 
 
 def test_haar_select_picks_holdout_argmin():
-    """Replicate candidate draws and the split; expect the same winner."""
+    """Replicate the candidate draws and the spawned split; expect the same winner."""
     rng_data = np.random.default_rng(11)
     n, q, m, b2 = 32, 8, 3, 5
     x = rng_data.standard_normal((n, q))
@@ -198,12 +199,42 @@ def test_haar_select_failed_candidate_drops_out(monkeypatch):
             gen_haar_select(4, 9, x, y, "gaussian", 5, 0.25, 0.0, np.random.default_rng(78))
 
 
+def test_haar_select_holdout_split_is_keyed_by_purpose(monkeypatch):
+    """The training rows do not depend on b2, and a bad holdout_frac raises before any draw."""
+    x, y = _haar_problem(37, 30, 9, "gaussian")
+    assert len(np.unique(y)) == len(y)  # so y_tr names the training rows
+    calls = []
+
+    def recording_fit(z, y_tr, fam, eps):
+        calls.append(np.flatnonzero(np.isin(y, y_tr)))
+        return fit_penalized_glm(z, y_tr, fam, eps)
+
+    monkeypatch.setattr(projection_mod, "fit_penalized_glm", recording_fit)
+    train = {}
+    for b2 in (2, 50):
+        calls.clear()
+        gen_haar_select(4, 9, x, y, "gaussian", b2, 0.25, 0.0, np.random.default_rng(38))
+        assert len(calls) == b2
+        assert all(np.array_equal(rows, calls[0]) for rows in calls)
+        train[b2] = calls[0]
+    assert len(train[2]) == 30 - 8
+    assert np.array_equal(train[2], train[50])
+
+    for n, frac in ((5, 0.25), (30, 0.95)):  # 1 holdout row; 2 training rows
+        rng = np.random.default_rng(39)
+        before = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="holdout_frac"):
+            gen_haar_select(4, 9, x[:n], y[:n], "gaussian", 5, frac, 0.0, rng)
+        assert rng.bit_generator.state == before
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
 @given(n=st.integers(8, 40), q=st.integers(1, 12), m_frac=st.floats(0.0, 1.0),
        b2=st.integers(1, 6), family=st.sampled_from(["gaussian", "binomial"]),
        eps=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
 @settings(max_examples=80, deadline=None)
 def test_haar_select_equals_scoring_every_candidate_on_its_q(n, q, m_frac, b2, family, eps, seed):
-    """Replayed draws, QR-free scoring where it applies: the same winner and the same rng state."""
+    """One draw per candidate, QR-free scoring where it applies: the same winner and rng state."""
     m = max(1, round(m_frac * q))  # m_frac = 1 gives m == q
     x, y = _haar_problem(seed, n, q, family)
     _assert_matches_reference(m, q, x, y, family, b2, eps, seed + 1)
@@ -217,7 +248,7 @@ def test_haar_select_m_equal_q_scores_on_q():
 
 @pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
 def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatch):
-    """With every candidate failing, the first draw wins and rng still ends past the split."""
+    """With every candidate failing, the first draw wins and rng ends past the b2 draws."""
     x, y = _haar_problem(33, 30, 9, family)
 
     def always_singular(*args):
@@ -230,7 +261,6 @@ def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatc
     first = gen_haar(4, 9, ref_rng)
     for _ in range(4):
         gen_haar(4, 9, ref_rng)
-    ref_rng.choice(30, size=8, replace=False)
     assert np.array_equal(chosen.to_dense(), first.to_dense())
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
