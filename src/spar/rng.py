@@ -3,10 +3,8 @@
 Every random decision in a fit draws from its own generator, keyed by
 what the draw is for rather than by when it happens.  Streams are
 therefore identical no matter how model fits are scheduled across
-worker threads.  A haar_select projection draws its candidates from the
-model's projection stream and its holdout split from that stream's
-spawned child, so the split does not depend on how many candidates
-come before it.
+worker threads.  haar_select draws its candidates from a model's projection
+stream and its holdout split from that stream's spawned child.
 """
 
 import numpy as np

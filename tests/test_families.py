@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import expit, gammaln, xlogy
 
+import spar.families as families_mod
 from spar.errors import ConfigError, DomainError, NumericError, SingularError
 from spar.families import (
     BINOMIAL,
@@ -395,6 +396,33 @@ def test_irls_path_frozen():
     fit = fit_penalized_glm(z, y, "poisson", 0.5)
     assert (fit.iterations, fit.converged, fit.deviance) == (8, True, 0.6559810999385709)
     assert fit.gamma0 == -0.3429145911302308
+
+
+@pytest.mark.parametrize("family", ["binomial", "poisson"])
+def test_irls_halving_exhaustion_ends_converged(family, monkeypatch):
+    """A step whose full length and 30 halvings all fail to descend ends the loop with
+    converged=True and the last accepted iterate; nothing else records it.  Forced: after the
+    start and the first full step, every deviance reads 1e6 higher."""
+    rng = np.random.default_rng(2026)
+    z = rng.standard_normal((40, 3))
+    eta = 0.2 + z @ np.array([0.8, -0.5, 0.3])
+    y = ((rng.uniform(size=40) < expit(eta)) if family == "binomial"
+         else rng.poisson(np.exp(eta))).astype(float)
+    one_step = fit_penalized_glm(z, y, family, 0.1, max_iter=1)
+    assert (one_step.converged, one_step.iterations) == (False, 1)
+
+    true_deviance, calls = families_mod._deviance, []
+
+    def rising_deviance(*args):
+        calls.append(1)
+        return true_deviance(*args) + (1e6 if len(calls) > 2 else 0.0)
+
+    monkeypatch.setattr(families_mod, "_deviance", rising_deviance)
+    fit = fit_penalized_glm(z, y, family, 0.1)
+    assert (fit.converged, fit.iterations) == (True, 2)
+    assert len(calls) == 2 + 31  # the start, the first step, then 31 rejected candidates
+    assert fit.gamma0 == one_step.gamma0 and fit.deviance == one_step.deviance
+    assert np.array_equal(fit.gamma, one_step.gamma)
 
 
 def _same_fit(a, b):
