@@ -331,7 +331,9 @@ def cmd_report(args) -> int:
     # coefs: p x M matrix of standardized pre-threshold coefficients,
     # each predictor row sorted descending across models
     _refuse_pick(args, "--plot-type coefs")
-    mat = ens.coef_matrix()
+    mat = np.zeros((ens.p, len(ens.models)))
+    for k, model in enumerate(ens.models):
+        mat[model.index_set, k] = model.beta_vals
     order = np.arange(ens.p)
     if args.coef_order is not None:
         column = load_csv(args.coef_order, has_header=False).x

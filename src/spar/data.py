@@ -21,10 +21,9 @@ import warnings
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .ensemble import MarginalModel, SparEnsemble, StandardizationStats
-from .errors import ConfigError, NumericError, ParseError, VersionError, whole_at_least
+from .errors import ConfigError, NumericError, ParseError, VersionError, whole_at_least, whole_number
 from .families import get_family, linkinv_eval
 from .projection import ProjectionMatrix
 from .selection import GridCell, SelectionGrid
@@ -151,7 +150,7 @@ def load_csv(path, has_header=True, response=None) -> Dataset:
         except ValueError:
             raise ParseError(f"{path}: no column named {response!r}") from None
     else:
-        col = int(response)
+        col = whole_number("response", response)
         if not 0 <= col < width:
             raise ParseError(f"{path}: response column {col} out of range")
     # row-major x (a view when y is an edge column), as fit_spar callers pass it: standardize's
@@ -274,22 +273,13 @@ def _phi_dict(phi: ProjectionMatrix) -> dict:
     """A projection's model-file form: shape, kind, storage and its triplets as arrays."""
     rows, cols, vals = phi.triplets()
     return {"m": phi.m, "q": phi.q, "kind": phi.kind,
-            "storage": "sparse" if phi.is_sparse else "dense",
+            "storage": "dense" if isinstance(phi.mat, np.ndarray) else "sparse",
             "data_driven": bool(phi.data_driven), "rows": rows, "cols": cols, "vals": vals}
 
 
 def _phi_from_dict(d: dict) -> ProjectionMatrix:
-    m, q, vals = d["m"], d["q"], np.asarray(d["vals"], dtype=float)
-    rows, cols = np.asarray(d["rows"], dtype=int), np.asarray(d["cols"], dtype=int)
-    if d["storage"] == "sparse":  # triplets() wrote the CSC entries column-major, rows ascending
-        if not (rows.shape == cols.shape == vals.shape and np.all(np.diff(cols * m + rows) > 0)
-                and np.all((0 <= rows) & (rows < m) & (0 <= cols) & (cols < q))):
-            raise ValueError(f"sparse triplets are not strictly increasing (col, row) in {m} x {q}")
-        mat = scipy.sparse.csc_array((vals, rows, np.searchsorted(cols, np.arange(q + 1))), shape=(m, q))
-    else:  # the fit's layout, since products read it: a fitted haar matrix is a transposed QR factor
-        coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(m, q))
-        mat = coo.toarray("F" if d["kind"] == "haar" else "C")
-    return ProjectionMatrix(d["kind"], mat, d["data_driven"])
+    return ProjectionMatrix.from_triplets(d["kind"], d["m"], d["q"], d["rows"], d["cols"],
+                                          d["vals"], d["storage"] == "sparse", d["data_driven"])
 
 
 def serialize_model(ens: SparEnsemble) -> str:

@@ -150,11 +150,6 @@ class MarginalModel:
     def __post_init__(self):
         self.beta_vals = self.phi.backmap(self.gamma)
 
-    def beta_dense(self, p: int) -> np.ndarray:
-        out = np.zeros(p)
-        out[self.index_set] = self.beta_vals
-        return out
-
 
 @one_blas_thread
 def fit_models(
@@ -176,15 +171,14 @@ def fit_models(
 ) -> list[MarginalModel]:
     """Screen on screen_rows and fit the marginal models on model_rows (algorithm step 4).
 
-    The full fit and every CV fold run this path.  Supplied inds and rpms
-    are used verbatim, except that a data-driven cw projection always
-    carries this fit's screening coefficients of its columns; screening
-    runs only when something reads it.  What is not supplied, each model
-    draws from streams keyed by (seed, model index, purpose), so results
-    do not depend on the thread count; a "fixed" kept set is selected once
-    for all models.  starts (a (gamma0, gamma) or None per model) and
-    screen_start are warm starts (see fit_penalized_glm).  A model whose
-    solve fails is recorded with zero coefficients; only all failing raises.
+    The full fit and every CV fold run this path.  Supplied inds and rpms are used verbatim;
+    every data-driven cw projection, drawn or supplied, takes its values from this fit's
+    screening here, and nowhere else.  Screening runs only when something reads it.  What is
+    not supplied, each model draws from streams keyed by (seed, model index, purpose), so
+    results do not depend on the thread count; a "fixed" kept set is selected once for all
+    models.  starts (a (gamma0, gamma) or None per model) and screen_start are warm starts
+    (see fit_penalized_glm).  A model whose solve fails is recorded with zero coefficients;
+    only all failing raises.
     """
     p = x_std.shape[1]
     if inds is not None and len(inds) < n_models:
@@ -197,10 +191,10 @@ def fit_models(
         return (x_std[rows], y_std[rows]) if split else (x_std, y_std)
 
     supplied = [] if rpms is None else [r for r in rpms[:n_models] if r is not None]
-    drawn_cw = len(supplied) < n_models and rp_spec.kind == "cw" and rp_spec.data_driven
-    refresh = any(r.kind == "cw" and r.data_driven for r in supplied)
+    cw_values = any(r.kind == "cw" and r.data_driven for r in supplied) or (
+        len(supplied) < n_models and rp_spec.kind == "cw" and rp_spec.data_driven)
     screen_result = (compute_screening(*rows_of(screen_rows), fam, screen_spec, screen_start)
-                     if inds is None or drawn_cw or refresh else None)
+                     if inds is None or cw_values else None)
     fixed = (select_screened(screen_result, screen_spec, None)
              if inds is None and screen_spec.selection_type == "fixed" else None)
     x_fit, y_fit = rows_of(model_rows)
@@ -220,16 +214,13 @@ def fit_models(
             phi = rpms[k]
             if phi.q != q:
                 raise ConfigError(f"model {k}: projection has q={phi.q}, index set has {q}")
-            if phi.kind == "cw" and phi.data_driven:
-                phi = phi.with_column_values(screen_result.omega[idx])
         else:
             m_k = int(draw_goal_dims(1, rp_spec.mslow, rp_spec.msup, model_stream(master_seed, k, DIM_DRAW))[0])
             m_k = max(1, min(m_k, q))  # more goal dims than inputs adds nothing
-            omega = screen_result.omega if screen_result is not None else None
-            phi = make_projection(
-                rp_spec, m_k, idx, model_stream(master_seed, k, PHI_DRAW),
-                omega=omega, x=x_fit, y=y_fit, family=fam, model_epsilon=eps,
-            )
+            phi = make_projection(rp_spec, m_k, idx, model_stream(master_seed, k, PHI_DRAW),
+                                  x=x_fit, y=y_fit, family=fam, model_epsilon=eps)
+        if phi.kind == "cw" and phi.data_driven:
+            phi = phi.with_column_values(screen_result.omega[idx])
         z = phi.matmul(x_fit[:, idx])
         start = None if starts is None else starts[k]
         try:
@@ -486,7 +477,7 @@ class SparEnsemble:
         """(nu, nummod): each one given, else that of the opt_par pair ("best" or "1se")."""
         if opt_par not in ("best", "1se"):
             raise ConfigError("opt_par must be 'best' or '1se'")
-        if nu is not None and not (isinstance(nu, numbers.Real) and nu >= 0):
+        if nu is not None and (isinstance(nu, bool) or not (isinstance(nu, numbers.Real) and nu >= 0)):
             raise ConfigError(f"nu must be a number >= 0, got {nu!r}")
         nummod = whole_number("nummod", nummod)
         chosen = self.one_se if opt_par == "1se" else self.best
@@ -507,6 +498,3 @@ class SparEnsemble:
         return predict_glm(self.models, self.stats, self.family, x_new,
                            nu, nummod, type, avg_type)
 
-    def coef_matrix(self) -> np.ndarray:
-        """p x M matrix of standardized pre-threshold coefficients."""
-        return np.column_stack([model.beta_dense(self.p) for model in self.models])

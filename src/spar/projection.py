@@ -1,8 +1,8 @@
 """Random projection matrices mapping q screened predictors to m << q dims.
 
 Generators: dense gaussian, sparse +-1/sqrt(psi) entries, a one-nonzero-
-per-column sketch whose diagonal can carry screening coefficients, and
-orthonormal-row (Haar) matrices with an optional best-of-B2 holdout
+per-column sketch (cw; ensemble.fit_models sets a data-driven one's values),
+and orthonormal-row (Haar) matrices with an optional best-of-B2 holdout
 selection.  All generators leave scaling to the caller.
 """
 
@@ -94,16 +94,9 @@ class ProjectionMatrix:
         return self.mat.shape[1]
 
     @property
-    def is_sparse(self) -> bool:
-        return scipy.sparse.issparse(self.mat)
-
-    @property
     def rows(self) -> np.ndarray:
         """Target row of every stored entry, in triplets() order."""
         return self.triplets()[0]
-
-    def to_dense(self) -> np.ndarray:
-        return scipy.sparse.coo_array(self.mat).toarray()
 
     def triplets(self):
         """(rows, cols, vals) of the stored entries.
@@ -114,6 +107,21 @@ class ProjectionMatrix:
         coo = scipy.sparse.coo_array(self.mat)
         return coo.row, coo.col, coo.data
 
+    @classmethod
+    def from_triplets(cls, kind, m, q, rows, cols, vals, sparse, data_driven=False):
+        """The inverse of triplets(): sparse ones, strictly increasing (col, row) in m x q (else a
+        ValueError), as CSC arrays; dense ones in the fit's layout (F for a haar QR factor)."""
+        vals = np.asarray(vals, dtype=float)
+        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+        if not sparse:
+            coo = scipy.sparse.coo_array((vals, (rows, cols)), shape=(m, q))
+            return cls(kind, coo.toarray("F" if kind == "haar" else "C"), data_driven)
+        if not (rows.shape == cols.shape == vals.shape and np.all(np.diff(cols * m + rows) > 0)
+                and np.all((0 <= rows) & (rows < m) & (0 <= cols) & (cols < q))):
+            raise ValueError(f"sparse triplets are not strictly increasing (col, row) in {m} x {q}")
+        indptr = np.searchsorted(cols, np.arange(q + 1))
+        return cls(kind, scipy.sparse.csc_array((vals, rows, indptr), shape=(m, q)), data_driven)
+
     def matmul(self, x_sub) -> np.ndarray:
         """Z = x_sub @ phi.T."""
         x_sub = np.asarray(x_sub, dtype=float)
@@ -123,7 +131,7 @@ class ProjectionMatrix:
                 f"{x_sub.shape[1] if x_sub.ndim == 2 else x_sub.shape}"
             )
         # x_sub @ csc.T transposes twice to get here.  fit_models's x_sub, a column gather, is
-        # F-ordered, so scipy reads x_sub.T in place; unlike is_sparse, isinstance caches nothing
+        # F-ordered, so scipy reads x_sub.T in place
         return x_sub @ self.mat.T if isinstance(self.mat, np.ndarray) else (self.mat @ x_sub.T).T
 
     def backmap(self, gamma) -> np.ndarray:
@@ -142,8 +150,8 @@ class ProjectionMatrix:
     def with_column_values(self, values) -> "ProjectionMatrix":
         """Copy with fresh per-column values; keeps the sparse structure.
 
-        Only meaningful for the cw kind, where it refreshes the
-        data-driven diagonal between cross-validation folds.
+        Only meaningful for the cw kind: ensemble.fit_models gives every
+        data-driven cw matrix, drawn or supplied, its fit's screening values.
         """
         if self.kind != "cw":
             raise ConfigError("with_column_values applies to sparse cw matrices only")
@@ -195,24 +203,14 @@ def gen_sparse(m: int, q: int, psi: float, rng) -> ProjectionMatrix:
     return ProjectionMatrix("sparse", dense)
 
 
-def gen_cw(m: int, q: int, data_driven: bool, diag_values, rng) -> ProjectionMatrix:
-    """One nonzero per column: a uniform target row times a diagonal value.
+def gen_cw(m: int, q: int, data_driven: bool, rng) -> ProjectionMatrix:
+    """One nonzero per column: a uniform target row times a Rademacher sign, drawn in that order.
 
-    Data-agnostic columns carry Rademacher signs; data-driven columns
-    carry the supplied values (screening coefficients of the selected
-    predictors).
+    data_driven only marks the matrix: ensemble.fit_models sets its values (with_column_values).
     """
     _check_dims(m, q)
     rows = rng.integers(0, m, size=q)
-    if data_driven:
-        if diag_values is None:
-            raise ConfigError("data-driven cw projection needs diagonal values")
-        vals = np.asarray(diag_values, dtype=float)
-        if vals.shape != (q,):
-            raise DataError(f"need {q} diagonal values, got {vals.shape}")
-        vals = vals.copy()
-    else:
-        vals = rng.integers(0, 2, size=q) * 2.0 - 1.0
+    vals = rng.integers(0, 2, size=q) * 2.0 - 1.0
     mat = scipy.sparse.csc_array((vals, rows, np.arange(q + 1)), shape=(m, q))
     return ProjectionMatrix("cw", mat, data_driven)
 
@@ -287,22 +285,16 @@ def gen_haar_select(
 
 
 def make_projection(
-    spec: RpSpec, m: int, index_set, rng, omega=None, x=None, y=None,
-    family=None, model_epsilon=0.0,
+    spec: RpSpec, m: int, index_set, rng, x=None, y=None, family=None, model_epsilon=0.0,
 ) -> ProjectionMatrix:
-    """Generate one projection for the given model's index set."""
+    """One projection for the model's index set; a data-driven cw one still holds its signs."""
     q = len(index_set)
     if spec.kind == "gaussian":
         return gen_gaussian(m, q, rng)
     if spec.kind == "sparse":
         return gen_sparse(m, q, spec.psi, rng)
     if spec.kind == "cw":
-        diag = None
-        if spec.data_driven:
-            if omega is None:
-                raise ConfigError("data-driven cw projection needs screening coefficients")
-            diag = np.asarray(omega, dtype=float)[np.asarray(index_set, dtype=int)]
-        return gen_cw(m, q, spec.data_driven, diag, rng)
+        return gen_cw(m, q, spec.data_driven, rng)
     if spec.kind == "haar_select":
         if x is None or y is None:
             raise ConfigError("haar_select needs the model-fitting data")
@@ -317,8 +309,9 @@ def make_projection(
 
 
 def _normalize_plugin_output(out, m, q):
+    """out as a ProjectionMatrix, never data-driven: a plugin's matrix keeps its own values."""
     if isinstance(out, ProjectionMatrix):
-        mat = out
+        mat = replace(out, data_driven=False)
     elif isinstance(out, tuple) and len(out) == 3:
         rows, cols, vals = (np.asarray(a) for a in out)
         if rows.ndim != 1 or not rows.shape == cols.shape == vals.shape:

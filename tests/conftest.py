@@ -1,8 +1,10 @@
-"""Shared test plumbing: a one-line-per-criterion acceptance report and a traced peak."""
+"""Shared test plumbing: a one-line-per-criterion acceptance report, a traced peak and the
+dense form of a projection."""
 
 import tracemalloc
 
 import pytest
+import scipy.sparse
 
 _LINES = []
 
@@ -38,6 +40,11 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+def dense(phi):
+    """A ProjectionMatrix's m x q matrix as a new numpy array, whatever its storage."""
+    return scipy.sparse.coo_array(phi.mat).toarray()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

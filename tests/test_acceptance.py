@@ -9,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.spatial.distance import pdist
 
+from conftest import dense
 from spar import fit_spar, fit_spar_cv
 from spar.data import (
     SyntheticSpec,
@@ -69,7 +71,7 @@ def test_02_jl_distance_preservation(criterion):
     m = jl_min_dim(50, 0.5, 1)
     assert m == 282
     pts = np.random.default_rng(777).standard_normal((50, 500))
-    phi = gen_gaussian(m, 500, np.random.default_rng(0)).to_dense() / np.sqrt(m)
+    phi = dense(gen_gaussian(m, 500, np.random.default_rng(0))) / np.sqrt(m)
     ratios = pdist(pts @ phi.T, "sqeuclidean") / pdist(pts, "sqeuclidean")
     elapsed = time.perf_counter() - t0
     ok = ratios.size == 1225 and ratios.min() > 0.5 and ratios.max() < 1.5 and elapsed < 5.0
@@ -219,7 +221,7 @@ def test_06_loo_cv_brute_force(criterion):
                       nfolds=n, nnu=3, nummods=(2, 3), measure="mse", seed=seed)
     fam = ens.family
     for model in ens.models:
-        assert model.phi.kind == "cw" and model.phi.is_sparse
+        assert model.phi.kind == "cw" and scipy.sparse.issparse(model.phi.mat)
 
     folds = make_folds(y, fam, n, fold_stream(seed))
     assert len(folds) == n and all(f.size == 1 for f in folds)
@@ -239,9 +241,9 @@ def test_06_loo_cv_brute_force(criterion):
             idx = model.index_set
             phi = model.phi.with_column_values(sr.omega[idx])
             assert np.array_equal(phi.rows, model.phi.rows)  # frozen structure
-            z = x_std[np.ix_(model_rows, idx)] @ phi.to_dense().T
+            z = x_std[np.ix_(model_rows, idx)] @ dense(phi).T
             fit = fit_penalized_glm(z, y_std[model_rows], fam, eps)
-            fitted.append((idx, phi.to_dense().T @ fit.gamma, fit.gamma0))
+            fitted.append((idx, dense(phi).T @ fit.gamma, fit.gamma0))
 
         pos = 0
         for nummod in ens.nummods:

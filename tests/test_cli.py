@@ -514,7 +514,7 @@ def test_report_coefs_prange(fit_dir, tmp_path):
         f"m{k + 1}" for k in range(len(ens.models)))
     assert [int(l.split(",")[0]) for l in lines[1:]] == [4, 5, 6]
     row4 = np.array([float(v) for v in lines[1].split(",")[1:]])
-    expect = -np.sort(-ens.coef_matrix()[3])
+    expect = -np.sort(-np.array([m.beta_vals[m.index_set == 3].sum() for m in ens.models]))
     assert np.array_equal(row4, expect)
     assert np.all(np.diff(row4) <= 0)
 

@@ -193,6 +193,16 @@ def test_load_csv_equals_strict_parser(case):
     assert got == want
 
 
+@pytest.mark.parametrize("response", [-0.5, 1.7, True, np.float64(0.5)], ids=repr)
+def test_load_csv_refuses_a_response_index_that_is_not_whole(response, tmp_path):
+    """int() would read -0.5 as column 0 and 1.7 or True as column 1; a whole float is an index."""
+    path = tmp_path / "t.csv"
+    path.write_text("y,a,b\n1,2,3\n4,5,6\n")
+    with pytest.raises(ConfigError, match="response must be a whole number"):
+        load_csv(path, response=response)
+    assert load_csv(path, response=1.0).y.tolist() == [2.0, 5.0]
+
+
 def test_csv_no_response_and_headerless(tmp_path):
     x = np.array([[1.5, 2.5], [3.5, 4.5]])
     path = tmp_path / "x.csv"
@@ -399,7 +409,8 @@ def test_sparse_projections_load_from_their_triplets(path):
     which no fit writes, are a ParseError."""
     doc = json.loads(path.read_text())
     sparse = [md for md in doc["models"] if md["phi"]["storage"] == "sparse"]
-    for md, model in zip(sparse, [m for m in model_from_dict(doc).models if m.phi.is_sparse]):
+    loaded = [m for m in model_from_dict(doc).models if scipy.sparse.issparse(m.phi.mat)]
+    for md, model in zip(sparse, loaded, strict=True):
         ref = _coo_round_trip(md["phi"])
         for field in ("data", "indices", "indptr"):
             got, want = getattr(model.phi.mat, field), getattr(ref, field)

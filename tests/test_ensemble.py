@@ -14,6 +14,7 @@ from scipy.special import expit
 
 import spar
 import spar.ensemble as ensemble_mod
+from conftest import dense
 from spar.errors import (
     ConfigError,
     DataError,
@@ -220,8 +221,8 @@ def test_fit_models_honors_supplied_inds_verbatim():
                         ModelSpec(), 2, 0, rows, rows, inds=inds)
     assert np.array_equal(models[0].index_set, inds[0])  # order preserved too
     assert np.array_equal(models[1].index_set, inds[1])
-    for mdl in models:
-        assert np.all(mdl.beta_dense(30)[np.setdiff1d(np.arange(30), mdl.index_set)] == 0.0)
+    for mdl, idx in zip(models, inds, strict=True):  # one coefficient per supplied index
+        assert mdl.beta_vals.shape == idx.shape
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(10, 40), st.integers(5, 300),
@@ -233,7 +234,7 @@ def test_fit_models_gives_the_same_models_from_c_and_f_ordered_x_std(seed, n, p,
     C- and an F-ordered x_std are byte-identical: only the screening sees x_std's layout."""
     x, y, rng = _rows_problem(seed, n, p, family, False)
     xs, ys, _ = standardize(x, y, family)
-    draw = {"cw": lambda m, q: gen_cw(m, q, False, None, rng),
+    draw = {"cw": lambda m, q: gen_cw(m, q, False, rng),
             "gaussian": lambda m, q: gen_gaussian(m, q, rng),
             "sparse": lambda m, q: gen_sparse(m, q, 0.5, rng),
             "haar": lambda m, q: gen_haar(m, q, rng)}[kind]
@@ -314,7 +315,7 @@ def test_fit_models_backmap_identity():
     y = rng.standard_normal(60)
     models, _ = _fit_default(x, y, n_models=3, seed=5)
     for mdl in models:
-        assert np.max(np.abs(mdl.beta_vals - mdl.phi.to_dense().T @ mdl.gamma)) < 1e-12
+        assert np.max(np.abs(mdl.beta_vals - dense(mdl.phi).T @ mdl.gamma)) < 1e-12
 
 
 def test_fit_models_all_failures_raise(monkeypatch):
@@ -329,25 +330,68 @@ def test_fit_models_all_failures_raise(monkeypatch):
         _fit_default(x, y, n_models=3)
 
 
-def test_fit_models_partial_failure_records_zero_model(monkeypatch):
-    real = ensemble_mod.fit_penalized_glm
-    calls = {"n": 0}
+def _fail_first_fit(monkeypatch, exc):
+    """Make fit_models's first solve raise exc; returns the epsilon of every solve it asks for."""
+    real, seen = ensemble_mod.fit_penalized_glm, []
 
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise SingularError("forced")
-        return real(*args, **kwargs)
+    def flaky(z, y, fam, eps, *args):
+        seen.append(eps)
+        if len(seen) == 1:
+            raise exc
+        return real(z, y, fam, eps, *args)
 
     monkeypatch.setattr(ensemble_mod, "fit_penalized_glm", flaky)
+    return seen
+
+
+def _failure_problem():
+    """30 rows and 8 columns, and gaussian projections: no solve is singular unless forced."""
     rng = np.random.default_rng(6)
     x = rng.standard_normal((30, 8))
-    y = rng.standard_normal(30)
-    models, _ = _fit_default(x, y, n_models=3)
-    # first model failed twice (eps=0 retry also routed through flaky? no: only
-    # the first call raises), so it either recovered on retry or is zeroed
-    assert sum(m.failed for m in models) <= 1
-    assert len(models) == 3
+    return x, rng.standard_normal(30), RpSpec(kind="gaussian")
+
+
+def test_fit_models_refits_a_singular_eps0_solve_at_the_ridge(monkeypatch):
+    """A SingularError at eps=0 refits that model at RIDGE_PER_ROW * n, bit for bit that fit,
+    and no model fails."""
+    x, y, rp = _failure_problem()
+    seen = _fail_first_fit(monkeypatch, SingularError("forced"))
+    models, _ = _fit_default(x, y, n_models=3, rp=rp)
+    ridge = ensemble_mod.RIDGE_PER_ROW * 30
+    assert seen == [0.0, ridge, 0.0, 0.0]
+    assert [m.failed for m in models] == [False, False, False]
+    xs, ys, _ = standardize(x, y, "gaussian")
+    m0 = models[0]
+    want = fit_penalized_glm(m0.phi.matmul(xs[:, m0.index_set]), ys, GAUSSIAN, ridge)
+    assert (m0.gamma0, m0.converged) == (want.gamma0, want.converged)
+    assert m0.gamma.tobytes() == want.gamma.tobytes()
+
+
+def test_fit_models_partial_failure_records_zero_model(monkeypatch, caplog):
+    """Any other solver error is not retried: the model is logged and recorded failed, with
+    zero coefficients, and the others fit."""
+    x, y, rp = _failure_problem()
+    seen = _fail_first_fit(monkeypatch, NumericError("forced"))
+    models, _ = _fit_default(x, y, n_models=3, rp=rp)
+    assert seen == [0.0, 0.0, 0.0]
+    assert [m.failed for m in models] == [True, False, False]
+    assert models[0].gamma0 == 0.0 and not models[0].converged
+    assert np.all(models[0].gamma == 0) and np.all(models[0].beta_vals == 0)
+    assert "model 0 failed (forced); recording zero coefficients" in caplog.text
+
+
+def test_fit_spar_gives_every_data_driven_cw_model_its_screening_values():
+    """In a default fit every model's drawn cw matrix is data-driven and holds omega[index_set]
+    of the fit's own screening, as a supplied one does."""
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((40, 200))
+    y = x[:, 1] - x[:, 4] + rng.standard_normal(40)
+    ens = spar.fit_spar(x, y, xval=x, yval=y, nnu=3, nummods=(6,), seed=3)
+    xs, ys, _ = standardize(x, y, "gaussian")
+    omega = compute_screening(xs, ys, GAUSSIAN, ScreenSpec().resolved(40)).omega
+    for mdl in ens.models:
+        assert mdl.phi.kind == "cw" and mdl.phi.data_driven
+        assert np.array_equal(mdl.phi.mat.data, omega[mdl.index_set])
 
 
 def test_nu_grid_frozen_quantile_example():
@@ -416,7 +460,9 @@ def test_averaged_coef_destandardization_identity():
     c = averaged_coef(models, stats2, p, 0.0, 3)
     eta_orig = c.intercept + x @ c.beta
     gbar = np.mean([m.gamma0 for m in models])
-    beta_std = np.mean([m.beta_dense(p) for m in models], axis=0)
+    beta_std = np.zeros(p)
+    for m in models:
+        beta_std[m.index_set] += m.beta_vals / len(models)
     eta_std = gbar + xs @ beta_std
     assert np.max(np.abs(eta_orig - (stats.y_mean + stats.y_sd * eta_std))) < 1e-10
 
@@ -608,13 +654,10 @@ def test_ensemble_object_coef_and_predict():
         ens.coef(opt_par="second_best")
     with pytest.raises(ConfigError):
         ens.coef(opt_par="1se")  # validation fit has no 1se pair
-    cm = ens.coef_matrix()
-    assert cm.shape == (p, 3)
-    assert np.allclose(cm[ens.models[0].index_set, 0], ens.models[0].beta_vals)
 
 
 @pytest.mark.parametrize("pair", [
-    {"nu": float("nan")}, {"nu": -0.1}, {"nu": "0.1"},
+    {"nu": float("nan")}, {"nu": -0.1}, {"nu": "0.1"}, {"nu": True},
     {"nummod": 2.5}, {"nummod": "3"}, {"nummod": True},
 ], ids=repr)
 def test_coef_and_predict_refuse_a_bad_pair(pair):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spar.projection as projection_mod
+from conftest import dense
 from spar.errors import ConfigError, DataError, SingularError
 from spar.families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
 from spar.projection import (
@@ -51,7 +52,7 @@ def test_draw_goal_dims_range_and_determinism():
 
 def test_gen_gaussian_moments():
     phi = gen_gaussian(200, 300, np.random.default_rng(1))
-    vals = phi.to_dense().ravel()
+    vals = dense(phi).ravel()
     n = vals.size
     assert abs(vals.mean()) < 3.0 / np.sqrt(n)
     assert abs(vals.var() - 1.0) < 3.0 * np.sqrt(2.0 / n)
@@ -59,12 +60,12 @@ def test_gen_gaussian_moments():
 
 def test_gen_sparse_value_law():
     phi = gen_sparse(100, 200, 1.0, np.random.default_rng(2))
-    vals = phi.to_dense().ravel()
+    vals = dense(phi).ravel()
     assert set(np.unique(vals)) == {-1.0, 1.0}
 
     psi = 0.5
     phi = gen_sparse(100, 200, psi, np.random.default_rng(3))
-    vals = phi.to_dense().ravel()
+    vals = dense(phi).ravel()
     scale = 1.0 / np.sqrt(psi)
     assert set(np.unique(vals)) <= {-scale, 0.0, scale}
     frac_nonzero = np.mean(vals != 0.0)
@@ -77,38 +78,38 @@ def test_gen_sparse_value_law():
 
 def test_gen_cw_structure():
     m, q = 7, 40
-    phi = gen_cw(m, q, False, None, np.random.default_rng(4))
-    dense = phi.to_dense()
-    # exactly one nonzero per column, valued +-1 for the data-agnostic variant
-    assert np.all((dense != 0).sum(axis=0) == 1)
-    assert set(np.unique(dense[dense != 0])) == {-1.0, 1.0}
+    phi = gen_cw(m, q, False, np.random.default_rng(4))
+    mat = dense(phi)
+    # exactly one nonzero per column, valued +-1
+    assert np.all((mat != 0).sum(axis=0) == 1)
+    assert set(np.unique(mat[mat != 0])) == {-1.0, 1.0}
+    assert not phi.data_driven
 
+    # data_driven only marks the matrix: the same draws, and values set afterwards
+    marked = gen_cw(m, q, True, np.random.default_rng(4))
+    assert marked.data_driven and np.array_equal(dense(marked), mat)
     diag = np.arange(1.0, q + 1.0)
-    phi = gen_cw(m, q, True, diag, np.random.default_rng(5))
-    dense = phi.to_dense()
-    assert np.all((dense != 0).sum(axis=0) <= 1)
-    assert np.allclose(np.abs(dense).sum(axis=0), np.abs(diag))
-    with pytest.raises(ConfigError):
-        gen_cw(m, q, True, None, np.random.default_rng(6))
+    mat = dense(marked.with_column_values(diag))
+    assert np.all((mat != 0).sum(axis=0) <= 1)
+    assert np.allclose(np.abs(mat).sum(axis=0), np.abs(diag))
 
 
 def test_gen_cw_single_row_collapses_to_diag():
     diag = np.array([2.0, -3.0, 0.5])
-    phi = gen_cw(1, 3, True, diag, np.random.default_rng(7))
-    assert np.allclose(phi.to_dense(), diag.reshape(1, 3))
+    phi = gen_cw(1, 3, True, np.random.default_rng(7)).with_column_values(diag)
+    assert np.allclose(dense(phi), diag.reshape(1, 3))
 
 
 def test_gen_haar_orthonormal_rows():
-    phi = gen_haar(6, 15, np.random.default_rng(8))
-    dense = phi.to_dense()
-    assert np.max(np.abs(dense @ dense.T - np.eye(6))) < 1e-10
+    mat = dense(gen_haar(6, 15, np.random.default_rng(8)))
+    assert np.max(np.abs(mat @ mat.T - np.eye(6))) < 1e-10
     with pytest.raises(ConfigError):
         gen_haar(16, 15, np.random.default_rng(8))
 
 
 def test_gen_haar_sign_convention_deterministic():
-    a = gen_haar(4, 9, np.random.default_rng(9)).to_dense()
-    b = gen_haar(4, 9, np.random.default_rng(9)).to_dense()
+    a = dense(gen_haar(4, 9, np.random.default_rng(9)))
+    b = dense(gen_haar(4, 9, np.random.default_rng(9)))
     assert np.array_equal(a, b)
 
 
@@ -118,7 +119,7 @@ def test_haar_select_b2_one_matches_gen_haar():
     y = rng_data.standard_normal(24)
     a = gen_haar_select(4, 9, x, y, "gaussian", 1, 0.25, 0.0, np.random.default_rng(77))
     b = gen_haar(4, 9, np.random.default_rng(77))
-    assert np.array_equal(a.to_dense(), b.to_dense())
+    assert np.array_equal(dense(a), dense(b))
 
 
 def _haar_select_reference(m, q, x, y, family, b2, frac, eps, rng):
@@ -157,7 +158,7 @@ def _assert_matches_reference(m, q, x, y, family, b2, eps, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     chosen = gen_haar_select(m, q, x, y, family, b2, 0.25, eps, rng)
     expect = _haar_select_reference(m, q, x, y, family, b2, 0.25, eps, ref_rng)
-    assert np.array_equal(chosen.to_dense(), expect.to_dense())
+    assert np.array_equal(dense(chosen), dense(expect))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -188,7 +189,7 @@ def test_haar_select_failed_candidate_drops_out(monkeypatch):
     rng = np.random.default_rng(78)
     candidates = [gen_haar(4, 9, rng) for _ in range(5)]
     assert len(calls) == 5
-    assert np.array_equal(chosen.to_dense(), candidates[2].to_dense())
+    assert np.array_equal(dense(chosen), dense(candidates[2]))
 
     for exc in (TypeError("bad argument"), ConfigError("bad setting")):
         def broken(*args, exc=exc):
@@ -261,7 +262,7 @@ def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatc
     first = gen_haar(4, 9, ref_rng)
     for _ in range(4):
         gen_haar(4, 9, ref_rng)
-    assert np.array_equal(chosen.to_dense(), first.to_dense())
+    assert np.array_equal(dense(chosen), dense(first))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -288,11 +289,11 @@ def test_matmul_matches_dense_product():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((20, 30))
     for phi in (
-        gen_cw(6, 30, False, None, np.random.default_rng(14)),
+        gen_cw(6, 30, False, np.random.default_rng(14)),
         gen_sparse(6, 30, 0.3, np.random.default_rng(15)),
         gen_gaussian(6, 30, np.random.default_rng(16)),
     ):
-        assert np.max(np.abs(phi.matmul(x) - x @ phi.to_dense().T)) < 1e-12
+        assert np.max(np.abs(phi.matmul(x) - x @ dense(phi).T)) < 1e-12
 
 
 @given(m=st.integers(1, 8), q=st.integers(1, 40), data_driven=st.booleans(),
@@ -301,9 +302,10 @@ def test_matmul_matches_dense_product():
 def test_backmap_matches_dense_transpose(m, q, data_driven, seed, data):
     """A cw matrix has one entry per column, so both sides round the same single product."""
     rng = np.random.default_rng(seed)
-    phi = gen_cw(m, q, data_driven, rng.standard_normal(q) if data_driven else None, rng)
+    phi = gen_cw(m, q, data_driven, rng)
+    phi = phi.with_column_values(rng.standard_normal(q)) if data_driven else phi
     gamma = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)))
-    assert np.array_equal(phi.backmap(gamma), phi.to_dense().T @ gamma)
+    assert np.array_equal(phi.backmap(gamma), dense(phi).T @ gamma)
 
 
 @given(m=st.integers(1, 6), q=st.integers(1, 12), summed=st.booleans(),
@@ -333,7 +335,7 @@ def test_sparse_backmap_equals_the_transposed_product(m, q, summed, seed):
 
 
 def test_with_column_values_shares_structure():
-    phi = gen_cw(4, 10, True, np.ones(10), np.random.default_rng(19))
+    phi = gen_cw(4, 10, True, np.random.default_rng(19))
     values = np.arange(10.0) - 4.0  # one explicit zero, kept as an entry
     new = phi.with_column_values(values)
     rows, cols, _ = phi.triplets()
@@ -341,9 +343,9 @@ def test_with_column_values_shares_structure():
     assert np.array_equal(new_rows, rows) and np.array_equal(new_cols, cols)
     assert np.array_equal(new_vals, values)
     assert new.kind == "cw" and new.data_driven
-    dense = gen_gaussian(3, 5, np.random.default_rng(20))
+    gauss = gen_gaussian(3, 5, np.random.default_rng(20))
     with pytest.raises(ConfigError):
-        dense.with_column_values(np.ones(5))
+        gauss.with_column_values(np.ones(5))
 
 
 def _triplet_matmul(rows, cols, vals, m, q, x):
@@ -370,10 +372,12 @@ def test_cw_products_equal_triplet_reference(m, q, n, data_driven, fortran, seed
     x = rng.standard_normal((n, q))
     x = np.asfortranarray(x) if fortran else x
     gamma = rng.standard_normal(m)
-    phi = gen_cw(m, q, data_driven, diag, np.random.default_rng(seed + 1))
+    phi = gen_cw(m, q, data_driven, np.random.default_rng(seed + 1))
     draws = np.random.default_rng(seed + 1)  # gen_cw's own draws: target rows, then signs
     rows = draws.integers(0, m, size=q)
-    vals = diag if data_driven else draws.integers(0, 2, size=q) * 2.0 - 1.0
+    vals = draws.integers(0, 2, size=q) * 2.0 - 1.0
+    if data_driven:  # as fit_models sets a data-driven matrix's values
+        phi, vals = phi.with_column_values(diag), diag
     cols = np.arange(q)
     z, direct = phi.matmul(x), x @ phi.mat.T
     assert np.array_equal(z, _triplet_matmul(rows, cols, vals, m, q, x))
@@ -400,7 +404,7 @@ def test_plugin_triplet_products_equal_triplet_reference(m, q, n, fortran, seed)
     gamma = rng.standard_normal(m)
     spec = RpSpec(kind="plugin", plugin=lambda m_, idx, data, controls: (rows, cols, vals))
     phi = make_projection(spec, m, np.arange(q), rng)
-    assert phi.is_sparse
+    assert scipy.sparse.issparse(phi.mat)
     assert np.array_equal(phi.matmul(x), _triplet_matmul(rows, cols, vals, m, q, x))
     order = np.lexsort((rows, cols))
     assert np.array_equal(phi.backmap(gamma),
@@ -408,11 +412,11 @@ def test_plugin_triplet_products_equal_triplet_reference(m, q, n, fortran, seed)
 
 
 def test_triplets_roundtrip():
-    phi = gen_cw(5, 11, False, None, np.random.default_rng(21))
+    phi = gen_cw(5, 11, False, np.random.default_rng(21))
     rows, cols, vals = phi.triplets()
     rebuilt = np.zeros((phi.m, phi.q))
     rebuilt[rows, cols] = vals
-    assert np.array_equal(rebuilt, phi.to_dense())
+    assert np.array_equal(rebuilt, dense(phi))
 
 
 def test_rp_spec_validation_and_resolution():
@@ -454,14 +458,21 @@ def test_rp_spec_spells_haar_select_with_a_hyphen():
 
 
 def test_make_projection_dispatch():
-    rng = np.random.default_rng(22)
+    """Each builtin kind is its generator on the same stream; a data-driven cw matrix comes back
+    marked, with gen_cw's signs (fit_models gives it values), and haar_select needs the data."""
     idx = np.arange(7)
-    spec = RpSpec(kind="cw", data_driven=True)
-    omega = np.arange(20.0)
-    phi = make_projection(spec, 3, idx, np.random.default_rng(1), omega=omega)
-    assert np.allclose(np.abs(phi.to_dense()).sum(axis=0), omega[idx])
+    for spec, gen in (
+        (RpSpec(kind="gaussian"), lambda rng: gen_gaussian(3, 7, rng)),
+        (RpSpec(kind="sparse", psi=0.5), lambda rng: gen_sparse(3, 7, 0.5, rng)),
+        (RpSpec(kind="cw", data_driven=False), lambda rng: gen_cw(3, 7, False, rng)),
+        (RpSpec(kind="cw"), lambda rng: gen_cw(3, 7, True, rng)),
+    ):
+        phi, want = make_projection(spec, 3, idx, np.random.default_rng(1)), gen(np.random.default_rng(1))
+        assert (phi.kind, phi.data_driven) == (want.kind, want.data_driven)
+        assert np.array_equal(dense(phi), dense(want))
+    assert make_projection(RpSpec(kind="cw"), 3, idx, np.random.default_rng(1)).data_driven
     with pytest.raises(ConfigError):
-        make_projection(spec, 3, idx, rng)  # data-driven needs omega
+        make_projection(RpSpec(kind="haar_select"), 3, idx, np.random.default_rng(22))
 
 
 def test_projection_plugin_normalization():
@@ -472,12 +483,19 @@ def test_projection_plugin_normalization():
     spec = RpSpec(kind="plugin", plugin="all_twos")
     phi = make_projection(spec, 2, np.arange(4), np.random.default_rng(2))
     assert phi.kind == "plugin"
-    assert np.all(phi.to_dense() == 2.0)
+    assert np.all(dense(phi) == 2.0)
 
     triplets = RpSpec(kind="plugin",
                       plugin=lambda m, idx, data, controls: ([0.0, 7], [3, 0], [2.0, 5.0]))
     phi = make_projection(triplets, 8, np.arange(4), np.random.default_rng(2))
-    assert phi.is_sparse and phi.to_dense()[0, 3] == 2.0 and phi.to_dense()[7, 0] == 5.0
+    assert scipy.sparse.issparse(phi.mat) and dense(phi)[0, 3] == 2.0 and dense(phi)[7, 0] == 5.0
+
+    # a plugin's ProjectionMatrix is never data-driven, so it keeps its own values
+    marked = gen_cw(3, 4, True, np.random.default_rng(6)).with_column_values([0.5, -2.0, 3.0, 0.0])
+    phi = make_projection(RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: marked), 3,
+                          np.arange(4), np.random.default_rng(2))
+    assert (phi.kind, phi.data_driven, marked.data_driven) == ("cw", False, True)
+    assert phi.mat is marked.mat
 
     spec_bad = RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: np.ones((m + 1, len(idx))))
     with pytest.raises(DataError):

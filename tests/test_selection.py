@@ -23,6 +23,7 @@ from spar.data import model_from_dict, serialize_model
 from spar.ensemble import averaged_coef
 from spar.errors import ConfigError, CvError, DataError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
+from spar.projection import gen_cw
 from spar.rng import fold_stream
 from spar.selection import (
     GridCell,
@@ -488,3 +489,27 @@ def test_fold_warm_starts_save_iterations_and_keep_the_fits(monkeypatch):
     assert sum(f.iterations for f in warm) <= 0.7 * sum(f.iterations for f in fits)
     for w, c in zip(warm, fits):
         assert w.deviance == pytest.approx(c.deviance, rel=1e-8)
+
+
+def test_a_plugin_cw_matrix_keeps_its_values_in_every_fold(monkeypatch):
+    """A projection plugin's matrix is never data-driven, even when it says so: the full fit,
+    a fit on given index sets and every CV fold keep the plugin's values, where fit_models
+    would give a data-driven cw matrix the fit's or the fold's screening coefficients."""
+    def marked_cw(m, index_set, snapshot, controls):
+        phi = gen_cw(m, len(index_set), True, snapshot["rng"])
+        return phi.with_column_values(np.linspace(0.5, 2.0, len(index_set)))
+
+    folds, real = [], selection.fit_models
+    monkeypatch.setattr(selection, "fit_models",
+                        lambda *args, **kwargs: folds.append(real(*args, **kwargs)) or folds[-1])
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((30, 40))
+    y = x[:, 0] + rng.standard_normal(30)
+    rp = RpSpec(kind="plugin", plugin=marked_cw)
+    ens = fit_spar_cv(x, y, rp=rp, nfolds=3, nnu=3, nummods=(4,), seed=2)
+    given = fit_spar(x, y, rp=rp, inds=[m.index_set for m in ens.models], nnu=3, nummods=(4,))
+    assert len(folds) == 3
+    for models in [*folds, given.models, ens.models]:
+        for got, full in zip(models, ens.models, strict=True):
+            assert np.array_equal(got.phi.mat.data, np.linspace(0.5, 2.0, full.index_set.size))
+    assert not any(m.phi.data_driven for m in ens.models)
