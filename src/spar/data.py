@@ -278,8 +278,15 @@ def _phi_dict(phi: ProjectionMatrix) -> dict:
 
 
 def _phi_from_dict(d: dict) -> ProjectionMatrix:
-    return ProjectionMatrix.from_triplets(d["kind"], d["m"], d["q"], d["rows"], d["cols"],
-                                          d["vals"], d["storage"] == "sparse", d["data_driven"])
+    """The projection of _phi_dict(d); ValueError for a storage no fit writes (a data-driven
+    one is always a sparse cw matrix: gen_cw draws it, and CV folds read its CSC values)."""
+    kind, storage = d["kind"], d["storage"]
+    if storage not in ("dense", "sparse"):
+        raise ValueError(f"projection storage {storage!r} is neither 'dense' nor 'sparse'")
+    if d["data_driven"] and (kind, storage) != ("cw", "sparse"):
+        raise ValueError(f"a data-driven projection is a sparse cw matrix, not a {storage} {kind}")
+    return ProjectionMatrix.from_triplets(kind, d["m"], d["q"], d["rows"], d["cols"], d["vals"],
+                                          storage == "sparse", d["data_driven"])
 
 
 def serialize_model(ens: SparEnsemble) -> str:

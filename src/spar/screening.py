@@ -34,8 +34,8 @@ class ScreenSpec:
     """How screening coefficients are computed and predictors selected.
 
     nscreen defaults to 2n, resolved once the data size is known.
-    epsilon overrides the method's penalty default (0 for marglik,
-    1e-2 * n for ridge).  method may name a registered plugin, which
+    epsilon overrides the method's penalty default (see
+    compute_screening).  method may name a registered plugin, which
     validated() turns into method="plugin", plugin=<name>.
     """
 
@@ -77,51 +77,23 @@ class ScreeningResult:
     failed_fits: int = 0  # marglik fits that did not converge
 
 
-def _constant_columns(x):
-    return np.flatnonzero(np.ptp(x, axis=0) == 0)
-
-
-def _check_input(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise DataError("x must be a 2-D array")
-    if len(y) != x.shape[0]:
-        raise DataError("x and y disagree on the number of rows")
-    if x.shape[0] < 3:
-        raise InsufficientDataError("screening needs at least 3 rows")
-    return x, y
-
-
-def screen_cor(x, y) -> ScreeningResult:
-    """Pearson correlation of every column with y."""
-    x, y = _check_input(x, y)
-    p = x.shape[1]
-    const = _constant_columns(x)
+def _cor(x, y):
+    """Pearson correlation of every column with y; 0 where a column or y is constant."""
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     denom = np.sqrt((xc**2).sum(axis=0)) * np.sqrt((yc**2).sum())
-    omega = np.zeros(p)
+    omega = np.zeros(x.shape[1])
     ok = denom > 0
     omega[ok] = (xc.T @ yc)[ok] / denom[ok]
-    omega[const] = 0.0
-    return ScreeningResult(omega, const)
+    return omega
 
 
-def screen_marglik(x, y, family, epsilon=0.0) -> ScreeningResult:
-    """Slope of a univariate (optionally penalized) GLM per column.
-
-    Fits that do not converge, or hit a singular system, contribute 0
-    and are counted in failed_fits.
-    """
-    x, y = _check_input(x, y)
+def _marglik(x, y, family, epsilon, const):
+    """Slope of a univariate penalized GLM per column but const, and the count of failed fits."""
     p = x.shape[1]
-    const = set(_constant_columns(x).tolist())
     omega = np.zeros(p)
     failed = 0
-    for j in range(p):
-        if j in const:
-            continue
+    for j in np.delete(np.arange(p), const):
         try:
             fit = fit_penalized_glm(x[:, j : j + 1], y, family, epsilon)
         except SingularError:
@@ -133,48 +105,50 @@ def screen_marglik(x, y, family, epsilon=0.0) -> ScreeningResult:
             failed += 1
     if failed:
         logger.warning("marginal screening: %d of %d univariate fits failed", failed, p)
-    return ScreeningResult(omega, np.asarray(sorted(const), dtype=int), failed)
-
-
-def screen_ridge(x, y, family, epsilon=None, start=None) -> ScreeningResult:
-    """Coefficients of one multivariate ridge GLM on all columns.
-
-    epsilon defaults to 1e-2 * n.  p > n solves in dual form from one
-    n x n Gram matrix, no n x p copy of x: O(n^2 p) once, O(np + n^3) per
-    IRLS step.  start is the solver's warm start (see fit_penalized_glm).
-    """
-    x, y = _check_input(x, y)
-    if epsilon is None:
-        epsilon = 1e-2 * x.shape[0]
-    const = _constant_columns(x)
-    fit = fit_penalized_glm(x, y, family, epsilon, start=start)
-    omega = np.asarray(fit.gamma, dtype=float)
-    omega[const] = 0.0
-    return ScreeningResult(omega, const)
+    return omega, failed
 
 
 @one_blas_thread
 def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> ScreeningResult:
-    """Dispatch on spec.method; plugin output is validated and cleaned.  Only ridge reads start."""
+    """Every column's screening coefficient omega under spec.method.
+
+    cor: the Pearson correlation with y.  marglik: the slope of a
+    univariate GLM per column, penalized by spec.epsilon (default 0);
+    a fit that is singular or does not converge scores 0 and counts in
+    failed_fits.  ridge: the coefficients of one multivariate GLM on all
+    columns, penalized by spec.epsilon (default 1e-2 * n); p > n solves
+    in dual form from one n x n Gram matrix, no n x p copy of x.  start
+    warm-starts that solve (see fit_penalized_glm); no other method
+    reads it.  A plugin's output must hold p finite numbers.  Constant
+    columns score 0 and are listed in excluded.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2:
+        raise DataError("x must be a 2-D array")
+    n, p = x.shape
+    if len(y) != n:
+        raise DataError("x and y disagree on the number of rows")
+    if n < 3:
+        raise InsufficientDataError("screening needs at least 3 rows")
+    const = np.flatnonzero(np.ptp(x, axis=0) == 0)
+    default_eps = 0.0 if spec.method == "marglik" else 1e-2 * n  # cor and plugins take none
+    eps = default_eps if spec.epsilon is None else spec.epsilon
+    failed = 0
     if spec.method == "cor":
-        return screen_cor(x, y)
-    if spec.method == "marglik":
-        eps = 0.0 if spec.epsilon is None else spec.epsilon
-        return screen_marglik(x, y, fam, eps)
-    if spec.method == "ridge":
-        return screen_ridge(x, y, fam, spec.epsilon, start)
-    fn = resolve("screening", spec.plugin)
-    x, y = _check_input(x, y)
-    omega = np.asarray(fn(x, y, dict(spec.controls)), dtype=float)
-    if omega.shape != (x.shape[1],):
-        raise DataError(
-            f"screening plugin returned shape {omega.shape}, expected ({x.shape[1]},)"
-        )
-    if not np.all(np.isfinite(omega)):
-        raise DataError("screening plugin returned non-finite coefficients")
-    const = _constant_columns(x)
+        omega = _cor(x, y)
+    elif spec.method == "marglik":
+        omega, failed = _marglik(x, y, fam, eps, const)
+    elif spec.method == "ridge":
+        omega = fit_penalized_glm(x, y, fam, eps, start=start).gamma
+    else:
+        omega = np.array(resolve("screening", spec.plugin)(x, y, dict(spec.controls)), dtype=float)
+        if omega.shape != (p,):
+            raise DataError(f"screening plugin returned shape {omega.shape}, expected ({p},)")
+        if not np.all(np.isfinite(omega)):
+            raise DataError("screening plugin returned non-finite coefficients")
     omega[const] = 0.0
-    return ScreeningResult(omega, const)
+    return ScreeningResult(omega, const, failed)
 
 
 def select_screened(result: ScreeningResult, spec: ScreenSpec, rng) -> np.ndarray:

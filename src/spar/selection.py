@@ -31,7 +31,7 @@ from .ensemble import (
     standardize,
 )
 from .errors import ConfigError, CvError, DataError, NumericError
-from .families import linkinv_eval
+from .families import linkinv_eval, validate_response
 from .rng import fold_stream, split_stream
 from .screening import ScreenSpec, split_for_screening
 
@@ -78,9 +78,18 @@ def _scored_cells(ens: SparEnsemble, models, stats, x, y) -> list[GridCell]:
     return list(chain.from_iterable(starmap(cells, blocks)))  # a loop variable would keep a block
 
 
+def _checked_xy(ens: SparEnsemble, x, y):
+    """x through check_x_new, y through validate_response, and the same number of rows: once per
+    grid, so the cells are scored without a check."""
+    x, y = check_x_new(x, ens.p), validate_response(ens.family, y)
+    if len(y) != x.shape[0]:
+        raise DataError(f"x has {x.shape[0]} rows but y has {len(y)} entries")
+    return x, y
+
+
 def evaluate_validation_grid(ens: SparEnsemble, x_val, y_val) -> SelectionGrid:
     """Score every (nu, nummod) pair on held-out data (avg_type='link') with ens.measure."""
-    x_val = check_x_new(x_val, ens.p)  # once per grid, not once per cell
+    x_val, y_val = _checked_xy(ens, x_val, y_val)
     return SelectionGrid(_scored_cells(ens, ens.models, ens.stats, x_val, y_val), "validation")
 
 
@@ -148,10 +157,7 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     aggregate over the usable folds; active counts come from the full-data
     ensemble's coefficient blocks.
     """
-    x = check_x_new(x, ens.p)  # held-out rows are then scored without a per-cell check
-    y = np.asarray(y, dtype=float)
-    if len(y) != x.shape[0]:
-        raise DataError(f"x has {x.shape[0]} rows but y has {len(y)} entries")
+    x, y = _checked_xy(ens, x, y)
     folds = make_folds(y, ens.family, nfolds, fold_stream(ens.master_seed))
     fold_measures = []  # one (n_cells,) array per usable fold
     n_all = np.arange(len(y))

@@ -360,7 +360,8 @@ def test_loaded_beta_recomputed_from_projection():
         assert np.max(np.abs(a.beta_vals - b.phi.backmap(b.gamma))) < 1e-15
 
 
-GOLDEN_MODELS = sorted((Path(__file__).resolve().parent / "golden").glob("*/model.json"))
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_MODELS = sorted(GOLDEN_DIR.glob("*/model.json"))
 
 
 @pytest.mark.parametrize("path", GOLDEN_MODELS, ids=lambda p: p.parent.name)
@@ -420,6 +421,21 @@ def test_sparse_projections_load_from_their_triplets(path):
         edit(next(md for md in edited["models"] if md["phi"]["storage"] == "sparse")["phi"])
         with pytest.raises(ParseError, match="strictly increasing"):
             model_from_dict(edited)
+
+
+@pytest.mark.parametrize("storage", ["bogus", "dense"])
+def test_load_refuses_a_projection_storage_no_fit_writes(storage, tmp_path):
+    """A storage must be "dense" or "sparse", and a data-driven projection is a sparse cw matrix:
+    gen_cw alone draws one, and CV folds read its stored CSC values."""
+    doc = json.loads((GOLDEN_DIR / "binomial-cw-cv" / "model.json").read_text())
+    phi = doc["models"][0]["phi"]
+    assert (phi["kind"], phi["storage"], phi["data_driven"]) == ("cw", "sparse", True)
+    phi["storage"] = storage
+    edited = tmp_path / "model.json"
+    edited.write_text(json.dumps(doc))
+    message = "neither 'dense' nor 'sparse'" if storage == "bogus" else "a dense cw"
+    with pytest.raises(ParseError, match=message):
+        load_model(edited)
 
 
 def _other_measure(doc, md, j):

@@ -1,5 +1,6 @@
 """Standardization, marginal-model fitting, thresholding, averaging, measures."""
 
+import logging
 import os
 import subprocess
 import sys
@@ -404,10 +405,13 @@ def test_nu_grid_frozen_quantile_example():
     assert np.allclose(build_nu_grid([mdl], 5, explicit=(0.3, 0.1)), [0.1, 0.3])
 
 
-def test_nu_grid_all_zero_coefficients():
+def test_nu_grid_all_zero_coefficients(caplog):
     phi = ProjectionMatrix("plugin", np.ones((1, 2)))
     mdl = MarginalModel(np.arange(2), phi, 0.0, np.zeros(1), True)
-    assert np.array_equal(build_nu_grid([mdl], 10), [0.0])
+    with caplog.at_level(logging.WARNING, logger="spar.ensemble"):
+        assert np.array_equal(build_nu_grid([mdl], 10), [0.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        "all marginal coefficients are zero; nu grid degenerates to {0}"]
 
 
 def test_threshold_beta_strictness():

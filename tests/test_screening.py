@@ -1,13 +1,18 @@
 """Screening coefficients and the weighted selection draw."""
 
+import ast
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from spar import screening
 from spar.errors import ConfigError, DataError
-from spar.families import BINOMIAL, GAUSSIAN, deviance_eval, linkinv_eval
+from spar.families import BINOMIAL, GAUSSIAN, deviance_eval, get_family, linkinv_eval
 from spar.plugins import resolve
 from spar.screening import (
     ScreeningResult,
@@ -15,34 +20,27 @@ from spar.screening import (
     _smallest,
     compute_screening,
     register_screen_plugin,
-    screen_cor,
-    screen_marglik,
-    screen_ridge,
     select_screened,
     split_for_screening,
 )
 
 
+def _screen(x, y, family=GAUSSIAN, **spec):
+    return compute_screening(x, y, family, ScreenSpec(**spec))
+
+
 def test_screen_cor_frozen_value():
     x = np.array([[1.0], [2.0], [3.0]])
     y = np.array([1.0, 3.0, 2.0])
-    res = screen_cor(x, y)
+    res = _screen(x, y, method="cor")
     assert res.omega[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_screen_cor_constant_column_excluded():
-    x = np.column_stack([np.ones(5), np.arange(5.0)])
-    res = screen_cor(x, np.arange(5.0))
-    assert res.omega[0] == 0.0
-    assert list(res.excluded) == [0]
-    assert res.omega[1] == pytest.approx(1.0)
 
 
 def test_screen_marglik_gaussian_matches_simple_regression():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 6))
     y = x @ np.array([1.0, -2.0, 0.0, 0.5, 0.0, 3.0]) + rng.standard_normal(40)
-    res = screen_marglik(x, y, GAUSSIAN, 0.0)
+    res = _screen(x, y, method="marglik", epsilon=0.0)
     xc = x - x.mean(axis=0)
     yc = y - y.mean()
     slopes = xc.T @ yc / (xc**2).sum(axis=0)
@@ -52,7 +50,7 @@ def test_screen_marglik_gaussian_matches_simple_regression():
 def test_screen_marglik_binomial_toy_sign_and_value():
     x = np.array([[-1.0], [-1.0], [1.0], [1.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    res = screen_marglik(x, y, BINOMIAL, 0.01)
+    res = _screen(x, y, BINOMIAL, method="marglik", epsilon=0.01)
     assert res.omega[0] > 0
     # oracle: profile the penalized deviance over the slope on a 1-d grid
     def profiled(b):
@@ -67,15 +65,32 @@ def test_screen_marglik_binomial_toy_sign_and_value():
 
 def test_screen_marglik_constant_y_gives_zero():
     x = np.random.default_rng(0).standard_normal((10, 3))
-    res = screen_marglik(x, np.full(10, 2.0), GAUSSIAN, 0.0)
+    res = _screen(x, np.full(10, 2.0), method="marglik", epsilon=0.0)
     assert np.all(res.omega == 0.0)
+
+
+def test_screen_marglik_failed_fits_are_counted_and_logged(caplog):
+    """A column of subnormal values is not constant, but its centred square sum underflows to 0:
+    its univariate solve is singular, so it scores 0 and counts in failed_fits."""
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((12, 5))
+    y = x[:, 0] + rng.standard_normal(12)
+    x[:, 1], x[:, 3] = 0.0, 0.0
+    x[0, 1], x[[2, 5], 3] = 5e-324, 1e-300
+    with caplog.at_level(logging.WARNING, logger="spar.screening"):
+        res = _screen(x, y, method="marglik")
+    assert res.failed_fits == 2
+    assert res.excluded.size == 0 and res.omega[1] == res.omega[3] == 0.0
+    assert np.all(res.omega[[0, 2, 4]] != 0.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "marginal screening: 2 of 5 univariate fits failed"]
 
 
 def test_screen_ridge_small_p_matches_ols():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((50, 4))
     y = x @ np.array([1.0, 0.5, -1.0, 2.0]) + 0.1 * rng.standard_normal(50)
-    res = screen_ridge(x, y, GAUSSIAN, 1e-8)
+    res = _screen(x, y, method="ridge", epsilon=1e-8)
     xc = x - x.mean(axis=0)
     ref, *_ = np.linalg.lstsq(xc, y - y.mean(), rcond=None)
     assert np.max(np.abs(res.omega - ref)) < 1e-4
@@ -86,19 +101,10 @@ def test_screen_ridge_dual_matches_primal_wide():
     n, p, eps = 12, 30, 0.7
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    res = screen_ridge(x, y, GAUSSIAN, eps)
+    res = _screen(x, y, method="ridge", epsilon=eps)
     xc = x - x.mean(axis=0)
     ref = np.linalg.solve(xc.T @ xc + eps * np.eye(p), xc.T @ (y - y.mean()))
     assert np.max(np.abs(res.omega - ref)) < 1e-10
-
-
-def test_screen_ridge_constant_column_zeroed():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((20, 3))
-    x[:, 1] = 4.0
-    res = screen_ridge(x, rng.standard_normal(20), GAUSSIAN, 1.0)
-    assert res.omega[1] == 0.0
-    assert list(res.excluded) == [1]
 
 
 def test_screen_ridge_binomial_runs_and_orders():
@@ -106,7 +112,7 @@ def test_screen_ridge_binomial_runs_and_orders():
     x = rng.standard_normal((60, 5))
     eta = 2.0 * x[:, 0]
     y = (rng.uniform(size=60) < linkinv_eval(BINOMIAL, eta)).astype(float)
-    res = screen_ridge(x, y, BINOMIAL, 1.0)
+    res = _screen(x, y, BINOMIAL, method="ridge", epsilon=1.0)
     assert np.argmax(np.abs(res.omega)) == 0
 
 
@@ -116,9 +122,75 @@ def test_compute_screening_dispatch_and_default_epsilon():
     y = rng.standard_normal(30)
     spec = ScreenSpec(method="ridge").resolved(30)
     res = compute_screening(x, y, GAUSSIAN, spec)
-    ref = screen_ridge(x, y, GAUSSIAN, 1e-2 * 30)
-    assert np.allclose(res.omega, ref.omega)
+    assert np.array_equal(res.omega, _screen(x, y, method="ridge", epsilon=1e-2 * 30).omega)
+    assert not np.allclose(res.omega, _screen(x, y, method="ridge", epsilon=0.0).omega)
+    marglik = _screen(x, y, method="marglik")  # its default is no penalty
+    assert np.array_equal(marglik.omega, _screen(x, y, method="marglik", epsilon=0.0).omega)
+    assert not np.allclose(marglik.omega, res.omega)
+    cor = _screen(x, y, method="cor")
+    assert np.allclose(cor.omega, [np.corrcoef(x[:, j], y)[0, 1] for j in range(4)], atol=1e-14)
     assert spec.nscreen == 60  # resolved default is 2n
+
+
+def test_compute_screening_warm_starts_only_ridge(monkeypatch):
+    """start reaches the ridge solve and no other method's."""
+    seen = []
+    real = screening.fit_penalized_glm
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("start"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(screening, "fit_penalized_glm", spy)
+    x = np.random.default_rng(14).standard_normal((10, 3))
+    y = np.r_[np.ones(5), np.zeros(5)]
+    start = (None, np.full(3, 0.1))
+    for method in ("cor", "marglik", "ridge"):
+        compute_screening(x, y, BINOMIAL, ScreenSpec(method=method), start)
+    assert seen[:3] == [None] * 3 and seen[3] is start and len(seen) == 4
+
+
+def _colsum(x, y, controls):
+    return np.abs(x).sum(axis=0) + 1.0
+
+
+@given(method=st.sampled_from(["cor", "marglik", "ridge", "plugin"]),
+       family=st.sampled_from(["gaussian", "binomial"]), n=st.integers(4, 12),
+       p=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_compute_screening_zeroes_exactly_the_constant_columns(method, family, n, p, data, seed):
+    """Under every method, excluded lists the injected constant columns, omega is 0 there, and
+    the other columns score as they do with the constant columns left out."""
+    const = np.asarray(sorted(data.draw(st.sets(st.integers(0, p), max_size=p))), dtype=int)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p + 1))
+    x[:, const] = data.draw(st.sampled_from([0.0, 0.1, -4.0, 1e5]))
+    y = rng.standard_normal(n)
+    if family == "binomial":
+        y = (y > 0).astype(float)
+    spec = ScreenSpec(method=method, plugin=_colsum if method == "plugin" else None)
+    res = compute_screening(x, y, get_family(family), spec)
+    assert np.array_equal(res.excluded, const)
+    assert np.all(res.omega[const] == 0.0)
+    kept = np.delete(np.arange(p + 1), const)  # never empty: at most p of p + 1 are constant
+    alone = compute_screening(x[:, kept], y, get_family(family), spec)
+    assert np.allclose(res.omega[kept], alone.omega, rtol=1e-8, atol=1e-10)
+
+
+def test_compute_screening_is_the_one_way_to_screen():
+    """spar.screening defines six public names, and in src/spar only compute_screening builds
+    a ScreeningResult."""
+    public = {name for name, value in vars(screening).items()
+              if not name.startswith("_") and getattr(value, "__module__", None) == screening.__name__}
+    assert public == {"ScreenSpec", "ScreeningResult", "compute_screening", "select_screened",
+                      "split_for_screening", "register_screen_plugin"}
+    builders = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "spar").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            builders += [f"{path.stem}.{getattr(top, 'name', '<module>')}" for node in ast.walk(top)
+                         if isinstance(node, ast.Call)
+                         and getattr(node.func, "id", None) == "ScreeningResult"]
+    assert builders == ["screening.compute_screening"]
 
 
 def test_screen_plugin_roundtrip_and_validation():

@@ -21,7 +21,7 @@ from spar import ensemble, screening, selection
 from spar.cli import _write_csv
 from spar.data import model_from_dict, serialize_model
 from spar.ensemble import averaged_coef
-from spar.errors import ConfigError, CvError, DataError, NumericError
+from spar.errors import ConfigError, CvError, DataError, DomainError, NumericError
 from spar.families import BINOMIAL, GAUSSIAN, get_family
 from spar.projection import gen_cw
 from spar.rng import fold_stream
@@ -213,6 +213,40 @@ def test_cv_auc_measure_skips_one_class_test_folds():
         fit_spar_cv(x, y, family="binomial", measure="1-auc", nfolds=10, nummods=(2,), seed=0)
 
 
+@pytest.mark.parametrize("positives, measure, reason, n_skipped", [
+    (1, "deviance", "training response is constant", 1),
+    (3, "1-auc", "held-out response is one-class", 2),
+])
+def test_cv_skips_a_degenerate_fold_with_a_warning(monkeypatch, caplog, positives, measure, reason,
+                                                   n_skipped):
+    """Each skipped fold is logged by its number, the other folds are the ones scored, and
+    every cell's fold values come from exactly those."""
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((30, 6))
+    y = np.r_[np.ones(positives), np.zeros(30 - positives)]
+    nfolds, seed = 5, 4
+    folds = make_folds(y, BINOMIAL, nfolds, fold_stream(seed))
+    if positives == 1:  # the fold holding the lone positive trains on zeros alone
+        skipped = [i for i, f in enumerate(folds) if 0 in f]
+    else:  # three positives in five stratified folds leave two folds without one
+        skipped = [i for i, f in enumerate(folds) if not y[f].any()]
+    used, real = [], selection._fold_measures
+
+    def spy(ens, x, y, train, test, fold, *rest):
+        used.append(fold)
+        return real(ens, x, y, train, test, fold, *rest)
+
+    monkeypatch.setattr(selection, "_fold_measures", spy)
+    with caplog.at_level(logging.WARNING, logger="spar.selection"):
+        ens = fit_spar_cv(x, y, family="binomial", measure=measure, nfolds=nfolds, nnu=3,
+                          nummods=(2,), seed=seed)
+    assert len(skipped) == nfolds - len(used) == n_skipped
+    assert [r.getMessage() for r in caplog.records if r.name == "spar.selection"] == [
+        f"fold {i}: {reason}; fold skipped" for i in skipped]
+    assert used == [i for i in range(nfolds) if i not in skipped]
+    assert all(len(c.fold_values) == len(used) for c in ens.grid.cells)
+
+
 def test_fits_leave_caller_arrays_unmodified():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((40, 15))
@@ -226,6 +260,32 @@ def test_fits_leave_caller_arrays_unmodified():
         assert np.array_equal(a, b)
 
 
+def _validation_data(family="gaussian"):
+    rng = np.random.default_rng(16)
+    x, xv = rng.standard_normal((40, 15)), rng.standard_normal((20, 15))
+    y, yv = x[:, 0] + 0.3 * rng.standard_normal(40), xv[:, 0] + 0.3 * rng.standard_normal(20)
+    if family == "binomial":
+        y, yv = (y > 0).astype(float), (yv > 0).astype(float)
+    return x, y, xv, yv
+
+
+def test_fit_spar_refuses_a_non_finite_yval():
+    """A NaN in yval is a DomainError before any cell is scored, not a grid without a finite cell."""
+    x, y, xv, yv = _validation_data()
+    yv[3] = np.nan
+    with pytest.raises(DomainError, match="non-finite response at index 3"):
+        fit_spar(x, y, xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1, measure="mse")
+
+
+@pytest.mark.parametrize("measure", ["class", "1-auc", "mse"])
+def test_fit_spar_refuses_a_binomial_yval_outside_its_domain(measure):
+    x, y, xv, yv = _validation_data("binomial")
+    yv[2] = 2.0
+    with pytest.raises(DomainError, match=r"binomial response outside \[0, 1\] at index 2"):
+        fit_spar(x, y, family="binomial", xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1,
+                 measure=measure)
+
+
 def test_validation_grid_refuses_bad_held_out_x():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((40, 15))
@@ -235,6 +295,8 @@ def test_validation_grid_refuses_bad_held_out_x():
     ens = fit_spar(x, y, xval=xv, yval=yv, nnu=3, nummods=(2,), seed=1)
     with pytest.raises(DataError, match="columns"):
         evaluate_validation_grid(ens, xv[:, 1:], yv)
+    with pytest.raises(DataError, match="x has 20 rows but y has 19 entries"):
+        evaluate_validation_grid(ens, xv, yv[1:])
     xv[4, 2] = np.nan
     with pytest.raises(DataError, match="non-finite"):
         evaluate_validation_grid(ens, xv, yv)
