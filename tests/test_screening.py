@@ -36,6 +36,23 @@ def test_screen_cor_frozen_value():
     assert res.omega[0] == pytest.approx(0.5, abs=1e-15)
 
 
+def test_screen_cor_constant_column_excluded():
+    x = np.column_stack([np.ones(5), np.arange(5.0)])
+    res = _screen(x, np.arange(5.0), method="cor")
+    assert res.omega[0] == 0.0
+    assert list(res.excluded) == [0]
+    assert res.omega[1] == pytest.approx(1.0)
+
+
+def test_screen_ridge_constant_column_zeroed():
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((20, 3))
+    x[:, 1] = 4.0
+    res = _screen(x, rng.standard_normal(20), method="ridge", epsilon=1.0)
+    assert res.omega[1] == 0.0
+    assert list(res.excluded) == [1]
+
+
 def test_screen_marglik_gaussian_matches_simple_regression():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((40, 6))
