@@ -4,8 +4,8 @@ The fitting loop per model k: draw an index set of screened predictors,
 draw a goal dimension, draw a projection, fit a penalized GLM on the
 projected predictors, and map the reduced coefficients back.  Averaging
 over the first nummod models after hard thresholding at nu gives the
-final coefficient vector on the original predictor scale; _coef_blocks,
-one block per nummod, is the one place that does it, for coef_path and the grids.
+final coefficient vector on the original predictor scale; _coef_blocks
+(one block per nummod) alone averages it and counts its active entries.
 """
 
 from __future__ import annotations
@@ -300,11 +300,11 @@ def _checked_nummod(nummod, n_models: int) -> int:
 
 
 def _coef_blocks(models, stats: StandardizationStats, p: int, nus, nummods):
-    """Yield (nummod, betas, intercepts) per entry of nummods, betas one nus.size x p block.
+    """Yield (nummod, betas, intercepts, active) per entry of nummods, betas one nus.size x p block.
 
     A running sum over the first max(nummods) models adds each model's
     thresholded coefficients at every nu, in model order, so each row
-    equals a fresh average over models[:nummod] bit for bit.
+    equals a fresh average over models[:nummod] bit for bit; active counts its nonzeros.
     beta_orig_j = beta_std_j * y_sd / x_sd_j and the intercept absorbs
     the centering:  y_mean + y_sd * mean(gamma0) - sum_j beta_orig_j * x_mean_j.
     The non-gaussian sentinels y_mean=0, y_sd=1 make the same formula
@@ -323,23 +323,17 @@ def _coef_blocks(models, stats: StandardizationStats, p: int, nus, nummods):
             betas *= stats.y_sd
             betas /= stats.x_sd
             ready[k] = betas, [stats.y_mean + stats.y_sd * (g0 / k) - float(b @ stats.x_mean)
-                               for b in betas]
+                               for b in betas], np.count_nonzero(betas, axis=1)
             del betas
         while pending and pending[0] in ready:
             nummod = pending.pop(0)
             yield nummod, *(ready[nummod] if nummod in pending else ready.pop(nummod))
 
 
-def coef_path(models, stats: StandardizationStats, p: int, nus, nummods):
-    """Yield each (nu, nummod) pair's AveragedCoef, nummods x nus (grids score a block at once)."""
-    for nummod, betas, intercepts in _coef_blocks(models, stats, p, nus, nummods):
-        for nu, beta, intercept in zip(nus, betas, intercepts):
-            yield AveragedCoef(intercept, beta, float(nu), nummod, int(np.count_nonzero(beta)))
-
-
 def averaged_coef(models, stats: StandardizationStats, p: int, nu: float, nummod: int) -> AveragedCoef:
-    """Average the first nummod thresholded models and destandardize (see coef_path)."""
-    return next(coef_path(models, stats, p, [nu], [nummod]))
+    """Average the first nummod thresholded models and destandardize (see _coef_blocks)."""
+    nummod, betas, intercepts, active = next(_coef_blocks(models, stats, p, [nu], [nummod]))
+    return AveragedCoef(intercepts[0], betas[0], float(nu), nummod, int(active[0]))
 
 
 def check_x_new(x_new, p: int) -> np.ndarray:
@@ -368,8 +362,8 @@ def predict_glm(
 
     avg_type="link" averages coefficients first and pushes the linear
     predictor through the inverse link; "response" averages the
-    per-model response-scale predictions, taken from coef_path one model
-    at a time (for type="link" the link of that mean is returned).  The
+    per-model response-scale predictions, each model's from averaged_coef
+    (for type="link" the link of that mean is returned).  The
     two coincide for gaussian/identity.
     """
     if type not in ("response", "link"):
@@ -384,7 +378,7 @@ def predict_glm(
         return eta if type == "link" else linkinv_eval(fam, eta)
 
     nummod = _checked_nummod(nummod, len(models))
-    per_model = (next(coef_path([m], stats, p, [nu], [1])) for m in models[:nummod])
+    per_model = (averaged_coef([m], stats, p, nu, 1) for m in models[:nummod])
     mu = sum(linkinv_eval(fam, c.intercept + x_new @ c.beta) for c in per_model) / nummod
     return link_eval(fam, mu) if type == "link" else mu
 

@@ -58,20 +58,21 @@ def get_family(family) -> Family:
         ) from None
 
 
+def _refuse(bad, what: str) -> None:
+    """DomainError naming the first index where the boolean array bad holds, if any."""
+    bad = np.flatnonzero(bad)
+    if bad.size:
+        raise DomainError(f"{what} at index {bad[0]}")
+
+
 def validate_response(fam: Family, y) -> np.ndarray:
     """Check y against the family domain, returning it as a float array."""
     y = np.asarray(y, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise DomainError(f"non-finite response at index {bad[0]}")
+    _refuse(~np.isfinite(y), "non-finite response")
     if fam.name == "binomial":
-        bad = np.flatnonzero((y < 0) | (y > 1))
-        if bad.size:
-            raise DomainError(f"binomial response outside [0, 1] at index {bad[0]}")
+        _refuse((y < 0) | (y > 1), "binomial response outside [0, 1]")
     elif fam.name == "poisson":
-        bad = np.flatnonzero(y < 0)
-        if bad.size:
-            raise DomainError(f"negative poisson response at index {bad[0]}")
+        _refuse(y < 0, "negative poisson response")
     return y
 
 
@@ -81,22 +82,17 @@ def link_eval(fam: Family, mu) -> np.ndarray:
     if fam.name == "gaussian":
         return mu.copy()
     if fam.name == "binomial":
-        bad = np.flatnonzero(~np.isfinite(mu) | (mu <= 0) | (mu >= 1))
-        if bad.size:
-            raise DomainError(f"binomial mean outside (0, 1) at index {bad[0]}")
+        _refuse(~np.isfinite(mu) | (mu <= 0) | (mu >= 1), "binomial mean outside (0, 1)")
         return np.log(mu / (1.0 - mu))
-    bad = np.flatnonzero(~np.isfinite(mu) | (mu <= 0))
-    if bad.size:
-        raise DomainError(f"non-positive poisson mean at index {bad[0]}")
+    _refuse(~np.isfinite(mu) | (mu <= 0), "non-positive poisson mean")
     return np.log(mu)
 
 
 def linkinv_eval(fam: Family, eta) -> np.ndarray:
     """Apply the inverse link, clamping means away from the boundary."""
     eta = np.asarray(eta, dtype=float)
-    if not np.isfinite(eta).all():
-        bad = np.flatnonzero(~np.isfinite(eta))
-        raise DomainError(f"non-finite linear predictor at index {bad[0]}")
+    if not np.isfinite(eta).all():  # every IRLS iterate passes here: the index only on failure
+        _refuse(~np.isfinite(eta), "non-finite linear predictor")
     if fam.name == "gaussian":
         return eta.copy()
     if fam.name == "binomial":
@@ -279,11 +275,9 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
 
     # IRLS from the intercept-only start or a lower warm start, with step
     # halving on the penalized objective (deviance/2 + penalty, dispersion 1).
-    if fam.name == "binomial":
-        mu0 = float(np.clip(y.mean(), BINOMIAL_MU_EPS, 1.0 - BINOMIAL_MU_EPS))
-        gamma0 = float(np.log(mu0 / (1.0 - mu0)))
-    else:
-        gamma0 = float(np.log(max(y.mean(), POISSON_MU_FLOOR)))
+    lo, hi = ((BINOMIAL_MU_EPS, 1.0 - BINOMIAL_MU_EPS) if fam.name == "binomial"
+              else (POISSON_MU_FLOOR, np.inf))
+    gamma0 = float(link_eval(fam, np.clip(y.mean(), lo, hi)))
     sat = _saturated(fam, y)
     gram = _centred_gram(z) if m > n and epsilon > 0 else None  # every dual step shares it
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import chain, product, starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -69,10 +70,10 @@ class SelectionGrid:
 
 def _scored_cells(ens: SparEnsemble, models, stats, x, y) -> list[GridCell]:
     """The grid's cells, ens.measure on x, y (avg_type='link'): one product, one block at a time."""
-    def cells(nummod, betas, intercepts):
+    def cells(nummod, betas, intercepts, active):
         mus = (linkinv_eval(ens.family, b0 + eta) for b0, eta in zip(intercepts, betas @ x.T))
         return [GridCell(float(nu), nummod, eval_measure(ens.measure, ens.family, y, mu), 0.0,
-                         int(np.count_nonzero(beta))) for nu, beta, mu in zip(ens.nus, betas, mus)]
+                         int(a)) for nu, a, mu in zip(ens.nus, active, mus)]
 
     blocks = _coef_blocks(models, stats, ens.p, ens.nus, ens.nummods)
     return list(chain.from_iterable(starmap(cells, blocks)))  # a loop variable would keep a block
@@ -179,8 +180,7 @@ def cross_validate(ens: SparEnsemble, x, y, screen_spec: ScreenSpec, model_spec:
     means = stacked.mean(axis=0)
     ses = stacked.std(axis=0, ddof=1) / np.sqrt(stacked.shape[0])
 
-    blocks = _coef_blocks(ens.models, ens.stats, ens.p, ens.nus, ens.nummods)
-    counts = starmap(lambda nummod, betas, intercepts: np.count_nonzero(betas, axis=1), blocks)
+    counts = map(itemgetter(3), _coef_blocks(ens.models, ens.stats, ens.p, ens.nus, ens.nummods))
     cells = [GridCell(float(nu), int(nummod), float(mean), float(se), int(active), fold.tolist())
              for (nummod, nu), active, mean, se, fold in zip(
                  product(ens.nummods, ens.nus), chain.from_iterable(counts), means, ses, stacked.T)]

@@ -31,9 +31,9 @@ from spar.ensemble import (
     ModelSpec,
     SparEnsemble,
     StandardizationStats,
+    _coef_blocks,
     averaged_coef,
     build_nu_grid,
-    coef_path,
     eval_measure,
     fit_models,
     one_minus_auc,
@@ -513,24 +513,32 @@ def _brute_force_cell(models, stats, p, nu, nummod):
 
 @given(_path_cases())
 @settings(max_examples=150, deadline=None)
-def test_coef_path_cells_equal_brute_force(case):
+def test_coef_blocks_cells_equal_brute_force(case):
+    """Every row of every block, and averaged_coef at its pair, is the brute-force average."""
     models, stats, p, nus, nummods = case
-    cells = list(coef_path(models, stats, p, nus, nummods))
-    assert [(c.nummod, c.nu) for c in cells] == [(m, float(nu)) for m in nummods for nu in nus]
-    for c in cells:
-        intercept, beta = _brute_force_cell(models, stats, p, c.nu, c.nummod)
-        assert c.intercept == intercept
-        assert np.array_equal(c.beta, beta)
-        assert c.active == np.count_nonzero(beta)
+    blocks = list(_coef_blocks(models, stats, p, nus, nummods))
+    assert [b[0] for b in blocks] == nummods
+    for nummod, betas, intercepts, active in blocks:
+        assert betas.shape == (nus.size, p) and len(intercepts) == len(active) == nus.size
+        for nu, beta, b0, count in zip(nus, betas, intercepts, active):
+            intercept, want = _brute_force_cell(models, stats, p, nu, nummod)
+            assert b0 == intercept
+            assert np.array_equal(beta, want)
+            assert count == np.count_nonzero(want)
+            c = averaged_coef(models, stats, p, nu, nummod)
+            assert (c.intercept, c.nu, c.nummod, c.active) == (intercept, float(nu), nummod, count)
+            assert np.array_equal(c.beta, want)
 
 
-def test_coef_path_refuses_out_of_range_nummods():
+def test_coef_blocks_refuse_out_of_range_nummods():
     models = [_coef_model([1.0, 0.0]), _coef_model([0.0, 1.0])]
     for nummods in ([3], [1, 0]):
         with pytest.raises(ConfigError, match=r"nummod must lie in \[1, 2\]"):
-            list(coef_path(models, _identity_stats(2), 2, [0.0], nummods))
+            list(_coef_blocks(models, _identity_stats(2), 2, [0.0], nummods))
+    with pytest.raises(ConfigError, match=r"nummod must lie in \[1, 2\]"):
+        averaged_coef(models, _identity_stats(2), 2, 0.0, 3)
     with pytest.raises(ConfigError, match="nu must be >= 0"):
-        list(coef_path(models, _identity_stats(2), 2, [0.0, -1.0], [1]))
+        list(_coef_blocks(models, _identity_stats(2), 2, [0.0, -1.0], [1]))
 
 
 def test_predict_binomial_frozen_averaging_examples():
