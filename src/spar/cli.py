@@ -253,8 +253,8 @@ def _load_coef_file(path):
 
 
 def cmd_predict(args) -> int:
-    if args.model is None and args.coef_file is None:
-        raise ConfigError("predict needs --model or --coef-file")
+    if (args.model is None) == (args.coef_file is None):  # before any data is read
+        raise ConfigError("predict needs exactly one of --model and --coef-file")
     ds = load_csv(args.data, response=args.response)
     if args.coef_file is not None:
         _refuse_pick(args, "--coef-file")
@@ -321,12 +321,14 @@ def cmd_report(args) -> int:
         if args.xfit is None or args.yfit is None:
             raise ConfigError("res-vs-fitted needs --xfit and --yfit")
         xds = load_csv(args.xfit, response=args.response)
-        yv = load_csv(args.yfit).x[:, 0]
+        yv = load_csv(args.yfit).x
+        if yv.shape[1] != 1:
+            raise DataError(f"--yfit has {yv.shape[1]} columns; it must have one")
         fitted = ens.predict(xds.x, type="response", **_given(args, "nu", "nummod", "opt_par"))
         if len(yv) != len(fitted):
             raise DataError(f"--yfit has {len(yv)} rows, --xfit has {len(fitted)}")
         _write_csv(_outdir(args) / "res_vs_fitted.csv", ("fitted", "residual"),
-                   zip(fitted.tolist(), (yv - fitted).tolist()))
+                   zip(fitted.tolist(), (yv[:, 0] - fitted).tolist()))
         return 0
     # coefs: p x M matrix of standardized pre-threshold coefficients,
     # each predictor row sorted descending across models

@@ -81,7 +81,8 @@ def _scored_cells(ens: SparEnsemble, models, stats, x, y) -> list[GridCell]:
 
 def _checked_xy(ens: SparEnsemble, x, y):
     """x through check_x_new, y through validate_response, and the same number of rows: once per
-    grid, so the cells are scored without a check."""
+    grid, before any cell is scored.  eval_measure still checks each cell; bench/tracing.py
+    counts the cells scored by its calls."""
     x, y = check_x_new(x, ens.p), validate_response(ens.family, y)
     if len(y) != x.shape[0]:
         raise DataError(f"x has {x.shape[0]} rows but y has {len(y)} entries")

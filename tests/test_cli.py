@@ -480,6 +480,19 @@ def test_pair_flags_refused_where_nothing_reads_them(pick, fit_dir, sim_dir, tmp
         assert not out.exists()  # nothing written, no directory made
 
 
+@pytest.mark.parametrize("sources", [("--model", "--coef-file"), ()])
+def test_predict_needs_exactly_one_of_model_and_coef_file(sources, fit_dir, tmp_path, capsys):
+    """Both sources (or neither) exit 2 before --data is read: the missing data file is not opened."""
+    cdir = tmp_path / "coef"
+    assert main(["coef", "--model", str(fit_dir / "model.json"), "--out", str(cdir)]) == 0
+    files = {"--model": fit_dir / "model.json", "--coef-file": cdir / "coef.json"}
+    out = tmp_path / "pred"
+    argv = [a for flag in sources for a in (flag, str(files[flag]))]
+    assert main(["predict", *argv, "--data", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+    assert "predict needs exactly one of --model and --coef-file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_flags_are_the_synthetic_spec_fields():
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flags = {a.dest: a.option_strings for a in sub.choices["simulate"]._actions}
@@ -533,6 +546,20 @@ def test_report_res_vs_fitted(fit_dir, sim_dir, tmp_path):
     fitted = ens.predict(ds.x)
     assert np.max(np.abs(arr[:, 0] - fitted)) < 1e-12
     assert np.max(np.abs(arr[:, 1] - (ds.y - fitted))) < 1e-12
+
+
+def test_report_res_vs_fitted_refuses_a_wide_yfit(fit_dir, sim_dir, tmp_path, capsys):
+    ds = load_csv(sim_dir / "train.csv", response="y")
+    yfile = tmp_path / "yfit.csv"
+    yfile.write_text("y,z\n" + "".join(f"{v!r},0.0\n" for v in ds.y.tolist()))
+    out = tmp_path / "report"
+    rc = main(["report", "--model", str(fit_dir / "model.json"),
+               "--plot-type", "res-vs-fitted",
+               "--xfit", str(sim_dir / "train.csv"), "--response", "y",
+               "--yfit", str(yfile), "--out", str(out)])
+    assert rc == 3
+    assert "--yfit has 2 columns; it must have one" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_threads_do_not_change_results(sim_dir, tmp_path):

@@ -14,8 +14,10 @@ import spar.families as families_mod
 from spar.errors import ConfigError, DomainError, NumericError, SingularError
 from spar.families import (
     BINOMIAL,
+    BINOMIAL_MU_EPS,
     GAUSSIAN,
     POISSON,
+    POISSON_MU_FLOOR,
     Family,
     _solve_wls,
     deviance_eval,
@@ -63,6 +65,25 @@ def test_links_roundtrip_and_clamps():
     assert np.all(np.isfinite(mu)) and np.all(mu > 0)
     assert np.allclose(variance_eval(BINOMIAL, [0.25]), [0.1875])
     assert np.allclose(variance_eval(POISSON, [2.0]), [2.0])
+
+
+def test_mean_clamps_hold_their_stated_values():
+    """The binomial mean stops at 1e-10 from 0 and 1; the poisson mean at the 1e-10 floor and at
+    exp(700), where the linear predictor is capped."""
+    assert np.array_equal(linkinv_eval(BINOMIAL, [-800.0, 800.0]),
+                          [BINOMIAL_MU_EPS, 1 - BINOMIAL_MU_EPS])
+    assert np.array_equal(linkinv_eval(POISSON, [-800.0, 800.0]), [POISSON_MU_FLOOR, np.exp(700.0)])
+
+
+def test_a_separated_binomial_fit_reaches_the_mean_clamp():
+    """An unpenalized fit on a perfectly separated response converges with most fitted means on
+    the clamp, with nothing else recording it."""
+    x = np.random.default_rng(0).standard_normal((12, 1))
+    y = (x[:, 0] > 0).astype(float)
+    fit = fit_penalized_glm(x, y, BINOMIAL, 0.0)
+    mu = linkinv_eval(BINOMIAL, fit.gamma0 + x @ fit.gamma)
+    assert fit.converged
+    assert np.count_nonzero((mu == BINOMIAL_MU_EPS) | (mu == 1 - BINOMIAL_MU_EPS)) == 10
 
 
 def test_deviance_frozen_values():
