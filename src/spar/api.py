@@ -33,10 +33,7 @@ logger = logging.getLogger(__name__)
 def _spec_echo(spec) -> dict:
     """A spec's fields except controls, with a plugin callable reduced to its name."""
     echo = {f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "controls"}
-    plugin = echo.get("plugin")
-    if plugin is not None and not isinstance(plugin, str):
-        echo["plugin"] = getattr(plugin, "__name__", "plugin")
-    return echo
+    return {k: getattr(v, "__name__", "plugin") if callable(v) else v for k, v in echo.items()}
 
 
 def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,

@@ -1,10 +1,9 @@
 """One registry of named user plugins, keyed by kind: "screening" or "projection"."""
 
-from dataclasses import replace
-
 from .errors import ConfigError
 
 _REGISTRY: dict = {"screening": {}, "projection": {}}
+_FIELD = {"screening": "method", "projection": "kind"}  # the spec field that holds a plugin
 
 
 def register(kind: str, name: str, fn) -> None:
@@ -13,22 +12,14 @@ def register(kind: str, name: str, fn) -> None:
     _REGISTRY[kind][str(name)] = fn
 
 
-def resolve(kind: str, plugin):
-    """The plugin itself when it is callable, else the one registered under that name."""
-    if callable(plugin):
+def resolve(kind: str, plugin, builtins):
+    """plugin when it is callable or one of builtins, else the plugin registered under that name;
+    ConfigError naming the builtins when it is none of these."""
+    if callable(plugin) or (isinstance(plugin, str) and plugin in builtins):
         return plugin
     try:
         return _REGISTRY[kind][plugin]
     except (KeyError, TypeError):
-        raise ConfigError(f"no {kind} plugin registered as {plugin!r}") from None
-
-
-def named_plugin(spec, field: str, kind: str, builtins):
-    """spec with field "plugin" and plugin=<the name field held>; ConfigError unless registered."""
-    name = getattr(spec, field)
-    if spec.plugin is not None:
-        raise ConfigError(f"plugin is set, so {field} must be 'plugin', not {name!r}")
-    if not (isinstance(name, str) and name in _REGISTRY[kind]):
-        raise ConfigError(f"unknown {kind} {field} {name!r}; builtins are {', '.join(builtins)}, "
-                          f"and no {kind} plugin is registered under that name")
-    return replace(spec, **{field: "plugin", "plugin": name})
+        raise ConfigError(f"unknown {kind} {_FIELD[kind]} {plugin!r}; builtins are "
+                          f"{', '.join(builtins)}, and no {kind} plugin is registered under that "
+                          "name") from None

@@ -16,9 +16,9 @@ import scipy.sparse
 
 from .errors import ConfigError, DataError, whole_at_least, whole_number
 from .families import SOLVER_ERRORS, fit_penalized_glm, get_family, linkinv_eval
-from .plugins import named_plugin, register, resolve
+from .plugins import register, resolve
 
-KINDS = ("gaussian", "sparse", "cw", "haar_select", "plugin")
+KINDS = ("gaussian", "sparse", "cw", "haar_select")
 
 
 def register_rp_plugin(name: str, fn) -> None:
@@ -32,25 +32,23 @@ class RpSpec:
 
     mslow defaults to ceil(log p) and msup to floor(n/2), resolved when
     the data size is known.  data_driven only affects the cw kind.  kind
-    may be spelled "haar-select", or name a registered plugin, which
-    validated() turns into kind="haar_select" or kind="plugin", plugin=<name>.
+    is a builtin ("haar_select" may be spelled "haar-select"), the name of
+    a registered plugin or the plugin callable itself.
     """
 
-    kind: str = "cw"
+    kind: object = "cw"
     psi: float = 1.0
     data_driven: bool = True
     mslow: int | None = None
     msup: int | None = None
     b2: int = 50
     holdout_frac: float = 0.25
-    plugin: object = None
     controls: dict = field(default_factory=dict)
 
     def validated(self) -> "RpSpec":
         if self.kind == "haar-select":
             return replace(self, kind="haar_select").validated()
-        if self.kind not in KINDS:
-            return named_plugin(self, "kind", "projection", KINDS[:-1]).validated()
+        resolve("projection", self.kind, KINDS)
         if not 0.0 < self.psi <= 1.0:
             raise ConfigError("psi must lie in (0, 1]")
         mslow, msup = whole_number("mslow", self.mslow), whole_number("msup", self.msup)
@@ -61,8 +59,6 @@ class RpSpec:
         b2 = whole_at_least("b2", self.b2, 1)
         if not 0.0 < self.holdout_frac < 1.0:
             raise ConfigError("holdout_frac must lie strictly between 0 and 1")
-        if self.kind == "plugin" and self.plugin is None:
-            raise ConfigError("kind 'plugin' needs a plugin callable or name")
         return replace(self, mslow=mslow, msup=msup, b2=b2)
 
     def resolved(self, n: int, p: int) -> "RpSpec":
@@ -302,7 +298,7 @@ def make_projection(
         return gen_haar_select(
             m, q, x_sub, y, family, spec.b2, spec.holdout_frac, model_epsilon, rng
         )
-    fn = resolve("projection", spec.plugin)
+    fn = resolve("projection", spec.kind, KINDS)
     snapshot = {"x": x, "y": y, "rng": rng} if x is not None else None
     out = fn(m, np.asarray(index_set, dtype=int), snapshot, dict(spec.controls))
     return _normalize_plugin_output(out, m, q)

@@ -17,11 +17,11 @@ import numpy as np
 from .blas import one_blas_thread
 from .errors import ConfigError, DataError, InsufficientDataError, SingularError, whole_number
 from .families import Family, fit_penalized_glm
-from .plugins import named_plugin, register, resolve
+from .plugins import register, resolve
 
 logger = logging.getLogger(__name__)
 
-METHODS = ("cor", "marglik", "ridge", "plugin")
+METHODS = ("cor", "marglik", "ridge")
 
 
 def register_screen_plugin(name: str, fn) -> None:
@@ -35,21 +35,19 @@ class ScreenSpec:
 
     nscreen defaults to 2n, resolved once the data size is known.
     epsilon overrides the method's penalty default (see
-    compute_screening).  method may name a registered plugin, which
-    validated() turns into method="plugin", plugin=<name>.
+    compute_screening).  method is a builtin, the name of a registered
+    plugin or the plugin callable itself.
     """
 
-    method: str = "ridge"
+    method: object = "ridge"
     nscreen: int | None = None
     selection_type: str = "prob"
     split_data_prop: float | None = None
     epsilon: float | None = None
-    plugin: object = None  # callable or a registered plugin name
     controls: dict = field(default_factory=dict)
 
     def validated(self) -> "ScreenSpec":
-        if self.method not in METHODS:
-            return named_plugin(self, "method", "screening", METHODS[:-1]).validated()
+        resolve("screening", self.method, METHODS)
         if self.selection_type not in ("prob", "fixed"):
             raise ConfigError("selection_type must be 'prob' or 'fixed'")
         nscreen = whole_number("nscreen", self.nscreen)
@@ -59,8 +57,6 @@ class ScreenSpec:
             raise ConfigError("split_data_prop must lie strictly between 0 and 1")
         if self.epsilon is not None and not 0 <= self.epsilon < np.inf:
             raise ConfigError(f"screening epsilon must be finite and >= 0, got {self.epsilon!r}")
-        if self.method == "plugin" and self.plugin is None:
-            raise ConfigError("method 'plugin' needs a plugin callable or name")
         return replace(self, nscreen=nscreen)
 
     def resolved(self, n: int) -> "ScreenSpec":
@@ -142,7 +138,7 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> Screen
     elif spec.method == "ridge":
         omega = fit_penalized_glm(x, y, fam, eps, start=start).gamma
     else:
-        omega = np.array(resolve("screening", spec.plugin)(x, y, dict(spec.controls)), dtype=float)
+        omega = np.array(resolve("screening", spec.method, METHODS)(x, y, dict(spec.controls)), dtype=float)
         if omega.shape != (p,):
             raise DataError(f"screening plugin returned shape {omega.shape}, expected ({p},)")
         if not np.all(np.isfinite(omega)):

@@ -309,8 +309,8 @@ def test_fit_with_registered_plugins_by_flags_and_config(sim_dir, tmp_path):
     model_a, model_b = ((tmp_path / d / "model.json").read_bytes() for d in "ab")
     assert model_a == model_b
     config = json.loads(model_a)["config"]
-    assert (config["screen"]["method"], config["screen"]["plugin"]) == ("plugin", "pin-colsum")
-    assert (config["rp"]["kind"], config["rp"]["plugin"]) == ("plugin", "pin-half-sparse")
+    assert (config["screen"]["method"], config["rp"]["kind"]) == ("pin-colsum", "pin-half-sparse")
+    assert "plugin" not in config["screen"] and "plugin" not in config["rp"]
 
 
 @pytest.mark.parametrize("key, builtins", [

@@ -325,7 +325,7 @@ def test_sparse_backmap_equals_the_transposed_product(m, q, summed, seed):
     rows, vals = rng.integers(0, m, counts.sum()), values(counts.sum())
     if summed:  # a repeated (row, column) cell is summed into one entry
         cols = np.repeat(np.arange(q), counts)
-        spec = RpSpec(kind="plugin", plugin=lambda m_, idx, data, controls: (rows, cols, vals))
+        spec = RpSpec(kind=lambda m_, idx, data, controls: (rows, cols, vals))
         phi = make_projection(spec, m, np.arange(q), rng)
     else:
         mat = scipy.sparse.csc_array((vals, rows, np.r_[0, np.cumsum(counts)]), shape=(m, q))
@@ -402,7 +402,7 @@ def test_plugin_triplet_products_equal_triplet_reference(m, q, n, fortran, seed)
     x = rng.standard_normal((n, q))
     x = np.asfortranarray(x) if fortran else x
     gamma = rng.standard_normal(m)
-    spec = RpSpec(kind="plugin", plugin=lambda m_, idx, data, controls: (rows, cols, vals))
+    spec = RpSpec(kind=lambda m_, idx, data, controls: (rows, cols, vals))
     phi = make_projection(spec, m, np.arange(q), rng)
     assert scipy.sparse.issparse(phi.mat)
     assert np.array_equal(phi.matmul(x), _triplet_matmul(rows, cols, vals, m, q, x))
@@ -439,14 +439,14 @@ def test_rp_spec_kind_may_name_a_registered_plugin():
         return np.ones((m, len(index_set)))
 
     register_rp_plugin("wide-ones", ones)
-    assert RpSpec(kind="wide-ones").validated() == RpSpec(kind="plugin", plugin="wide-ones")
-    with pytest.raises(ConfigError, match="kind must be 'plugin'"):
-        RpSpec(kind="wide-ones", plugin=ones).validated()
-    with pytest.raises(ConfigError) as exc:
-        RpSpec(kind="fourier").validated()
-    assert str(exc.value) == (
-        "unknown projection kind 'fourier'; builtins are gaussian, sparse, cw, haar_select, "
-        "and no projection plugin is registered under that name")
+    assert RpSpec(kind="wide-ones").validated() == RpSpec(kind="wide-ones")
+    assert RpSpec(kind=ones).validated().kind is ones
+    for kind in ("fourier", "plugin"):  # "plugin" is no kind: the name or callable is
+        with pytest.raises(ConfigError) as exc:
+            RpSpec(kind=kind).validated()
+        assert str(exc.value) == (
+            f"unknown projection kind {kind!r}; builtins are gaussian, sparse, cw, haar_select, "
+            "and no projection plugin is registered under that name")
 
 
 def test_rp_spec_spells_haar_select_with_a_hyphen():
@@ -480,28 +480,27 @@ def test_projection_plugin_normalization():
         return np.full((m, len(index_set)), 2.0)
 
     register_rp_plugin("all_twos", dense_plugin)
-    spec = RpSpec(kind="plugin", plugin="all_twos")
+    spec = RpSpec(kind="all_twos")
     phi = make_projection(spec, 2, np.arange(4), np.random.default_rng(2))
     assert phi.kind == "plugin"
     assert np.all(dense(phi) == 2.0)
 
-    triplets = RpSpec(kind="plugin",
-                      plugin=lambda m, idx, data, controls: ([0.0, 7], [3, 0], [2.0, 5.0]))
+    triplets = RpSpec(kind=lambda m, idx, data, controls: ([0.0, 7], [3, 0], [2.0, 5.0]))
     phi = make_projection(triplets, 8, np.arange(4), np.random.default_rng(2))
     assert scipy.sparse.issparse(phi.mat) and dense(phi)[0, 3] == 2.0 and dense(phi)[7, 0] == 5.0
 
     # a plugin's ProjectionMatrix is never data-driven, so it keeps its own values
     marked = gen_cw(3, 4, True, np.random.default_rng(6)).with_column_values([0.5, -2.0, 3.0, 0.0])
-    phi = make_projection(RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: marked), 3,
+    phi = make_projection(RpSpec(kind=lambda m, idx, data, controls: marked), 3,
                           np.arange(4), np.random.default_rng(2))
     assert (phi.kind, phi.data_driven, marked.data_driven) == ("cw", False, True)
     assert phi.mat is marked.mat
 
-    spec_bad = RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: np.ones((m + 1, len(idx))))
+    spec_bad = RpSpec(kind=lambda m, idx, data, controls: np.ones((m + 1, len(idx))))
     with pytest.raises(DataError):
         make_projection(spec_bad, 2, np.arange(4), np.random.default_rng(3))
     with pytest.raises(ConfigError):
-        make_projection(RpSpec(kind="plugin", plugin="missing"), 2, np.arange(4), np.random.default_rng(4))
+        make_projection(RpSpec(kind="missing"), 2, np.arange(4), np.random.default_rng(4))
 
 
 @pytest.mark.parametrize("rows, cols, vals", [
@@ -516,6 +515,6 @@ def test_projection_plugin_normalization():
     ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
 ])
 def test_projection_plugin_triplets_validated(rows, cols, vals):
-    spec = RpSpec(kind="plugin", plugin=lambda m, idx, data, controls: (rows, cols, vals))
+    spec = RpSpec(kind=lambda m, idx, data, controls: (rows, cols, vals))
     with pytest.raises(DataError):
         make_projection(spec, 8, np.arange(4), np.random.default_rng(5))

@@ -15,6 +15,7 @@ from spar.errors import ConfigError, DataError
 from spar.families import BINOMIAL, GAUSSIAN, deviance_eval, get_family, linkinv_eval
 from spar.plugins import resolve
 from spar.screening import (
+    METHODS,
     ScreeningResult,
     ScreenSpec,
     _smallest,
@@ -185,7 +186,7 @@ def test_compute_screening_zeroes_exactly_the_constant_columns(method, family, n
     y = rng.standard_normal(n)
     if family == "binomial":
         y = (y > 0).astype(float)
-    spec = ScreenSpec(method=method, plugin=_colsum if method == "plugin" else None)
+    spec = ScreenSpec(method=_colsum if method == "plugin" else method)
     res = compute_screening(x, y, get_family(family), spec)
     assert np.array_equal(res.excluded, const)
     assert np.all(res.omega[const] == 0.0)
@@ -215,17 +216,18 @@ def test_screen_plugin_roundtrip_and_validation():
         return np.abs(x).sum(axis=0)
 
     register_screen_plugin("colsum_ref", my_screen)
-    assert resolve("screening", "colsum_ref") is my_screen
+    assert resolve("screening", "colsum_ref", METHODS) is my_screen
+    assert resolve("screening", "cor", METHODS) == "cor"
     x = np.random.default_rng(1).standard_normal((10, 3))
-    spec = ScreenSpec(method="plugin", plugin="colsum_ref").validated().resolved(10)
+    spec = ScreenSpec(method="colsum_ref").validated().resolved(10)
     res = compute_screening(x, np.zeros(10), GAUSSIAN, spec)
     assert np.allclose(res.omega, np.abs(x).sum(axis=0))
 
-    bad = ScreenSpec(method="plugin", plugin=lambda x, y, controls: np.ones(2)).resolved(10)
+    bad = ScreenSpec(method=lambda x, y, controls: np.ones(2)).resolved(10)
     with pytest.raises(DataError):
         compute_screening(x, np.zeros(10), GAUSSIAN, bad)
     with pytest.raises(ConfigError):
-        compute_screening(x, np.zeros(10), GAUSSIAN, ScreenSpec(method="plugin", plugin="nope"))
+        compute_screening(x, np.zeros(10), GAUSSIAN, ScreenSpec(method="nope"))
 
 
 def test_screen_spec_method_may_name_a_registered_plugin():
@@ -234,10 +236,9 @@ def test_screen_spec_method_may_name_a_registered_plugin():
 
     register_screen_plugin("colsum_by_method", colsum)
     spec = ScreenSpec(method="colsum_by_method", nscreen=5.0).validated()
-    assert spec == ScreenSpec(method="plugin", plugin="colsum_by_method", nscreen=5)
-    with pytest.raises(ConfigError, match="method must be 'plugin'"):
-        ScreenSpec(method="colsum_by_method", plugin=colsum).validated()
-    for method in ("unknown", None):
+    assert spec == ScreenSpec(method="colsum_by_method", nscreen=5)
+    assert ScreenSpec(method=colsum).validated().method is colsum
+    for method in ("unknown", None, "plugin"):  # "plugin" is no method: the name or callable is
         with pytest.raises(ConfigError) as exc:
             ScreenSpec(method=method).validated()
         assert str(exc.value) == (

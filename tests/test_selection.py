@@ -501,12 +501,10 @@ def test_fit_spar_echoes_a_plugin_callable_by_its_name():
     rng = np.random.default_rng(12)
     x = rng.standard_normal((40, 15))
     y = x[:, 0] + 0.3 * rng.standard_normal(40)
-    ens = fit_spar(x, y, screen=ScreenSpec(method="plugin", plugin=colsum),
-                   rp=RpSpec(kind="plugin", plugin=dense_ones), xval=x, yval=y,
-                   nnu=3, nummods=(2,))
-    assert ens.config["screen"]["method"] == "plugin"
-    assert ens.config["screen"]["plugin"] == "colsum"
-    assert (ens.config["rp"]["kind"], ens.config["rp"]["plugin"]) == ("plugin", "dense_ones")
+    ens = fit_spar(x, y, screen=ScreenSpec(method=colsum), rp=RpSpec(kind=dense_ones),
+                   xval=x, yval=y, nnu=3, nummods=(2,))
+    assert (ens.config["screen"]["method"], ens.config["rp"]["kind"]) == ("colsum", "dense_ones")
+    assert "plugin" not in ens.config["screen"] and "plugin" not in ens.config["rp"]
 
 
 @pytest.mark.parametrize("family, kind", [("binomial", "cw"), ("poisson", "cw"),
@@ -568,7 +566,7 @@ def test_a_plugin_cw_matrix_keeps_its_values_in_every_fold(monkeypatch):
     rng = np.random.default_rng(15)
     x = rng.standard_normal((30, 40))
     y = x[:, 0] + rng.standard_normal(30)
-    rp = RpSpec(kind="plugin", plugin=marked_cw)
+    rp = RpSpec(kind=marked_cw)
     ens = fit_spar_cv(x, y, rp=rp, nfolds=3, nnu=3, nummods=(4,), seed=2)
     given = fit_spar(x, y, rp=rp, inds=[m.index_set for m in ens.models], nnu=3, nummods=(4,))
     assert len(folds) == 3
