@@ -1,11 +1,13 @@
 """User-facing fitting entry points.
 
-fit_spar and fit_spar_cv share _fit_ensemble_only (validation, fit, nu
-grid, config echo) and differ only in how they score the grid.
+fit_spar and fit_spar_cv share _checked (the argument checks, which read
+no data) and _fit_ensemble_only (fit, nu grid, config echo), and differ
+only in how they score the grid.
 """
 
 from __future__ import annotations
 
+import inspect
 import logging
 from dataclasses import fields
 
@@ -36,9 +38,11 @@ def _spec_echo(spec) -> dict:
     return {k: getattr(v, "__name__", "plugin") if callable(v) else v for k, v in echo.items()}
 
 
-def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
-                       measure, inds, rpms, seed, threads):
-    """Validate, fit and build the nu grid: (ensemble, screen, model), specs resolved."""
+def _checked(family, screen, rp, model, nnu, nus, nummods, measure, seed, threads,
+             nfolds=None, **data):
+    """A fit's arguments with every one but the data checked and normalized (family a Family,
+    specs validated); ConfigError names a bad one.  Reads no data: nfolds > n is the fit's."""
+    nfolds = None if nfolds is None else whole_at_least("nfolds", nfolds, 2)
     fam = get_family(family)
     check_measure(measure, fam)
     nummods = tuple(whole_number("nummods", m) for m in nummods)
@@ -52,21 +56,36 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
     nnu = whole_at_least("nnu", nnu, 1)
     if nus is not None:
         build_nu_grid((), nnu, nus)  # refuses a bad explicit grid before the fit
+    return dict(data, family=fam, screen=screen, rp=rp, model=model, nnu=nnu, nus=nus,
+                nummods=nummods, measure=measure, seed=seed, threads=threads, nfolds=nfolds)
+
+
+def check_fit_arguments(cv: bool, **kwargs) -> None:
+    """Run the checks fit_spar_cv (cv) or fit_spar runs before it reads x on its keyword
+    arguments kwargs, its defaults filling the rest; ConfigError names a bad one."""
+    bound = inspect.signature(fit_spar_cv if cv else fit_spar).bind(None, None, **kwargs)
+    bound.apply_defaults()
+    _checked(**bound.arguments)
+
+
+def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
+                       measure, seed, threads, inds=None, rpms=None, **_):
+    """Fit and build the nu grid from _checked's arguments: (ensemble, screen, model), resolved."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x_std, y_std, stats = standardize(x, y, fam)
+    x_std, y_std, stats = standardize(x, y, family)
     n, p = x.shape
     screen = screen.resolved(n)
     screen_rows, model_rows = split_for_screening(
         n, screen.split_data_prop, split_stream(seed, 0)
     )
     rp = rp.resolved(len(model_rows), p)
-    models = fit_models(x_std, y_std, fam, screen, rp, model, max(nummods), seed,
+    models = fit_models(x_std, y_std, family, screen, rp, model, max(nummods), seed,
                         screen_rows, model_rows, inds=inds, rpms=rpms, threads=threads)
     nu_grid = build_nu_grid(models, nnu, nus)
     config = {
-        "family": fam.name,
-        "link": fam.link,
+        "family": family.name,
+        "link": family.link,
         "screen": _spec_echo(screen),
         "rp": _spec_echo(rp),
         "model": _spec_echo(model),
@@ -78,7 +97,7 @@ def _fit_ensemble_only(x, y, family, screen, rp, model, nnu, nus, nummods,
         # the worker count is an execution knob, not part of the model:
         # serialized output must not depend on it
     }
-    ens = SparEnsemble(family=fam, stats=stats, models=models, nus=nu_grid, nummods=nummods,
+    ens = SparEnsemble(family=family, stats=stats, models=models, nus=nu_grid, nummods=nummods,
                        measure=measure, master_seed=seed, config=config)
     return ens, screen, model
 
@@ -119,9 +138,7 @@ def fit_spar(
     """
     if (xval is None) != (yval is None):
         raise ConfigError("give both xval and yval, or neither")
-    ens, _, _ = _fit_ensemble_only(
-        x, y, family, screen, rp, model, nnu, nus, nummods, measure, inds, rpms, seed, threads
-    )
+    ens, _, _ = _fit_ensemble_only(**_checked(**locals()))  # locals(): every parameter
     if xval is None:
         logger.warning("no validation data supplied; selecting on the training data")
         xval, yval = x, y
@@ -160,13 +177,12 @@ def fit_spar_cv(
     fit_spar, for the folds too.  nfolds (whole, from 2 to the rows of x)
     is checked with the rest.
     """
-    nfolds = whole_at_least("nfolds", nfolds, 2)
+    args = _checked(**locals())  # locals(): every parameter
+    nfolds = args["nfolds"]
     if nfolds > len(x):
         raise ConfigError(f"nfolds={nfolds} exceeds the {len(x)} observations")
-    ens, screen, model = _fit_ensemble_only(
-        x, y, family, screen, rp, model, nnu, nus, nummods, measure, None, None, seed, threads
-    )
+    ens, screen, model = _fit_ensemble_only(**args)
     ens.config["nfolds"] = nfolds
-    ens.grid = cross_validate(ens, x, y, screen, model, nfolds, threads)
+    ens.grid = cross_validate(ens, x, y, screen, model, nfolds, args["threads"])
     ens.grid.best_cell()  # NumericError here, as in fit_spar
     return ens

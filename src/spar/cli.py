@@ -1,9 +1,9 @@
 """Command line interface: spar fit|cv|predict|simulate|coef|report.
 
-Options become library specs and keywords; the specs check them (plugin
-names included) before any data is read.  Exit codes: 0 success, 2
-configuration error (including usage errors), 3 data error or an output
-path that cannot be written, 4 numerical failure.  Diagnostics go to
+Options become library specs and keywords, which the library's own checks
+(api.check_fit_arguments) refuse before any data is read.  Exit codes: 0
+success, 2 configuration error (including usage errors), 3 data error or an
+output path that cannot be written, 4 numerical failure.  Diagnostics go to
 stderr; numerical output goes to files under --out (and the fit summary
 to stdout).
 """
@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .api import fit_spar, fit_spar_cv
+from .api import check_fit_arguments, fit_spar, fit_spar_cv
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -150,8 +150,7 @@ def _fit_options(args):
             spec, _, name = opt.target.rpartition(".")
             (specs[spec] if spec else kwargs)[name] = value
     for name, cls in (("screen", ScreenSpec), ("rp", RpSpec), ("model", ModelSpec)):
-        if specs[name]:
-            kwargs[name] = cls(**specs[name]).validated()  # before any data is read
+        kwargs[name] = cls(**specs[name])  # fields not given keep the spec defaults
     return kwargs.pop("response", "y"), kwargs
 
 
@@ -219,16 +218,15 @@ def _write_fit(ens, args) -> None:
 
 def cmd_fit(args) -> int:
     response, kwargs = _fit_options(args)
-    ds = load_csv(args.data, response=response)
-    if args.command == "cv":
-        ens = fit_spar_cv(ds.x, ds.y, **kwargs)
-    else:
+    cv = args.command == "cv"
+    if not cv:
         kwargs.pop("nfolds", None)  # from a config shared with spar cv; fit_spar takes none
-        if args.val_data is not None:
-            vds = load_csv(args.val_data, response=response)
-            kwargs.update(xval=vds.x, yval=vds.y)
-        ens = fit_spar(ds.x, ds.y, **kwargs)
-    _write_fit(ens, args)
+    check_fit_arguments(cv, **kwargs)  # before any data is read
+    ds = load_csv(args.data, response=response)
+    if not cv and args.val_data is not None:
+        vds = load_csv(args.val_data, response=response)
+        kwargs.update(xval=vds.x, yval=vds.y)
+    _write_fit((fit_spar_cv if cv else fit_spar)(ds.x, ds.y, **kwargs), args)
     return 0
 
 
@@ -255,18 +253,20 @@ def _load_coef_file(path):
 def cmd_predict(args) -> int:
     if (args.model is None) == (args.coef_file is None):  # before any data is read
         raise ConfigError("predict needs exactly one of --model and --coef-file")
-    ds = load_csv(args.data, response=args.response)
-    if args.coef_file is not None:
-        _refuse_pick(args, "--coef-file")
-        intercept, beta, family = _load_coef_file(args.coef_file)
-        fam = get_family(family)
-        if ds.x.shape[1] != len(beta):
-            raise DataError(f"data has {ds.x.shape[1]} columns, coefficients expect {len(beta)}")
-        eta = intercept + ds.x @ beta
-        preds = eta if args.type == "link" else linkinv_eval(fam, eta)
-    else:
+    if args.coef_file is None:
         ens = load_model(args.model)
-        preds = ens.predict(ds.x, **_given(args, "type", "avg_type", "nu", "nummod", "opt_par"))
+        preds = ens.predict(load_csv(args.data, response=args.response).x,
+                            **_given(args, "type", "avg_type", "nu", "nummod", "opt_par"))
+    else:
+        _refuse_pick(args, "--coef-file")  # these refusals, too, before any data is read
+        if args.avg_type is not None:
+            raise ConfigError("--coef-file reads no --avg-type: the file holds one averaged vector")
+        intercept, beta, family = _load_coef_file(args.coef_file)
+        x = load_csv(args.data, response=args.response).x
+        if x.shape[1] != len(beta):
+            raise DataError(f"data has {x.shape[1]} columns, coefficients expect {len(beta)}")
+        eta = intercept + x @ beta
+        preds = eta if args.type == "link" else linkinv_eval(get_family(family), eta)
     _write_csv(_outdir(args) / "predictions.csv", ("prediction",),
                np.asarray(preds, dtype=float).reshape(-1, 1).tolist())
     return 0

@@ -326,16 +326,20 @@ def model_from_dict(doc: dict) -> SparEnsemble:
             raise ValueError(f"p is {p}, the stats arrays hold {stats.x_mean.size} and {stats.x_sd.size}")
         if not (np.all(stats.x_sd > 0) and np.all(stats.x_sd < np.inf) and 0 < stats.y_sd < np.inf):
             raise ValueError("an x_sd or the y_sd is not finite and > 0")
+        if not all(type(v) in (int, float) and math.isfinite(v)
+                   for v in (stats.y_mean, *(md["gamma0"] for md in doc["models"]))):
+            raise ValueError("the y_mean or a gamma0 is not a finite number")
         models = []
         for md in doc["models"]:
-            idx, phi = np.asarray(md["index_set"], dtype=int), _phi_from_dict(md["phi"])
-            gamma = np.asarray(md["gamma"], dtype=float)
+            idx, gamma, phi = (np.asarray(md["index_set"], dtype=int),
+                               np.asarray(md["gamma"], dtype=float), md["phi"])
             if not (idx.size and 0 <= idx.min() and idx.max() < p):
                 raise ValueError(f"an index set is empty or leaves [0, {p})")
-            if idx.shape != (phi.q,) or gamma.shape != (phi.m,):
-                raise ValueError(f"a {phi.m} x {phi.q} projection has {idx.size} indices "
+            if idx.shape != (phi["q"],) or gamma.shape != (phi["m"],):  # before m x q is allocated
+                raise ValueError(f"a {phi['m']} x {phi['q']} projection has {idx.size} indices "
                                  f"and {gamma.size} gammas")
-            models.append(MarginalModel(idx, phi, md["gamma0"], gamma, md["converged"], md["failed"]))
+            models.append(MarginalModel(idx, _phi_from_dict(phi), md["gamma0"], gamma,
+                                        md["converged"], md["failed"]))
         sel = doc["selection"]
         if sel is not None and sel["measure"] != doc["measure"]:
             raise ValueError(f"selection measure {sel['measure']!r} is not {doc['measure']!r}")

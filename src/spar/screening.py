@@ -138,11 +138,10 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> Screen
     elif spec.method == "ridge":
         omega = fit_penalized_glm(x, y, fam, eps, start=start).gamma
     else:
-        omega = np.array(resolve("screening", spec.method, METHODS)(x, y, dict(spec.controls)), dtype=float)
-        if omega.shape != (p,):
-            raise DataError(f"screening plugin returned shape {omega.shape}, expected ({p},)")
-        if not np.all(np.isfinite(omega)):
-            raise DataError("screening plugin returned non-finite coefficients")
+        plugin = resolve("screening", spec.method, METHODS)
+        omega = np.array(plugin(x, y, dict(spec.controls)), dtype=float)
+        if omega.shape != (p,) or not np.all(np.isfinite(omega)):
+            raise DataError(f"screening plugin returned shape {omega.shape}, not {p} finite values")
     omega[const] = 0.0
     return ScreeningResult(omega, const, failed)
 

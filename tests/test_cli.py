@@ -4,6 +4,10 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spar
 from spar import (
     ModelSpec,
     RpSpec,
@@ -369,6 +374,56 @@ def test_bad_fit_arguments_exit_2(command, flags, sim_dir, tmp_path, capsys):
     assert line.startswith("error: ") and flags[0][2:] in line
 
 
+def _flag(name, values):
+    return values.map(lambda v: [f"{name}={v}"])  # "=" keeps a value such as -1e-05 a value
+
+
+# options of spar fit and spar cv that the README refuses (exit 2); each is drawn with the
+# defaults for everything else
+_REFUSED_FIT_OPTIONS = st.one_of(
+    _flag("--nummods", st.integers(max_value=0)), _flag("--nnu", st.integers(max_value=0)),
+    _flag("--seed", st.integers(max_value=-1)), _flag("--threads", st.integers(max_value=0)),
+    _flag("--nus", st.floats(max_value=-1e-3, allow_infinity=False)),
+    _flag("--nscreen", st.integers(max_value=0)), _flag("--b2", st.integers(max_value=0)),
+    _flag("--mslow", st.integers(max_value=0)), _flag("--psi", st.floats(1.01, 1e6)),
+    _flag("--split-prop", st.sampled_from([0.0, 1.0, 1.5, -0.2])),
+    _flag("--screen-eps", st.floats(max_value=-1e-3)), _flag("--model-eps", st.floats(max_value=-1e-3)),
+    _flag("--screen", st.sampled_from(["plugin", "bogus"])),
+    _flag("--rp", st.sampled_from(["plugin", "bogus"])),
+    _flag("--measure", st.sampled_from(["class", "1-auc"])),  # binomial measures, gaussian family
+)
+
+
+@st.composite
+def _refused_commands(draw, root):
+    """argv of spar fit, cv or predict with one refused option and a --data file that is absent."""
+    command = draw(st.sampled_from(["fit", "cv", "predict"]))
+    base = [command, "--data", str(root / "absent.csv"), "--out", str(root / "out")]
+    if command == "cv":
+        option = draw(_REFUSED_FIT_OPTIONS | _flag("--nfolds", st.integers(max_value=1)))
+    elif command == "fit":
+        option = draw(_REFUSED_FIT_OPTIONS)
+    else:
+        coef_file = ["--coef-file", str(root / "coef.json")]
+        option = draw(st.sampled_from([
+            [*coef_file, "--nu", "5"], [*coef_file, "--nummod", "2"],
+            [*coef_file, "--opt-par", "best"], [*coef_file, "--avg-type", "response"],
+            [*coef_file, "--avg-type", "link"], [*coef_file, "--model", str(root / "m.json")], [],
+        ]))
+    return [*base, *option]
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_refused_options_exit_2_before_data_is_read(tmp_path_factory, data):
+    """A refused option of spar fit, cv or predict exits 2 even though --data names a file that
+    does not exist: every argument check runs before any data file is read."""
+    root = tmp_path_factory.getbasetemp() / "refused"
+    argv = data.draw(_refused_commands(root))
+    assert main(argv) == 2
+    assert not root.exists()
+
+
 def test_simulate_refuses_a_negative_seed(tmp_path, capsys):
     assert main(["simulate", "--n", "5", "--p", "3", "--n-active", "1", "--seed", "-1",
                  "--out", str(tmp_path)]) == 2
@@ -571,6 +626,35 @@ def test_threads_do_not_change_results(sim_dir, tmp_path):
                    *FIT_FLAGS, "--threads", threads, "--out", str(out)])
         assert rc == 0
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+
+
+def test_readme_extending_section_runs(sim_dir, tmp_path, monkeypatch):
+    """README "Extending": its Python blocks run in order in one namespace, and its launcher
+    runs spar fit with the registered names on a simulated CSV, echoing them in model.json."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Extending\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```(python|sh)\n(.*?)```", section, re.S)
+    files = [code.split("\n", 1)[0][2:] for lang, code in blocks
+             if lang == "python" and re.match(r"# \w+\.py\n", code)]
+    assert files == ["my_plugins.py", "spar_with_plugins.py"]
+    for name in files:
+        (tmp_path / name).write_text(next(code for _, code in blocks if code.startswith(f"# {name}")))
+    monkeypatch.syspath_prepend(str(tmp_path))  # the launcher block imports my_plugins
+    monkeypatch.delitem(sys.modules, "my_plugins", raising=False)
+    namespace = {}
+    for lang, code in blocks:
+        if lang == "python":
+            exec(compile(code, "README.md", "exec"), namespace)
+    (command,) = (code for lang, code in blocks if lang == "sh")
+    argv = shlex.split(command)
+    assert argv[:2] == ["python", "spar_with_plugins.py"]
+    shutil.copy(sim_dir / "train.csv", tmp_path / "train.csv")
+    src = str(Path(spar.__file__).parents[1])
+    res = subprocess.run([sys.executable, *argv[1:]], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    config = json.loads((tmp_path / "run" / "model.json").read_text())["config"]
+    assert (config["screen"]["method"], config["rp"]["kind"]) == ("colsum", "wide-sparse")
 
 
 def test_console_module_smoke(sim_dir, tmp_path):

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, fields, is_dataclass
@@ -16,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import spar
 import spar.data as data_mod
 from spar import RpSpec, fit_spar, fit_spar_cv
 from spar.data import (
@@ -481,6 +485,49 @@ def test_load_refuses_a_golden_model_that_cannot_be_a_fit(path, corruption, k, j
         edited.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_model(edited)
+
+
+# loads each model file named on its command line under a 1 GiB address-space cap, so a load
+# that allocates what the file does not hold fails as MemoryError instead of exhausting memory
+_CAPPED_LOADER = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from spar.data import load_model
+for path in sys.argv[1:]:
+    try:
+        load_model(path)
+        print("loaded")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+_LOAD_TIME_EDITS = {
+    **{f"y_mean {v!r}": (lambda v: lambda doc, md: doc["stats"].update(y_mean=v))(v)
+       for v in (None, "0.5", [0.5], float("nan"))},
+    **{f"gamma0 {v!r}": (lambda v: lambda doc, md: md.update(gamma0=v))(v)
+       for v in (None, "0.5", [0.5], float("nan"), float("-inf"))},
+    "phi q 1e9": lambda doc, md: md["phi"].update(q=10**9),
+    "phi m 1e9": lambda doc, md: md["phi"].update(m=10**9),
+}
+
+
+@pytest.mark.parametrize("name", ["binomial-cw-cv", "gaussian-gaussian-validation"])
+def test_load_refuses_values_a_fit_never_writes_before_using_them(name, tmp_path):
+    """A stats y_mean or a gamma0 that is not a finite number, and a projection m or q that the
+    model's gammas or index set do not hold, are a ParseError at load, not a TypeError at first
+    use or an m x q allocation; the loads run in a child process under an address-space cap."""
+    paths = []
+    for k, (case, edit) in enumerate(_LOAD_TIME_EDITS.items()):
+        doc = json.loads((GOLDEN_DIR / name / "model.json").read_text())
+        edit(doc, doc["models"][k % len(doc["models"])])
+        paths.append(tmp_path / f"{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(spar.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _CAPPED_LOADER, *map(str, paths)], env=env,
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert dict(zip(_LOAD_TIME_EDITS, out, strict=True)) == dict.fromkeys(_LOAD_TIME_EDITS,
+                                                                           "ParseError")
 
 
 def _jsonable_reference(obj):
