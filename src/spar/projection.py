@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigError, DataError, whole_at_least, whole_number
@@ -229,16 +230,16 @@ def gen_haar_select(
 ) -> ProjectionMatrix:
     """Best of b2 Haar candidates by holdout error.
 
-    The holdout split comes from rng.spawn(1)[0], a child stream that takes
-    no draws from rng; the candidates come from rng, so rng moves as in b2
-    gen_haar calls (b2 = 1 is gen_haar).  Each candidate is drawn once and
-    scored at once by a penalized GLM refit on the projected training rows:
-    misclassification (binomial) or MSE (otherwise) on the holdout.  Ties
-    keep the earliest candidate; a candidate whose fit fails drops out, and
-    if all fail, the first wins.  An unpenalized gaussian fit with m < q and
-    m + 1 < training rows scores the raw draw G (X G spans what X Q spans)
-    and only the winner gets its QR; every other case, m == q included (all
-    candidates tie up to rounding), scores Q.
+    The holdout split comes from rng.spawn(1)[0], a child stream that takes no draws from rng;
+    b2 = 1 is gen_haar.  Each candidate is drawn once and scored at once by a penalized GLM
+    refit on the projected training rows: misclassification (binomial) or MSE (otherwise) on
+    the holdout.  Ties keep the earliest candidate; a candidate whose fit fails drops out, and
+    if all fail, the first wins.  An unpenalized gaussian fit with m < q and m + 1 < training
+    rows sees a draw G only through X G = R^T (V^T G), X^T = V R the economic QR of the
+    [train; test] rows: each candidate draws H = V^T G, min(n, q) x m normals scored on R^T,
+    and the winner alone gets G = V H + (I - V V^T) C, C a fresh q x m draw, whose law is a
+    direct draw's (iid normals are rotation-invariant).  Every other case, m == q included
+    (all candidates tie up to rounding), scores Q of gen_haar draws.
     """
     fam = get_family(family)
     x_sub = np.asarray(x_sub, dtype=float)
@@ -259,15 +260,19 @@ def gen_haar_select(
         )
     test = np.sort(rng.spawn(1)[0].choice(n, size=n_test, replace=False))
     train = np.setdiff1d(np.arange(n), test)
-    x_tr, x_te, y_tr, y_te = x_sub[train], x_sub[test], y[train], y[test]
-    span_only = fam.name == "gaussian" and epsilon == 0 and m < q and m + 1 < len(train)
+    x_ord, n_tr, y_tr, y_te = x_sub[np.concatenate([train, test])], len(train), y[train], y[test]
+    span_only = fam.name == "gaussian" and epsilon == 0 and m < q and m + 1 < n_tr
+    if span_only:  # x_ord.T is F-ordered: V overwrites it; R^T's training block is triangular
+        v, r = scipy.linalg.qr(x_ord.T, overwrite_a=True, mode="economic", check_finite=False)
+        x_ord = r.T
+    x_tr, x_te = x_ord[:n_tr, :n_tr if span_only else None], x_ord[n_tr:]
     best_err, best = np.inf, None
     for _ in range(b2):
-        g = rng.standard_normal((q, m))
+        g = rng.standard_normal((x_te.shape[1], m))
         best = g if best is None else best
         basis = g if span_only else _haar_from(g).mat.T
         try:
-            fit = fit_penalized_glm(x_tr @ basis, y_tr, fam, epsilon)
+            fit = fit_penalized_glm(x_tr @ basis[:x_tr.shape[1]], y_tr, fam, epsilon)
         except SOLVER_ERRORS:  # a failed candidate just drops out of the race
             continue
         mu = linkinv_eval(fam, fit.gamma0 + (x_te @ basis) @ fit.gamma)
@@ -277,6 +282,11 @@ def gen_haar_select(
             err = float(np.mean((y_te - mu) ** 2))
         if err < best_err:
             best_err, best = err, g
+    if span_only:  # G = C + V (H - V^T C), with only V left of the race; V goes before G's QR
+        del r, x_ord, x_tr, x_te, g, basis
+        c = rng.standard_normal((q, m))
+        c += v @ (best - v.T @ c)
+        best, v = c, None
     return _haar_from(best)
 
 

@@ -1,5 +1,7 @@
 """Projection generators, the JL bound, and the triplet representation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -122,29 +124,50 @@ def test_haar_select_b2_one_matches_gen_haar():
     assert np.array_equal(dense(a), dense(b))
 
 
-def _haar_select_reference(m, q, x, y, family, b2, frac, eps, rng):
-    """Best of b2 the direct way: every candidate's QR held from rng, the split from rng's
-    spawned child, then scoring on Q."""
-    candidates = [gen_haar(m, q, rng) for _ in range(b2)]
+def _haar(g):
+    """The m x q Haar matrix of a q x m draw g: Q of its QR, R's diagonal made >= 0, transposed."""
+    qmat, r = np.linalg.qr(g)
+    return (qmat * np.where(np.diag(r) < 0, -1.0, 1.0)).T
+
+
+def _haar_select_reference(m, q, x, y, family, b2, frac, eps, rng, fit=fit_penalized_glm):
+    """Best of b2 the direct way: (every candidate's m x q matrix, the winner's index, V, the
+    candidates' draws), V None where the candidates are gen_haar's q x m draws scored on Q.
+
+    The split comes from rng's spawned child.  An unpenalized gaussian fit with m < q and m + 1
+    < training rows draws each candidate's H = V^T G from rng, V from np.linalg.qr of the
+    [train; test] rows transposed, then one q x m C; every candidate is the full
+    G = V H + (I - V V^T) C, scored on x @ G."""
     if b2 == 1:
-        return candidates[0]
+        return [_haar(rng.standard_normal((q, m)))], 0, None, None
     n = len(y)
     test = np.sort(rng.spawn(1)[0].choice(n, size=int(round(frac * n)), replace=False))
     train = np.setdiff1d(np.arange(n), test)
-    best_err, best = np.inf, candidates[0]
-    for cand in candidates:
+    v = None
+    if family == "gaussian" and eps == 0 and m < q and m + 1 < len(train):
+        v = np.linalg.qr(x[np.concatenate([train, test])].T)[0]
+        draws = [rng.standard_normal((v.shape[1], m)) for _ in range(b2)]
+        c = rng.standard_normal((q, m))
+        bases = [v @ h + (np.eye(q) - v @ v.T) @ c for h in draws]
+        mats = [_haar(g) for g in bases]
+    else:
+        draws = [rng.standard_normal((q, m)) for _ in range(b2)]
+        mats = [_haar(g) for g in draws]
+        bases = [mat.T for mat in mats]
+    best_err, best = np.inf, 0
+    for i, basis in enumerate(bases):
         try:
-            fit = fit_penalized_glm(cand.matmul(x[train]), y[train], family, eps)
+            res = fit(x[train] @ basis, y[train], family, eps)
         except SOLVER_ERRORS:
             continue
-        mu = linkinv_eval(get_family(family), fit.gamma0 + cand.matmul(x[test]) @ fit.gamma)
+        mu = linkinv_eval(get_family(family), res.gamma0 + (x[test] @ basis) @ res.gamma)
         if family == "binomial":
             err = float(np.mean((mu > 0.5) != (y[test] > 0.5)))
         else:
             err = float(np.mean((y[test] - mu) ** 2))
         if err < best_err:
-            best_err, best = err, cand
-    return best
+            best_err, best = err, i
+    return mats, best, v, draws
 
 
 def _haar_problem(seed, n, q, family):
@@ -154,12 +177,22 @@ def _haar_problem(seed, n, q, family):
     return x, (eta > 0).astype(float) if family == "binomial" else eta
 
 
-def _assert_matches_reference(m, q, x, y, family, b2, eps, seed):
+def _assert_matches_reference(m, q, x, y, family, b2, eps, seed, fit=fit_penalized_glm):
+    """gen_haar_select (under projection_mod's fit_penalized_glm) picks the reference's winner
+    and leaves rng where the reference leaves it; scored on Q, bit for bit.  Drawn in X's row
+    span, the winner's G = V H + (I - V V^T) C agrees to rounding, and V^T G is its H.
+    Returns the winner's index."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    chosen = gen_haar_select(m, q, x, y, family, b2, 0.25, eps, rng)
-    expect = _haar_select_reference(m, q, x, y, family, b2, 0.25, eps, ref_rng)
-    assert np.array_equal(dense(chosen), dense(expect))
+    with mock.patch.object(projection_mod, "_haar_from", wraps=projection_mod._haar_from) as spy:
+        chosen = dense(gen_haar_select(m, q, x, y, family, b2, 0.25, eps, rng))
+    mats, best, v, draws = _haar_select_reference(m, q, x, y, family, b2, 0.25, eps, ref_rng, fit)
+    if v is None:
+        assert np.array_equal(chosen, mats[best])
+    else:
+        np.testing.assert_allclose(chosen, mats[best], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(v.T @ spy.call_args.args[0], draws[best], rtol=0, atol=1e-9)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+    return best
 
 
 def test_haar_select_picks_holdout_argmin():
@@ -171,25 +204,29 @@ def test_haar_select_picks_holdout_argmin():
     _assert_matches_reference(m, q, x, y, "gaussian", b2, 0.1, 55)
 
 
+def _only_nth_fits(nth):
+    """A fit_penalized_glm that raises SingularError on every call but the nth, and its calls."""
+    calls = []
+
+    def fit(z, y_tr, fam, eps):
+        calls.append(1)
+        if len(calls) != nth:
+            raise SingularError("forced singular candidate")
+        return fit_penalized_glm(z, y_tr, fam, eps)
+
+    return fit, calls
+
+
 def test_haar_select_failed_candidate_drops_out(monkeypatch):
     """A solver error drops the candidate from the race; other errors propagate."""
     rng_data = np.random.default_rng(21)
     x = rng_data.standard_normal((24, 9))
     y = rng_data.standard_normal(24)
-    calls = []
-
-    def only_third_fits(z, y_tr, fam, eps):
-        calls.append(1)
-        if len(calls) != 3:
-            raise SingularError("forced singular candidate")
-        return fit_penalized_glm(z, y_tr, fam, eps)
-
-    monkeypatch.setattr(projection_mod, "fit_penalized_glm", only_third_fits)
-    chosen = gen_haar_select(4, 9, x, y, "gaussian", 5, 0.25, 0.0, np.random.default_rng(78))
-    rng = np.random.default_rng(78)
-    candidates = [gen_haar(4, 9, rng) for _ in range(5)]
+    only_third, calls = _only_nth_fits(3)
+    monkeypatch.setattr(projection_mod, "fit_penalized_glm", only_third)
+    best = _assert_matches_reference(4, 9, x, y, "gaussian", 5, 0.0, 78, _only_nth_fits(3)[0])
     assert len(calls) == 5
-    assert np.array_equal(dense(chosen), dense(candidates[2]))
+    assert best == 2
 
     for exc in (TypeError("bad argument"), ConfigError("bad setting")):
         def broken(*args, exc=exc):
@@ -230,12 +267,13 @@ def test_haar_select_holdout_split_is_keyed_by_purpose(monkeypatch):
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
-@given(n=st.integers(8, 40), q=st.integers(1, 12), m_frac=st.floats(0.0, 1.0),
+@given(n=st.integers(8, 40), q=st.integers(1, 60), m_frac=st.floats(0.0, 1.0),
        b2=st.integers(1, 6), family=st.sampled_from(["gaussian", "binomial"]),
        eps=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**16))
 @settings(max_examples=80, deadline=None)
 def test_haar_select_equals_scoring_every_candidate_on_its_q(n, q, m_frac, b2, family, eps, seed):
-    """One draw per candidate, QR-free scoring where it applies: the same winner and rng state."""
+    """One draw per candidate, drawn in X's row span where it applies (n < q included): the same
+    winner and rng state as the direct reference."""
     m = max(1, round(m_frac * q))  # m_frac = 1 gives m == q
     x, y = _haar_problem(seed, n, q, family)
     _assert_matches_reference(m, q, x, y, family, b2, eps, seed + 1)
@@ -249,21 +287,15 @@ def test_haar_select_m_equal_q_scores_on_q():
 
 @pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
 def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatch):
-    """With every candidate failing, the first draw wins and rng ends past the b2 draws."""
+    """With every candidate failing, the first draw wins and rng ends past the b2 draws (and,
+    drawn in X's row span, past the winner's completion)."""
     x, y = _haar_problem(33, 30, 9, family)
 
     def always_singular(*args):
         raise SingularError("forced singular candidate")
 
     monkeypatch.setattr(projection_mod, "fit_penalized_glm", always_singular)
-    rng = np.random.default_rng(34)
-    chosen = gen_haar_select(4, 9, x, y, family, 5, 0.25, eps, rng)
-    ref_rng = np.random.default_rng(34)
-    first = gen_haar(4, 9, ref_rng)
-    for _ in range(4):
-        gen_haar(4, 9, ref_rng)
-    assert np.array_equal(dense(chosen), dense(first))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _assert_matches_reference(4, 9, x, y, family, 5, eps, 34, always_singular) == 0
 
 
 @pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
