@@ -147,6 +147,7 @@ class GlmFit:
     converged: bool
     iterations: int
     deviance: float
+    clamped: int = 0  # fitted means on a mean clamp (binomial and poisson)
 
 
 def _all_finite(a):
@@ -318,4 +319,5 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
         if abs(dev - dev_prev) / (0.1 + abs(dev)) < tol:
             converged = True
             break
-    return GlmFit(float(gamma0), gamma, converged, iterations, float(dev))
+    return GlmFit(float(gamma0), gamma, converged, iterations, float(dev),
+                  int(np.count_nonzero((mu <= lo) | (mu >= hi))))

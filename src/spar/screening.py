@@ -85,38 +85,34 @@ def _cor(x, y):
 
 
 def _marglik(x, y, family, epsilon, const):
-    """Slope of a univariate penalized GLM per column but const, and the count of failed fits."""
-    p = x.shape[1]
-    omega = np.zeros(p)
-    failed = 0
-    for j in np.delete(np.arange(p), const):
+    """Slope of a univariate penalized GLM per column but const, the count of failed fits and
+    that of kept fits whose fitted means end on a clamp (a separating column's)."""
+    omega = np.zeros(x.shape[1])
+    failed = clamped = 0
+    for j in np.delete(np.arange(x.shape[1]), const):
         try:
             fit = fit_penalized_glm(x[:, j : j + 1], y, family, epsilon)
         except SingularError:
+            fit = None
+        if fit is None or not fit.converged:
             failed += 1
-            continue
-        if fit.converged:
-            omega[j] = fit.gamma[0]
         else:
-            failed += 1
-    if failed:
-        logger.warning("marginal screening: %d of %d univariate fits failed", failed, p)
-    return omega, failed
+            omega[j], clamped = fit.gamma[0], clamped + (fit.clamped > 0)
+    return omega, failed, clamped
 
 
 @one_blas_thread
 def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> ScreeningResult:
     """Every column's screening coefficient omega under spec.method.
 
-    cor: the Pearson correlation with y.  marglik: the slope of a
-    univariate GLM per column, penalized by spec.epsilon (default 0);
-    a fit that is singular or does not converge scores 0 and counts in
-    failed_fits.  ridge: the coefficients of one multivariate GLM on all
-    columns, penalized by spec.epsilon (default 1e-2 * n); p > n solves
-    in dual form from one n x n Gram matrix, no n x p copy of x.  start
-    warm-starts that solve (see fit_penalized_glm); no other method
-    reads it.  A plugin's output must hold p finite numbers.  Constant
-    columns score 0 and are listed in excluded.
+    cor: the Pearson correlation with y.  marglik: the slope of a univariate GLM per column,
+    penalized by spec.epsilon (default 0); a fit that is singular or does not converge scores 0
+    and counts in failed_fits, and one warning counts those and the kept fits whose fitted
+    means end on a clamp.  ridge: the coefficients of one multivariate GLM on all columns,
+    penalized by spec.epsilon (default 1e-2 * n); p > n solves in dual form from one n x n Gram
+    matrix, no n x p copy of x.  start warm-starts that solve (see fit_penalized_glm); no other
+    method reads it.  A plugin's output must hold p finite numbers.  Constant columns score 0
+    and are listed in excluded.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -130,11 +126,11 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> Screen
     const = np.flatnonzero(np.ptp(x, axis=0) == 0)
     default_eps = 0.0 if spec.method == "marglik" else 1e-2 * n  # cor and plugins take none
     eps = default_eps if spec.epsilon is None else spec.epsilon
-    failed = 0
+    failed = clamped = 0
     if spec.method == "cor":
         omega = _cor(x, y)
     elif spec.method == "marglik":
-        omega, failed = _marglik(x, y, fam, eps, const)
+        omega, failed, clamped = _marglik(x, y, fam, eps, const)
     elif spec.method == "ridge":
         omega = fit_penalized_glm(x, y, fam, eps, start=start).gamma
     else:
@@ -143,7 +139,11 @@ def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> Screen
         if omega.shape != (p,) or not np.all(np.isfinite(omega)):
             raise DataError(f"screening plugin returned shape {omega.shape}, not {p} finite values")
     omega[const] = 0.0
-    return ScreeningResult(omega, const, failed)
+    res = ScreeningResult(omega, const, failed)
+    if res.failed_fits or clamped:
+        logger.warning("marginal screening: %d of %d univariate fits failed, %d ended with fitted "
+                       "means on a clamp", res.failed_fits, p, clamped)
+    return res
 
 
 def select_screened(result: ScreeningResult, spec: ScreenSpec, rng) -> np.ndarray:

@@ -101,7 +101,19 @@ def test_screen_marglik_failed_fits_are_counted_and_logged(caplog):
     assert res.excluded.size == 0 and res.omega[1] == res.omega[3] == 0.0
     assert np.all(res.omega[[0, 2, 4]] != 0.0)
     assert [r.getMessage() for r in caplog.records] == [
-        "marginal screening: 2 of 5 univariate fits failed"]
+        "marginal screening: 2 of 5 univariate fits failed, 0 ended with fitted means on a clamp"]
+
+
+def test_screen_marglik_separated_fits_are_counted_and_logged(caplog):
+    """y = (x_0 > 0) separates column 0: its IRLS fit stops with fitted means on the 1e-10
+    clamps and a large slope, which is kept; one warning counts it beside the failed fits."""
+    x = np.random.default_rng(0).standard_normal((12, 4))
+    y = (x[:, 0] > 0).astype(float)
+    with caplog.at_level(logging.WARNING, logger="spar.screening"):
+        res = _screen(x, y, BINOMIAL, method="marglik")
+    assert res.failed_fits == 0 and res.omega[0] > 100
+    assert [r.getMessage() for r in caplog.records] == [
+        "marginal screening: 0 of 4 univariate fits failed, 1 ended with fitted means on a clamp"]
 
 
 def test_screen_ridge_small_p_matches_ols():
