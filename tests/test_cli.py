@@ -628,6 +628,23 @@ def test_threads_do_not_change_results(sim_dir, tmp_path):
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    """README "Library quick start": its Python blocks run in order in one namespace, in a
+    temporary directory, and print the selected pair."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
+    ens, coef, preds = namespace["ens"], namespace["coef"], namespace["preds"]
+    assert capsys.readouterr().out == f"{ens.best}\n"
+    assert coef.beta.shape == (2000,) and coef.active == np.count_nonzero(coef.beta)
+    assert preds.shape == (200,) and np.all(np.isfinite(preds))
+
+
 def test_readme_extending_section_runs(sim_dir, tmp_path, monkeypatch):
     """README "Extending": its Python blocks run in order in one namespace, and its launcher
     runs spar fit with the registered names on a simulated CSV, echoing them in model.json."""

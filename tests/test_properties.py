@@ -1,11 +1,16 @@
-"""Invariants of the whole fit, as properties over one strategy of small fit configurations."""
+"""Invariants of the whole fit, as properties over one strategy of small fit configurations:
+thread-count invariance and the save/load round trip."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from spar import RpSpec, ScreenSpec, fit_spar, fit_spar_cv, serialize_model
+from spar import (RpSpec, ScreenSpec, fit_spar, fit_spar_cv, load_model, save_model,
+                  serialize_model)
 from spar.errors import SparError
 
 
@@ -63,3 +68,32 @@ def test_thread_count_never_changes_the_model(config):
     """threads=1 and threads=3 write the same model.json bytes, or raise the same error type."""
     x, y, kwargs = config
     assert _model_or_error(x, y, kwargs, 1) == _model_or_error(x, y, kwargs, 3)
+
+
+@given(fit_configs())
+@settings(max_examples=30, deadline=None)
+def test_model_serialization_is_stable(config):
+    """save_model -> load_model -> serialize_model gives back the saved bytes, and the loaded
+    ensemble's pairs, coef() and predict() (at every pair it can pick), and each model's
+    back-mapped coefficients equal the fit's bit for bit."""
+    x, y, kwargs = config
+    fit = fit_spar_cv if "nfolds" in kwargs else fit_spar
+    try:
+        ens = fit(x, y, **kwargs)
+    except SparError:  # the thread-count property holds these configurations' errors
+        assume(False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(ens, path)
+        text = path.read_text()
+        back = load_model(path)
+    assert serialize_model(back) == text == serialize_model(ens)
+    assert (back.best, back.one_se, back.cv) == (ens.best, ens.one_se, ens.cv)
+    assert all(np.array_equal(a.beta_vals, b.beta_vals) for a, b in zip(ens.models, back.models))
+    for opt_par in ("best", "1se") if ens.one_se is not None else ("best",):
+        a, b = ens.coef(opt_par=opt_par), back.coef(opt_par=opt_par)
+        assert (a.intercept, a.nu, a.nummod, a.active) == (b.intercept, b.nu, b.nummod, b.active)
+        assert np.array_equal(a.beta, b.beta)
+        for avg_type in ("link", "response"):
+            assert np.array_equal(ens.predict(x, avg_type=avg_type, opt_par=opt_par),
+                                  back.predict(x, avg_type=avg_type, opt_par=opt_par))
