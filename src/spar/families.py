@@ -147,7 +147,7 @@ class GlmFit:
     converged: bool
     iterations: int
     deviance: float
-    clamped: int = 0  # fitted means on a mean clamp (binomial and poisson)
+    clamped: int = 0  # fitted means on a clamp of linkinv_eval (binomial and poisson)
 
 
 def _all_finite(a):
@@ -320,4 +320,4 @@ def fit_penalized_glm(z, y, family, epsilon=0.0, max_iter=100, tol=1e-8, start=N
             converged = True
             break
     return GlmFit(float(gamma0), gamma, converged, iterations, float(dev),
-                  int(np.count_nonzero((mu <= lo) | (mu >= hi))))
+                  int(np.count_nonzero((mu <= lo) | (mu >= hi) | (eta >= _POISSON_ETA_CAP))))

@@ -77,13 +77,14 @@ def test_mean_clamps_hold_their_stated_values():
 
 def test_a_separated_binomial_fit_reaches_the_mean_clamp():
     """An unpenalized fit on a perfectly separated response converges with most fitted means on
-    the clamp, with nothing else recording it."""
+    the clamp, and GlmFit.clamped counts them."""
     x = np.random.default_rng(0).standard_normal((12, 1))
     y = (x[:, 0] > 0).astype(float)
     fit = fit_penalized_glm(x, y, BINOMIAL, 0.0)
     mu = linkinv_eval(BINOMIAL, fit.gamma0 + x @ fit.gamma)
     assert fit.converged
     assert np.count_nonzero((mu == BINOMIAL_MU_EPS) | (mu == 1 - BINOMIAL_MU_EPS)) == 10
+    assert fit.clamped == 10
 
 
 def test_deviance_frozen_values():
