@@ -298,6 +298,19 @@ def test_haar_select_all_candidates_fail_keeps_the_first(family, eps, monkeypatc
     assert _assert_matches_reference(4, 9, x, y, family, 5, eps, 34, always_singular) == 0
 
 
+def test_haar_select_unselected_winner_is_haar_distributed(monkeypatch):
+    """With every fit failing, the first candidate wins unselected, so its law is Haar's: the
+    mean of phi^T phi is (m / q) I.  At n < q that holds only if the winner's completion
+    outside the rows' span is right; V H alone would give (m / n) V V^T."""
+    x, y = _haar_problem(40, 10, 16, "gaussian")
+    monkeypatch.setattr(projection_mod, "fit_penalized_glm", _only_nth_fits(0)[0])
+    rng, draws, m = np.random.default_rng(41), 2000, 2
+    mean = sum(dense(phi).T @ dense(phi) for phi in (
+        gen_haar_select(m, 16, x, y, "gaussian", 2, 0.25, 0.0, rng) for _ in range(draws)))
+    # entries of phi^T phi have sd <= 0.12 here (0.115 measured), so their means about 0.0026
+    assert np.max(np.abs(mean / draws - m / 16 * np.eye(16))) < 0.015
+
+
 @pytest.mark.parametrize("family, eps", [("gaussian", 0.0), ("binomial", 0.1)])
 def test_haar_select_holds_one_candidate_at_a_time(family, eps, traced_peak):
     """b2 = 50 candidates of 40 x 200 peak below 12 candidates' bytes, not 50."""
