@@ -230,16 +230,17 @@ def gen_haar_select(
 ) -> ProjectionMatrix:
     """Best of b2 Haar candidates by holdout error.
 
-    The holdout split comes from rng.spawn(1)[0], a child stream that takes no draws from rng;
-    b2 = 1 is gen_haar.  Each candidate is drawn once and scored at once by a penalized GLM
-    refit on the projected training rows: misclassification (binomial) or MSE (otherwise) on
-    the holdout.  Ties keep the earliest candidate; a candidate whose fit fails drops out, and
-    if all fail, the first wins.  An unpenalized gaussian fit with m < q and m + 1 < training
-    rows sees a draw G only through X G = R^T (V^T G), X^T = V R the economic QR of the
-    [train; test] rows: each candidate draws H = V^T G, min(n, q) x m normals scored on R^T,
-    and the winner alone gets G = V H + (I - V V^T) C, C a fresh q x m draw, whose law is a
-    direct draw's (iid normals are rotation-invariant).  Every other case, m == q included
-    (all candidates tie up to rounding), scores Q of gen_haar draws.
+    The holdout split comes from rng.spawn(1)[0], a child stream that takes
+    no draws from rng; b2 = 1 is gen_haar.  Each candidate is drawn once and
+    scored at once by a penalized GLM refit on the projected training rows:
+    misclassification (binomial) or MSE (otherwise) on the holdout.  Ties
+    keep the earliest candidate; a candidate whose fit fails drops out, and
+    if all fail, the first wins.  An unpenalized gaussian fit with m < q and
+    m + 1 < training rows sees G only through X G = R^T V^T G (X^T = V R,
+    one QR of the [train; test] rows): it draws H = V^T G, scores it on
+    R^T, and completes the winner alone to G = V H + (I - V V^T) C, C a
+    fresh q x m draw, a direct draw's law by rotation invariance.  Every
+    other case, m == q included (all candidates tie up to rounding), scores Q.
     """
     fam = get_family(family)
     x_sub = np.asarray(x_sub, dtype=float)
@@ -282,11 +283,10 @@ def gen_haar_select(
             err = float(np.mean((y_te - mu) ** 2))
         if err < best_err:
             best_err, best = err, g
-    if span_only:  # G = C + V (H - V^T C), with only V left of the race; V goes before G's QR
+    if span_only:  # G = C + V (H - V^T C), in place: R and the scores go before C, V before G's QR
         del r, x_ord, x_tr, x_te, g, basis
         c = rng.standard_normal((q, m))
-        c += v @ (best - v.T @ c)
-        best, v = c, None
+        best, v = np.add(c, v @ (best - v.T @ c), out=c), None
     return _haar_from(best)
 
 

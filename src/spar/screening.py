@@ -70,7 +70,7 @@ class ScreenSpec:
 class ScreeningResult:
     omega: np.ndarray  # length-p coefficient vector, 0 at excluded columns
     excluded: np.ndarray  # indices of constant columns
-    failed_fits: int = 0  # marglik fits that did not converge
+    failed_fits: int = 0  # marglik fits that failed; logged with those ending on a clamp
 
 
 def _cor(x, y):
@@ -85,8 +85,7 @@ def _cor(x, y):
 
 
 def _marglik(x, y, family, epsilon, const):
-    """Slope of a univariate penalized GLM per column but const, the count of failed fits and
-    that of kept fits whose fitted means end on a clamp (a separating column's)."""
+    """Slope of a univariate penalized GLM per column but const; failed and clamped fit counts."""
     omega = np.zeros(x.shape[1])
     failed = clamped = 0
     for j in np.delete(np.arange(x.shape[1]), const):
@@ -105,14 +104,15 @@ def _marglik(x, y, family, epsilon, const):
 def compute_screening(x, y, fam: Family, spec: ScreenSpec, start=None) -> ScreeningResult:
     """Every column's screening coefficient omega under spec.method.
 
-    cor: the Pearson correlation with y.  marglik: the slope of a univariate GLM per column,
-    penalized by spec.epsilon (default 0); a fit that is singular or does not converge scores 0
-    and counts in failed_fits, and one warning counts those and the kept fits whose fitted
-    means end on a clamp.  ridge: the coefficients of one multivariate GLM on all columns,
-    penalized by spec.epsilon (default 1e-2 * n); p > n solves in dual form from one n x n Gram
-    matrix, no n x p copy of x.  start warm-starts that solve (see fit_penalized_glm); no other
-    method reads it.  A plugin's output must hold p finite numbers.  Constant columns score 0
-    and are listed in excluded.
+    cor: the Pearson correlation with y.  marglik: the slope of a
+    univariate GLM per column, penalized by spec.epsilon (default 0);
+    a fit that is singular or does not converge scores 0 and counts in
+    failed_fits.  ridge: the coefficients of one multivariate GLM on all
+    columns, penalized by spec.epsilon (default 1e-2 * n); p > n solves
+    in dual form from one n x n Gram matrix, no n x p copy of x.  start
+    warm-starts that solve (see fit_penalized_glm); no other method
+    reads it.  A plugin's output must hold p finite numbers.  Constant
+    columns score 0 and are listed in excluded.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
